@@ -221,6 +221,11 @@ def projection(g: np.ndarray) -> np.ndarray:
     equations and the (then only approximately idempotent) projector is
     returned with a logged warning.
     """
+    return _factor(g)[0]
+
+
+def _factor(g: np.ndarray) -> tuple:
+    """(projector, Q, R): ``projection(g)`` and the thin QR it is built on."""
     q_thin, r_fac = np.linalg.qr(g)
     cond = np.linalg.cond(r_fac) ** 2
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -230,8 +235,8 @@ def projection(g: np.ndarray) -> np.ndarray:
             "projection: cond(G^H G) = %.3e exceeds %.1e; applying "
             "diagonal ridge %.3e", cond, COND_LIMIT, ridge)
         gram[np.diag_indices_from(gram)] += ridge
-        return g @ np.linalg.solve(gram, g.conj().T)
-    return q_thin @ q_thin.conj().T
+        return g @ np.linalg.solve(gram, g.conj().T), q_thin, r_fac
+    return q_thin @ q_thin.conj().T, q_thin, r_fac
 
 
 @dataclass
@@ -256,8 +261,7 @@ class MlWorkspace:
 def build_workspace(params: OtfsParams, spec: PcpSpec,
                     bem: BemModel) -> MlWorkspace:
     g = build_g(params, spec, bem)
-    lam = projection(g)
-    q_thin, r_fac = np.linalg.qr(g)
+    lam, q_thin, r_fac = _factor(g)
     return MlWorkspace(params=params, spec=spec, bem=bem, g=g, lam=lam,
                        qr_q=q_thin, qr_r=r_fac)
 
@@ -334,6 +338,11 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
     evaluated (eps, cost) pairs are kept in ``cost_trace`` in evaluation
     order.  A peak on the stage-one boundary logs a warning since the
     true CFO may sit outside the searched range.
+
+    The fast path evaluates ``ml_cost_fast`` at a whole grid at once: one
+    (grid x N) phase matrix, built in ``ml_cost_fast``'s operation order
+    so every phasor is bit-equal, times beta.  It still counts N
+    multiplies per grid point.
     """
     params, bem, lam = workspace.params, workspace.bem, workspace.lam
     beta = beta_coefficients(r_p, lam, params, counter=counter) \
@@ -341,10 +350,12 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
 
     def evaluate(grid: np.ndarray) -> np.ndarray:
         if use_fast:
-            return np.array([
-                ml_cost_fast(r_p, lam, bem, e, beta=beta, counter=counter)
-                for e in grid
-            ])
+            phases = np.exp(2j * np.pi * np.arange(params.n)[None, :]
+                            * grid[:, None] / params.n)
+            if counter is not None:
+                for _ in grid:
+                    counter.add(params.n)
+            return -beta[0].real + 2.0 * np.real(phases @ beta)
         return np.array([
             ml_cost(r_p, lam, bem, e, counter=counter) for e in grid
         ])

@@ -11,6 +11,7 @@ normalized CFO, AWGN) are injected on the serialized stream.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,34 +145,52 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
                     seed) -> ChannelRealization:
     """Draw one channel realization over ``duration`` samples.
 
-    Each tap is an independent sum of JAKES_SINUSOIDS equal-power complex
-    sinusoids with arrival angles and phases uniform on [0, 2*pi); the
-    resulting Doppler spectrum is the classical Jakes shape with maximum
-    frequency ``model.nu_max``.  A static spectrum freezes every tap at
-    its k = 0 value.  The per-sample rotation is applied by a running
-    product of unit phasors, which is cheaper than exponentiating the
-    full phase matrix.
+    Each tap is an independent sum of S = JAKES_SINUSOIDS equal-power
+    complex sinusoids with arrival angles psi and phases phi uniform on
+    [0, 2*pi),
+
+        h[ell, k] = sqrt(p_ell / S) sum_s exp(j (phi_s + omega_s k)),
+        omega_s = 2 pi nu_max Ts cos(psi_s),
+
+    so the Doppler spectrum is the classical Jakes shape with maximum
+    frequency ``model.nu_max`` (the random-angle model of Zheng & Xiao,
+    IEEE Trans. Commun. 2003).  A static spectrum freezes every tap at its
+    k = 0 value.
+
+    Every tap draws its psi then phi, in tap order, whether or not it
+    carries power, so the draws of tap ell do not depend on which taps
+    are live.  Only taps with nonzero power are synthesized; the others
+    stay exactly zero.  The sum is a blocked product: with k = b R + r and
+    R = ceil(sqrt(duration)), row b of the (blocks x R) tap grid is
+    exp(j (phi + omega b R)) @ exp(j omega r), so only S (blocks + R)
+    exponentials are taken per tap and each sample is one exact phasor
+    product away from exp(j (phi + omega k)), with no running-product
+    drift.
     """
     if duration < 1:
         raise ValueError("duration must be >= 1")
     rng = np.random.default_rng(seed)
     n_taps = model.n_taps
-    amps = np.sqrt(model.pdp)
-    taps = np.empty((n_taps, duration), dtype=complex)
-    scale = 1.0 / np.sqrt(JAKES_SINUSOIDS)
+    psi = np.empty((n_taps, JAKES_SINUSOIDS))
+    phi = np.empty((n_taps, JAKES_SINUSOIDS))
     for ell in range(n_taps):
-        psi = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
-        phi = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
-        start = np.exp(1j * phi)
-        if model.doppler_spectrum == "static" or model.nu_max == 0.0:
-            taps[ell, :] = amps[ell] * scale * start.sum()
-            continue
-        omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi)
-        phasors = np.empty((JAKES_SINUSOIDS, duration), dtype=complex)
-        phasors[:, 0] = start
-        phasors[:, 1:] = np.exp(1j * omega)[:, None]
-        np.cumprod(phasors, axis=1, out=phasors)
-        taps[ell, :] = amps[ell] * scale * phasors.sum(axis=0)
+        psi[ell] = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
+        phi[ell] = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
+    gains = np.sqrt(model.pdp) * (1.0 / np.sqrt(JAKES_SINUSOIDS))
+    if model.doppler_spectrum == "static" or model.nu_max == 0.0:
+        start = np.exp(1j * phi).sum(axis=1)
+        taps = np.repeat((gains * start)[:, None], duration, axis=1)
+        return ChannelRealization(taps=taps)
+    live = np.flatnonzero(model.pdp)
+    omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi[live])
+    width = math.isqrt(duration - 1) + 1
+    blocks = -(-duration // width)
+    outer = np.exp(1j * (phi[live][:, None, :] + omega[:, None, :]
+                         * (np.arange(blocks) * width)[None, :, None]))
+    inner = np.exp(1j * omega[:, :, None] * np.arange(width)[None, None, :])
+    sums = np.matmul(outer, inner).reshape(live.size, blocks * width)
+    taps = np.zeros((n_taps, duration), dtype=complex)
+    taps[live] = gains[live, None] * sums[:, :duration]
     return ChannelRealization(taps=taps)
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .cfo import (MlWorkspace, build_bem, build_workspace, coarse_cfo,
-                  extract_pilot, fine_cfo)
+from .cfo import (MlWorkspace, SingularModelError, build_bem,
+                  build_workspace, coarse_cfo, extract_pilot, fine_cfo)
 from .channel import (ChannelModel, Impairments, apply_impairments,
                       eva_model, export_taps, mean_delay, realize_channel,
                       single_tap_model)
@@ -40,6 +40,10 @@ logger = logging.getLogger(__name__)
 
 RESULT_COLUMNS = ("sweep_value", "to_err_mean", "to_err_var",
                   "cfo_mse_coarse", "cfo_mse_fine", "trials", "failures")
+
+#: Errors the estimators raise on inputs they cannot handle; a trial that
+#: hits one is counted as failed.  Anything else is a bug and propagates.
+ESTIMATOR_ERRORS = (ValueError, SingularModelError, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -246,7 +250,7 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
         to, _ = estimate_to(received, params, spec, ctx.mu_est)
         result.theta_hat = int(fold_offset(to.theta_hat - ctx.advance,
                                            params.n_t))
-    except Exception as exc:
+    except ESTIMATOR_ERRORS as exc:
         result.failure = f"timing: {exc}"
         return result
     finally:
@@ -255,7 +259,7 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
     tic = time.perf_counter()
     try:
         result.eps_coarse = coarse_cfo(received, to, params, spec)
-    except Exception as exc:
+    except ESTIMATOR_ERRORS as exc:
         result.failure = f"coarse: {exc}"
         return result
     finally:
@@ -270,7 +274,7 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
                                 half_width=config.cfo_half_width,
                                 use_fast=config.fast_cost)
         result.eps_fine = float(fold_offset(estimate.eps_fine, params.n))
-    except Exception as exc:
+    except ESTIMATOR_ERRORS as exc:
         result.failure = f"fine: {exc}"
         return result
     finally:
@@ -454,6 +458,15 @@ def sweep_axis_configs(config: ExperimentConfig):
         raise ValueError(f"unknown sweep axis {config.sweep!r}")
 
 
+def context_key(config: ExperimentConfig) -> tuple:
+    """Cache key of the point context: every config field but ``snr_db``.
+
+    The data SNR only scales the noise drawn per trial, so points that
+    differ in nothing else share one :func:`build_point` result.
+    """
+    return dataclasses.astuple(replace(config, snr_db=None))
+
+
 def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     """Full sweep; returns {csv filename: [PointSummary, ...]}.
 
@@ -477,9 +490,7 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
         summaries = []
         cache = {}
         for value, point_cfg in sweep_axis_configs(variant):
-            key = (point_cfg.m, point_cfg.n, point_cfg.lcp, point_cfg.blocks,
-                   point_cfg.nu_max_t, point_cfg.channel,
-                   point_cfg.doppler_spectrum, point_cfg.bem_q)
+            key = context_key(point_cfg)
             if key not in cache:
                 cache[key] = build_point(point_cfg)
             tic = time.perf_counter()

@@ -328,6 +328,61 @@ class TestFineCfo:
         assert fast.eps_fine == slow.eps_fine
         assert_allclose(fast.cost_trace, slow.cost_trace, rtol=1e-9)
 
+    @staticmethod
+    def _scalar_fine_cfo(r_p, ws, eps_coarse, counter):
+        """The two-stage search as one ml_cost_fast call per grid point."""
+        beta = beta_coefficients(r_p, ws.lam, ws.params, counter=counter)
+
+        def costs(grid):
+            return np.array([ml_cost_fast(r_p, ws.lam, ws.bem, e, beta=beta,
+                                          counter=counter) for e in grid])
+
+        grid1 = eps_coarse + np.arange(-50, 51) * 1e-2
+        center = grid1[int(np.argmax(costs(grid1)))]
+        grid2 = center + np.arange(-100, 101) * 1e-4
+        return float(grid2[int(np.argmax(costs(grid2)))])
+
+    def _noisy_case(self, seed):
+        """A random BEM loopback in noise at a random offset."""
+        rng = np.random.default_rng(seed)
+        n, length, q = (8, 16, 32)[seed % 3], 1 + seed % 4, 1 + seed % 3
+        params = OtfsParams(m=16, n=n, lcp=4)
+        spec = PcpSpec(length=length, m_p=8, n_p=n // 2)
+        bem = build_bem(params, spec, k=2, nu_max=0.0, q=q)
+        ws = build_workspace(params, spec, bem)
+        c = rng.standard_normal(length * q) + 1j * rng.standard_normal(
+            length * q)
+        eps = rng.uniform(-0.4, 0.4)
+        gamma = np.exp(2j * np.pi * eps * bem.pilot_idx.ravel() / params.mn)
+        noise = rng.standard_normal(n * length) + 1j * rng.standard_normal(
+            n * length)
+        return ws, gamma * (ws.g @ c) + 0.3 * noise, eps
+
+    def test_grid_matches_per_point_costs(self):
+        """Each traced cost equals ml_cost_fast at that point within 1e-12
+        relative, and the matrix-form ml_cost within 1e-9."""
+        for seed in range(6):
+            ws, r_p, _ = self._noisy_case(seed)
+            est = fine_cfo(r_p, ws, eps_coarse=0.05)
+            beta = beta_coefficients(r_p, ws.lam, ws.params)
+            for eps, cost in est.cost_trace[::7]:
+                fast = ml_cost_fast(r_p, ws.lam, ws.bem, eps, beta=beta)
+                matrix = ml_cost(r_p, ws.lam, ws.bem, eps)
+                assert abs(cost - fast) <= 1e-12 * abs(fast)
+                assert abs(cost - matrix) <= 1e-9 * abs(matrix)
+
+    def test_same_estimate_and_count_as_scalar_loop(self):
+        """Over 120 seeded noisy cases the vectorized search returns the
+        scalar loop's eps_fine and counts the same multiplies."""
+        for seed in range(120):
+            ws, r_p, eps = self._noisy_case(seed)
+            coarse = eps + (seed % 5 - 2) * 0.1
+            ref_counter, counter = OpCounter(), OpCounter()
+            expected = self._scalar_fine_cfo(r_p, ws, coarse, ref_counter)
+            est = fine_cfo(r_p, ws, eps_coarse=coarse, counter=counter)
+            assert est.eps_fine == expected, seed
+            assert counter.multiplies == ref_counter.multiplies
+
     def test_boundary_peak_warns(self, caplog):
         """A peak pinned to the search edge logs a warning."""
         ws, r_p = self._loopback(0.9, 0.0)

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import j0
 
-from otfs_sync.channel import (ChannelModel, ChannelRealization, Impairments,
+from otfs_sync.channel import (JAKES_SINUSOIDS, ChannelModel,
+                               ChannelRealization, Impairments,
                                apply_impairments, eva_model, export_taps,
                                mean_delay, realize_channel, single_tap_model)
 from otfs_sync.modem import OtfsParams
@@ -105,6 +106,49 @@ class TestRealizeChannel:
                              doppler_spectrum="jakes")
         real = realize_channel(model, self.params, 40, seed=1)
         assert_array_equal(real.taps, np.tile(real.taps[:, :1], (1, 40)))
+
+    @staticmethod
+    def _draws(model, seed):
+        """The (psi, phi) pairs of every tap, drawn in synthesis order."""
+        rng = np.random.default_rng(seed)
+        return [(rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS),
+                 rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS))
+                for _ in range(model.n_taps)]
+
+    @pytest.mark.parametrize("duration", [
+        1, 2, 97, 2 * OtfsParams(m=128, n=32, lcp=32).n_t])
+    def test_matches_exact_sum_of_sinusoids(self, duration):
+        """Every sample equals sqrt(p/S) sum_s exp(j (phi + omega k)) with
+        exact exponentials, from the same draws, within 1e-12."""
+        params = OtfsParams(m=128, n=32, lcp=32)
+        model = eva_model(params.ts, 21, 1.36 / (params.mn * params.ts))
+        real = realize_channel(model, params, duration, seed=7)
+        k = np.arange(duration)
+        for ell, (psi, phi) in enumerate(self._draws(model, 7)):
+            omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi)
+            exact = np.sqrt(model.pdp[ell] / JAKES_SINUSOIDS) * np.exp(
+                1j * (phi[:, None] + omega[:, None] * k[None, :])).sum(axis=0)
+            assert_allclose(real.taps[ell], exact, rtol=0, atol=1e-12)
+
+    def test_zero_power_rows_exactly_zero(self):
+        """Taps without PDP power are not synthesized and stay exactly 0."""
+        model = eva_model(1.0 / 8.25e6, 21, 500.0)
+        real = realize_channel(model, OtfsParams(m=16, n=8, lcp=4), 300,
+                               seed=3)
+        dead = model.pdp == 0.0
+        assert dead.sum() == 14
+        assert_array_equal(real.taps[dead], 0.0)
+        assert np.all(real.taps[~dead] != 0.0)
+
+    def test_static_branch_matches_per_tap_form(self):
+        """A static multi-tap profile holds each tap at its k = 0 value,
+        amps * S^-1/2 * sum(exp(j phi)), bit for bit."""
+        model = eva_model(1.0 / 8.25e6, 21, 0.0, doppler_spectrum="static")
+        real = realize_channel(model, self.params, 25, seed=11)
+        scale = 1.0 / np.sqrt(JAKES_SINUSOIDS)
+        for ell, (_, phi) in enumerate(self._draws(model, 11)):
+            value = np.sqrt(model.pdp[ell]) * scale * np.exp(1j * phi).sum()
+            assert_array_equal(real.taps[ell], np.full(25, value))
 
     def test_per_tap_power_matches_pdp(self):
         """Averaged over realizations, each tap's power follows the PDP."""

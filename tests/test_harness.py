@@ -8,10 +8,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfs_sync.cli import main
+from otfs_sync import harness
 from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
-                               build_point, config_items, load_config,
-                               parse_config, read_csv, run_point, run_single,
-                               run_snapshot, run_sweep, run_trial,
+                               build_point, config_items, context_key,
+                               load_config, parse_config, read_csv, run_point,
+                               run_single, run_snapshot, run_sweep, run_trial,
                                trial_streams, write_csv, write_manifest)
 
 #: Small, fast, noiseless link used across the harness tests.
@@ -180,6 +181,32 @@ class TestRunTrial:
         assert r.eps_true == 0.375
 
 
+    @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
+                                       "fine_cfo"])
+    def test_estimator_error_is_stage_failure(self, monkeypatch, stage):
+        """An estimator's ValueError fails the trial with its stage label."""
+        def refuse(*args, **kwargs):
+            raise ValueError("no lock")
+
+        ctx = build_point(TINY)
+        monkeypatch.setattr(harness, stage, refuse)
+        label = {"estimate_to": "timing", "coarse_cfo": "coarse",
+                 "fine_cfo": "fine"}[stage]
+        assert run_trial(TINY, ctx, 0).failure == f"{label}: no lock"
+
+    @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
+                                       "fine_cfo"])
+    def test_programming_error_propagates(self, monkeypatch, stage):
+        """A TypeError is a bug, not a failed trial, and is raised."""
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        ctx = build_point(TINY)
+        monkeypatch.setattr(harness, stage, broken)
+        with pytest.raises(TypeError, match="bad call"):
+            run_trial(TINY, ctx, 0)
+
+
 class TestAggregate:
     """Trial reduction conventions."""
 
@@ -283,6 +310,30 @@ class TestRunners:
             (tmp_path / "b" / "results.csv").read_bytes()
         assert (tmp_path / "a" / "manifest.txt").read_bytes() == \
             (tmp_path / "b" / "manifest.txt").read_bytes()
+
+    def test_context_key_ignores_only_snr(self):
+        """Points differing only in SNR share a context; any other field,
+        such as bem_k or pilot_length, gets one of its own."""
+        key = context_key(TINY)
+        assert context_key(dataclasses.replace(TINY, snr_db=5.0)) == key
+        for change in ({"bem_k": 2}, {"pilot_length": 3}, {"ts": 1e-6},
+                       {"bias_correction_known_pdp": False}):
+            assert context_key(dataclasses.replace(TINY, **change)) != key
+
+    def test_snr_sweep_builds_one_context(self, tmp_path, monkeypatch):
+        """Three SNR points reuse a single build_point result."""
+        calls = []
+
+        def counted(config):
+            calls.append(config.snr_db)
+            return build_point(config)
+
+        monkeypatch.setattr(harness, "build_point", counted)
+        config = dataclasses.replace(TINY, sweep="snr_db",
+                                     sweep_values=(30.0, 40.0, 50.0),
+                                     trials=1)
+        run_sweep(config, tmp_path)
+        assert calls == [30.0]
 
     def test_run_point_matches_trials(self):
         """run_point reduces exactly the trials it ran."""
