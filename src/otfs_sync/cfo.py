@@ -221,11 +221,6 @@ def projection(g: np.ndarray) -> np.ndarray:
     equations and the (then only approximately idempotent) projector is
     returned with a logged warning.
     """
-    return _factor(g)[0]
-
-
-def _factor(g: np.ndarray) -> tuple:
-    """(projector, Q, R): ``projection(g)`` and the thin QR it is built on."""
     q_thin, r_fac = np.linalg.qr(g)
     cond = np.linalg.cond(r_fac) ** 2
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -235,17 +230,16 @@ def _factor(g: np.ndarray) -> tuple:
             "projection: cond(G^H G) = %.3e exceeds %.1e; applying "
             "diagonal ridge %.3e", cond, COND_LIMIT, ridge)
         gram[np.diag_indices_from(gram)] += ridge
-        return g @ np.linalg.solve(gram, g.conj().T), q_thin, r_fac
-    return q_thin @ q_thin.conj().T, q_thin, r_fac
+        return g @ np.linalg.solve(gram, g.conj().T)
+    return q_thin @ q_thin.conj().T
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlWorkspace:
     """Precomputed per-geometry objects for the ML cost.
 
-    Built once per (params, spec, bem) and reused across trials: the
-    model matrix, its projector, and the QR factors used for coefficient
-    solves.  ``c_hat`` is filled by ``estimate_channel_bem``.
+    Built once per (params, spec, bem) and shared read-only by every
+    trial of a point: the model matrix and its projector.
     """
 
     params: OtfsParams
@@ -253,17 +247,13 @@ class MlWorkspace:
     bem: BemModel
     g: np.ndarray
     lam: np.ndarray
-    qr_q: np.ndarray
-    qr_r: np.ndarray
-    c_hat: np.ndarray | None = None
 
 
 def build_workspace(params: OtfsParams, spec: PcpSpec,
                     bem: BemModel) -> MlWorkspace:
     g = build_g(params, spec, bem)
-    lam, q_thin, r_fac = _factor(g)
-    return MlWorkspace(params=params, spec=spec, bem=bem, g=g, lam=lam,
-                       qr_q=q_thin, qr_r=r_fac)
+    return MlWorkspace(params=params, spec=spec, bem=bem, g=g,
+                       lam=projection(g))
 
 
 def _gamma_phases(bem: BemModel, eps_tilde: float) -> np.ndarray:
@@ -386,20 +376,19 @@ def estimate_channel_bem(r_p: np.ndarray, workspace: MlWorkspace,
                          block_start: int = 0) -> np.ndarray:
     """Least-squares BEM coefficients after CFO de-rotation.
 
-    c_hat = (G^H G)^{-1} G^H Gamma^H(eps_hat) r_p, solved through the
-    cached QR factors.  ``block_start`` enters only as the absolute
-    position of the block in the observation buffer so the de-rotation
-    phase matches the samples' true indices; leaving it zero estimates
-    the taps up to a constant phase.
+    c_hat = (G^H G)^{-1} G^H Gamma^H(eps_hat) r_p, solved as least
+    squares on the workspace's G; nothing is written back.
+    ``block_start`` enters only as the absolute position of the block in
+    the observation buffer so the de-rotation phase matches the samples'
+    true indices; leaving it zero estimates the taps up to a constant
+    phase.
     """
     bem = workspace.bem
     rel = np.conj(_gamma_phases(bem, eps_hat)) * r_p
     if block_start:
         rel = rel * np.exp(-2j * np.pi * eps_hat * block_start
                            / bem.params.mn)
-    c_hat = np.linalg.solve(workspace.qr_r, workspace.qr_q.conj().T @ rel)
-    workspace.c_hat = c_hat
-    return c_hat
+    return np.linalg.lstsq(workspace.g, rel, rcond=None)[0]
 
 
 def bem_reconstruct(c_hat: np.ndarray, bem: BemModel,

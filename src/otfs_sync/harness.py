@@ -22,7 +22,8 @@ import dataclasses
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -145,14 +146,13 @@ class PointSummary:
     failures: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointContext:
-    """Per-sweep-point objects built once and reused across trials."""
+    """Per-sweep-point objects built once and shared read-only by trials."""
 
     params: OtfsParams
     spec: PcpSpec
     model: ChannelModel
-    mu_model: float
     mu_est: float
     workspace: MlWorkspace
     advance: int
@@ -206,9 +206,8 @@ def build_point(config: ExperimentConfig) -> PointContext:
     workspace = build_workspace(params, spec, bem)
     eps_span = params.n - 2.0 * model.nu_max * params.mn * params.ts
     return PointContext(params=params, spec=spec, model=model,
-                        mu_model=mu_model, mu_est=mu_est,
-                        workspace=workspace, advance=advance,
-                        eps_span=eps_span)
+                        mu_est=mu_est, workspace=workspace,
+                        advance=advance, eps_span=eps_span)
 
 
 def trial_streams(root_seed: int, trial_idx: int) -> list:
@@ -222,9 +221,16 @@ def trial_streams(root_seed: int, trial_idx: int) -> list:
 
 
 def run_trial(config: ExperimentConfig, ctx: PointContext,
-              trial_idx: int) -> TrialResult:
-    """One end-to-end trial: synthesize, impair, synchronize."""
+              trial_idx: int, traces: dict | None = None) -> TrialResult:
+    """One end-to-end trial: synthesize, impair, synchronize.
+
+    This is the only place the receive chain is written out.  A ``traces``
+    dict, when given, receives each stage's artifacts as they are made:
+    the channel ``realization``, the timing estimate ``to`` and its
+    ``metrics``, and the fine-CFO ``estimate``.
+    """
     params, spec = ctx.params, ctx.spec
+    traces = {} if traces is None else traces
     r_data, r_chan, r_noise, r_draw = trial_streams(config.seed, trial_idx)
     if config.theta is None:
         theta = int(r_draw.integers(-params.mn // 2, params.mn // 2))
@@ -238,6 +244,7 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
              for _ in range(params.blocks)]
     stream = build_stream(grids, params)
     realization = realize_channel(ctx.model, params, 2 * params.n_t, r_chan)
+    traces["realization"] = realization
     received = apply_impairments(
         stream, realization,
         Impairments(theta=theta + ctx.advance, epsilon=eps,
@@ -247,7 +254,8 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
     result = TrialResult(theta_true=theta, eps_true=eps)
     tic = time.perf_counter()
     try:
-        to, _ = estimate_to(received, params, spec, ctx.mu_est)
+        to, metrics = estimate_to(received, params, spec, ctx.mu_est)
+        traces.update(to=to, metrics=metrics)
         result.theta_hat = int(fold_offset(to.theta_hat - ctx.advance,
                                            params.n_t))
     except ESTIMATOR_ERRORS as exc:
@@ -273,6 +281,7 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
             estimate = fine_cfo(r_p, ctx.workspace, result.eps_coarse,
                                 half_width=config.cfo_half_width,
                                 use_fast=config.fast_cost)
+        traces["estimate"] = estimate
         result.eps_fine = float(fold_offset(estimate.eps_fine, params.n))
     except ESTIMATOR_ERRORS as exc:
         result.failure = f"fine: {exc}"
@@ -443,12 +452,9 @@ def load_config(path, base: ExperimentConfig | None = None
 
 def sweep_axis_configs(config: ExperimentConfig):
     """Yield (sweep_value, point config) pairs along the configured axis."""
-    if config.sweep == "snr_db":
+    if config.sweep in ("snr_db", "nu_max_t"):
         for value in config.sweep_values:
-            yield value, replace(config, snr_db=value)
-    elif config.sweep == "nu_max_t":
-        for value in config.sweep_values:
-            yield value, replace(config, nu_max_t=value)
+            yield value, replace(config, **{config.sweep: value})
     elif config.sweep == "geometry":
         if not config.geometries:
             raise ValueError("sweep=geometry needs the geometries key")
@@ -475,8 +481,6 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     otherwise everything lands in ``results.csv``.  Point contexts are
     cached so an SNR sweep builds its ML workspace once.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.sweep != "geometry" and config.geometries:
@@ -507,8 +511,6 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
 def run_single(config: ExperimentConfig, out_dir) -> PointSummary:
     """One sweep point at the config's scalar settings."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     value = config.snr_db if config.sweep == "snr_db" else config.nu_max_t
@@ -519,46 +521,24 @@ def run_single(config: ExperimentConfig, out_dir) -> PointSummary:
 
 
 def run_snapshot(config: ExperimentConfig, out_dir) -> dict:
-    """Single-trial deep dive: emit raw metric, cost, and channel traces.
+    """Single-trial deep dive: trial 0 of :func:`run_trial`, traced.
+
+    Emits the raw metric, cost, and channel traces of the same pipeline
+    that ``run`` and ``sweep`` execute; a failed trial raises
+    ``ValueError`` naming its stage.
 
     Files: ``metric_delay.csv`` and ``metric_time.csv`` with columns
     (index, abs, angle); ``cost_trace.csv`` with the evaluated fine-CFO
     grid (eps, cost); ``channel_taps.csv`` from the tap export; and
     ``estimate.txt`` with the trial's truths and estimates.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx = build_point(config)
-    params, spec = ctx.params, ctx.spec
-    r_data, r_chan, r_noise, r_draw = trial_streams(config.seed, 0)
-    if config.theta is None:
-        theta = int(r_draw.integers(-params.mn // 2, params.mn // 2))
-    else:
-        theta = int(config.theta)
-    u = float(r_draw.uniform(0.0, 1.0))
-    eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
-        else float(config.epsilon)
-    grids = [build_frame(params, spec, r_data) for _ in range(params.blocks)]
-    stream = build_stream(grids, params)
-    realization = realize_channel(ctx.model, params, 2 * params.n_t, r_chan)
-    received = apply_impairments(
-        stream, realization,
-        Impairments(theta=theta + ctx.advance, epsilon=eps,
-                    snr_db=config.snr_db),
-        params, r_noise)
-
-    to, metrics = estimate_to(received, params, spec, ctx.mu_est)
-    theta_hat = int(fold_offset(to.theta_hat - ctx.advance, params.n_t))
-    eps_coarse = coarse_cfo(received, to, params, spec)
-    r_p = extract_pilot(received, to.theta_hat, params, spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        estimate = fine_cfo(r_p, ctx.workspace, eps_coarse,
-                            half_width=config.cfo_half_width,
-                            use_fast=config.fast_cost)
-    eps_fine = float(fold_offset(estimate.eps_fine, params.n))
+    traces = {}
+    result = run_trial(config, build_point(config), 0, traces)
+    if result.failure is not None:
+        raise ValueError(f"snapshot trial failed at {result.failure}")
+    to, metrics = traces["to"], traces["metrics"]
 
     for name, trace in (("metric_delay.csv", metrics.p_d),
                         ("metric_time.csv", metrics.p_t)):
@@ -566,18 +546,19 @@ def run_snapshot(config: ExperimentConfig, out_dir) -> dict:
                 for i, v in enumerate(trace)]
         write_csv(out / name, ("index", "abs", "angle"), rows)
     write_csv(out / "cost_trace.csv", ("eps", "cost"),
-              [(float(e), float(c)) for e, c in estimate.cost_trace])
-    export_taps(realization, out / "channel_taps.csv")
+              [(float(e), float(c))
+               for e, c in traces["estimate"].cost_trace])
+    export_taps(traces["realization"], out / "channel_taps.csv")
     report = {
-        "theta_true": theta,
-        "theta_hat": theta_hat,
+        "theta_true": result.theta_true,
+        "theta_hat": result.theta_hat,
         "theta_d_hat": to.theta_d_hat,
         "theta_t_hat": to.theta_t_hat,
         "metric_delay_argmax": int(np.argmax(np.abs(metrics.p_d))),
         "metric_time_argmax": int(np.argmax(np.abs(metrics.p_t))),
-        "eps_true": eps,
-        "eps_coarse": eps_coarse,
-        "eps_fine": eps_fine,
+        "eps_true": result.eps_true,
+        "eps_coarse": result.eps_coarse,
+        "eps_fine": result.eps_fine,
     }
     with open(out / "estimate.txt", "w") as fh:
         for key, value in report.items():

@@ -20,15 +20,12 @@ from otfs_sync.cfo import (OpCounter, bem_fit_nmse, bem_order,
                            beta_coefficients, build_bem, build_g,
                            build_workspace, fine_cfo, ml_cost, ml_cost_fast,
                            projection)
-from otfs_sync.channel import (Impairments, apply_impairments, eva_model,
-                               realize_channel)
-from otfs_sync.harness import (build_point, load_config, run_sweep,
-                               run_trial, trial_streams)
-from otfs_sync.modem import OtfsParams, build_stream
-from otfs_sync.pilot import PcpSpec, build_frame
-from otfs_sync.timing import (estimate_to, metric_delay,
-                              metric_delay_iterative, metric_time,
-                              metric_time_iterative)
+from otfs_sync.channel import eva_model, realize_channel
+from otfs_sync.harness import build_point, load_config, run_sweep, run_trial
+from otfs_sync.modem import OtfsParams
+from otfs_sync.pilot import PcpSpec
+from otfs_sync.timing import (metric_delay, metric_delay_iterative,
+                              metric_time, metric_time_iterative)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -196,22 +193,11 @@ class TestCriterion5:
         tic = time.perf_counter()
         config = load_config(CONFIG_DIR / "snapshot_timing.cfg")
         ctx = build_point(config)
-        params, spec = ctx.params, ctx.spec
         delay_hits = slot_hits = 0
         for seed in range(100):
-            r_data, r_chan, r_noise, r_draw = trial_streams(seed, 0)
-            theta = int(config.theta)
-            u = float(r_draw.uniform(0.0, 1.0))
-            eps = (u - 0.5) * ctx.eps_span
-            grids = [build_frame(params, spec, r_data)
-                     for _ in range(params.blocks)]
-            stream = build_stream(grids, params)
-            real = realize_channel(ctx.model, params, 2 * params.n_t, r_chan)
-            received = apply_impairments(
-                stream, real,
-                Impairments(theta=theta + ctx.advance, epsilon=eps,
-                            snr_db=config.snr_db), params, r_noise)
-            _, metrics = estimate_to(received, params, spec, ctx.mu_est)
+            traces = {}
+            run_trial(dataclasses.replace(config, seed=seed), ctx, 0, traces)
+            metrics = traces["metrics"]
             if abs(int(np.argmax(np.abs(metrics.p_d))) - 118) <= 2:
                 delay_hits += 1
             if int(np.argmax(np.abs(metrics.p_t))) == 15:

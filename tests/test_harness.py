@@ -206,6 +206,14 @@ class TestRunTrial:
         with pytest.raises(TypeError, match="bad call"):
             run_trial(TINY, ctx, 0)
 
+    def test_point_context_is_frozen(self):
+        """Trials share the point context and its ML workspace read-only."""
+        ctx = build_point(TINY)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.advance = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.workspace.lam = None
+
 
 class TestAggregate:
     """Trial reduction conventions."""
@@ -360,6 +368,30 @@ class TestRunners:
         assert int(report_back["theta_true"]) == 40
         assert report["theta_hat"] == 40
         assert abs(report["eps_fine"] - 0.25) <= 1e-4
+
+    def test_snapshot_reports_trial_zero(self, tmp_path):
+        """The snapshot's truths and estimates are trial 0 of run_trial."""
+        report = run_snapshot(TINY, tmp_path)
+        trial = run_trial(TINY, build_point(TINY), 0)
+        assert (report["theta_true"], report["eps_true"]) == \
+            (trial.theta_true, trial.eps_true)
+        assert (report["theta_hat"], report["eps_coarse"],
+                report["eps_fine"]) == \
+            (trial.theta_hat, trial.eps_coarse, trial.eps_fine)
+
+    @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
+                                       "fine_cfo"])
+    def test_snapshot_stage_failure_raises(self, tmp_path, monkeypatch,
+                                           stage):
+        """A snapshot whose estimator refuses raises with the stage label."""
+        def refuse(*args, **kwargs):
+            raise ValueError("no lock")
+
+        monkeypatch.setattr(harness, stage, refuse)
+        label = {"estimate_to": "timing", "coarse_cfo": "coarse",
+                 "fine_cfo": "fine"}[stage]
+        with pytest.raises(ValueError, match=f"{label}: no lock"):
+            run_snapshot(TINY, tmp_path)
 
 
 class TestCli:
