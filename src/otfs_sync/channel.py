@@ -205,7 +205,9 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     for k = 0 .. duration-1, with s taken as zero outside its support and
     eta complex white Gaussian with variance 10^(-snr_db/10) (unit-power
     data convention).  The CFO phase index k counts received samples from
-    the start of the observation buffer.
+    the start of the observation buffer.  Taps that are zero over the
+    samples the stream reaches (dead PDP bins) are skipped; adding their
+    zero products would leave every output sample bit-identical.
     """
     stream = np.asarray(stream, dtype=complex)
     if stream.ndim != 1:
@@ -215,8 +217,9 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     theta = int(imp.theta)
     duration = real.duration
     out = np.zeros(duration, dtype=complex)
-    for ell in range(real.n_taps):
-        shift = theta + ell
+    first, last = max(0, theta), max(0, theta + stream.size + real.n_taps - 1)
+    for ell in np.flatnonzero(np.any(real.taps[:, first:last], axis=1)):
+        shift = theta + int(ell)
         lo = max(0, shift)
         hi = min(duration, stream.size + shift)
         if lo >= hi:

@@ -1,7 +1,14 @@
 """Tests for coarse and BEM-based fine CFO estimation."""
 
+import contextlib
+import dataclasses
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfs_sync.cfo import (BemModel, OpCounter, SingularModelError,
@@ -12,6 +19,7 @@ from otfs_sync.cfo import (BemModel, OpCounter, SingularModelError,
                            pilot_sample_indices, projection)
 from otfs_sync.channel import (Impairments, apply_impairments, mean_delay,
                                realize_channel, single_tap_model)
+from otfs_sync.harness import build_point, load_config
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
 from otfs_sync.timing import estimate_to, fold_offset
@@ -203,6 +211,164 @@ class TestProjection:
             lam = projection(g)
         assert any("ridge" in rec.message for rec in caplog.records)
         assert np.all(np.isfinite(lam))
+
+
+RIDGE_PREFIX = "projection: cond(G^H G)"
+GEOMETRY_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
+                   / "sweep_doppler_geometries.cfg")
+
+
+@contextlib.contextmanager
+def ridge_messages():
+    """Collect the projector's ridge warnings logged inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda rec: messages.append(rec.getMessage())
+    logger = logging.getLogger("otfs_sync.cfo")
+    level = logger.level
+    logger.setLevel(logging.WARNING)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        messages[:] = [m for m in messages if m.startswith(RIDGE_PREFIX)]
+
+
+def stored_arrays(ws):
+    """Every array held by the workspace, its BEM model included."""
+    for holder in (ws, ws.bem):
+        for f in dataclasses.fields(holder):
+            value = getattr(holder, f.name)
+            if isinstance(value, np.ndarray):
+                yield f.name, value
+
+
+def shipped_workspace(geometry, nu_max_t, bem_q=7):
+    m, n = geometry
+    config = dataclasses.replace(load_config(GEOMETRY_CONFIG), m=m, n=n,
+                                 nu_max_t=nu_max_t, bem_q=bem_q)
+    return build_point(config).workspace
+
+
+def check_factored(ws, r_p):
+    """The Kronecker-factored workspace against the dense definitions:
+    Lambda = projection(G) within 1e-10 ||Lambda|| and beta within 1e-10
+    relative with equal multiply counts, unless the ridge engaged; with
+    L > 1, no stored array has (N L)^2 entries."""
+    params, spec, bem = ws.params, ws.spec, ws.bem
+    nl = params.n * spec.length
+    with ridge_messages() as dense_ridge:
+        dense = projection(build_g(params, spec, bem))
+    with ridge_messages() as factored_ridge:
+        rebuilt = build_workspace(params, spec, bem)
+    assert bool(dense_ridge) == bool(factored_ridge)
+    assert_array_equal(rebuilt.p, ws.p)
+    lam = ws.lam
+    assert lam.shape == (nl, nl)
+    counter, ref_counter = OpCounter(), OpCounter()
+    beta = ws.beta(r_p, counter=counter)
+    reference = beta_coefficients(r_p, lam, params, counter=ref_counter)
+    assert counter.multiplies == ref_counter.multiplies
+    assert np.linalg.norm(beta - reference) <= 1e-10 * np.linalg.norm(
+        reference)
+    if not dense_ridge:
+        scale = np.linalg.norm(dense)
+        assert np.linalg.norm(lam - dense) <= 1e-10 * scale
+        reference = beta_coefficients(r_p, dense, params)
+        assert np.linalg.norm(beta - reference) <= 1e-10 * np.linalg.norm(
+            reference)
+    for name, value in stored_arrays(ws):
+        assert spec.length == 1 or value.size < nl * nl, name
+
+
+class TestFactoredWorkspace:
+    """Lambda = P kron I_L: the N x N slot projector replaces the NL x NL
+    projector and its QR without changing the cost."""
+
+    @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
+    @pytest.mark.parametrize("nu_max_t", [0.14, 1.36])
+    def test_shipped_geometries(self, geometry, nu_max_t):
+        """The three geometries of sweep_doppler_geometries.cfg."""
+        ws = shipped_workspace(geometry, nu_max_t)
+        rng = np.random.default_rng(geometry[1])
+        nl = ws.params.n * ws.spec.length
+        r_p = rng.standard_normal(nl) + 1j * rng.standard_normal(nl)
+        check_factored(ws, r_p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(length=st.integers(1, 8), n=st.integers(1, 16),
+           extra_m=st.integers(0, 40), q_frac=st.floats(0.0, 1.0),
+           k=st.integers(1, 4), lcp_frac=st.floats(0.0, 1.0),
+           np_frac=st.floats(0.0, 1.0), mp_frac=st.floats(0.0, 1.0),
+           literal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_geometries(self, length, n, extra_m, q_frac, k,
+                               lcp_frac, np_frac, mp_frac, literal, seed):
+        m = 2 * length + extra_m
+        q = 1 + int(q_frac * (n - 1))
+        params = OtfsParams(m=m, n=n, lcp=int(lcp_frac * m))
+        spec = PcpSpec(length=length,
+                       m_p=length + int(mp_frac * (m - 2 * length)),
+                       n_p=int(np_frac * (n - 1)))
+        spec.validate_fit(params)
+        bem = build_bem(params, spec, k=k, nu_max=0.0, q=q,
+                        literal_exponent=literal)
+        ws = build_workspace(params, spec, bem)
+        rng = np.random.default_rng(seed)
+        nl = n * length
+        r_p = rng.standard_normal(nl) + 1j * rng.standard_normal(nl)
+        check_factored(ws, r_p)
+
+    def test_matrix_path_builds_lambda_once(self, monkeypatch):
+        """The use_fast = False search fetches Lambda once per call."""
+        ws = shipped_workspace((256, 16), 1.36)
+        calls = []
+        kron = np.kron
+
+        def counted_kron(*args):
+            calls.append(args)
+            return kron(*args)
+
+        monkeypatch.setattr(np, "kron", counted_kron)
+        r_p = np.ones(ws.params.n * ws.spec.length, dtype=complex)
+        fine_cfo(r_p, ws, eps_coarse=0.0, use_fast=False)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
+    @pytest.mark.parametrize("bem_q", [None, 7, 11])
+    def test_ridge_engages_on_the_dense_cases(self, geometry, bem_q):
+        """The slot-factor guard engages exactly where the dense one did:
+        at Q = 11 and at the order rule's Q = 12 (nu T = 1.36), not at
+        Q = 7, with the same log prefix."""
+        with ridge_messages() as factored:
+            ws = shipped_workspace(geometry, 1.36, bem_q=bem_q)
+        with ridge_messages() as dense:
+            projection(ws.g)
+        assert bool(factored) == bool(dense) == (ws.bem.q >= 11)
+
+    def test_duplicated_tone_falls_back_to_ridge(self):
+        """The duplicated-tone BEM of the projection test engages the
+        ridge through build_workspace too, and stays finite."""
+        params = OtfsParams(m=16, n=8, lcp=4)
+        spec = PcpSpec(length=3, m_p=8, n_p=4)
+        bem = build_bem(params, spec, k=2, nu_max=0.0, q=2)
+        bem.freqs = np.array([bem.freqs[0], bem.freqs[0]])
+        bem.basis = bem.evaluate(bem.pilot_idx.ravel().astype(float))
+        with ridge_messages() as messages:
+            ws = build_workspace(params, spec, bem)
+        assert len(messages) == 1
+        assert np.all(np.isfinite(ws.p))
+        assert np.all(np.isfinite(ws.lam))
+
+    def test_too_many_tones_raise(self):
+        """More tones than slots are refused before any projector is built."""
+        params = OtfsParams(m=16, n=4, lcp=4)
+        spec = PcpSpec(length=3, m_p=8, n_p=2)
+        bem = build_bem(params, spec, k=2, nu_max=0.0, q=5)
+        with pytest.raises(SingularModelError):
+            build_workspace(params, spec, bem)
 
 
 class TestMlCost:

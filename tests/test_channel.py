@@ -246,6 +246,48 @@ class TestApplyImpairments:
                                 self.params)
         assert_array_equal(out, self.stream)
 
+    @pytest.mark.parametrize("theta", [0, 3, -4])
+    def test_taps_live_only_at_their_reach_edges(self, theta):
+        """A tap nonzero only where the stream's first sample lands, and one
+        nonzero only where its last sample lands, both contribute."""
+        taps = np.zeros((3, 20), dtype=complex)
+        taps[0, max(0, theta)] = 1.0
+        taps[2, theta + 2 + self.stream.size - 1] = 2.0
+        out = apply_impairments(self.stream, ChannelRealization(taps=taps),
+                                Impairments(theta=theta), self.params)
+        expected = np.zeros(20, dtype=complex)
+        expected[max(0, theta)] = self.stream[max(0, -theta)]
+        expected[theta + 2 + self.stream.size - 1] = 2.0 * self.stream[-1]
+        assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("theta", [1960, -300, 0])
+    def test_dead_taps_skipped_bit_identically(self, theta):
+        """On a seeded EVA trial at L = 21, where 14 rows are exactly zero,
+        the output equals the all-taps loop bit for bit."""
+        params = OtfsParams(m=128, n=32, lcp=32, blocks=1)
+        nu_max = 1.36 / (params.mn * params.ts)
+        model = eva_model(params.ts, 21, nu_max)
+        rng = np.random.default_rng(11)
+        stream = rng.standard_normal(params.n_t) \
+            + 1j * rng.standard_normal(params.n_t)
+        real = realize_channel(model, params, 2 * params.n_t, seed=12)
+        assert np.count_nonzero(np.any(real.taps, axis=1)) == 7
+        imp = Impairments(theta=theta, epsilon=0.37, snr_db=20.0)
+        out = apply_impairments(stream, real, imp, params, seed=13)
+        expected = np.zeros(real.duration, dtype=complex)
+        for ell in range(real.n_taps):
+            shift = theta + ell
+            lo, hi = max(0, shift), min(real.duration, stream.size + shift)
+            expected[lo:hi] += real.taps[ell, lo:hi] \
+                * stream[lo - shift:hi - shift]
+        expected *= np.exp(2j * np.pi * imp.epsilon
+                           * np.arange(real.duration) / params.mn)
+        noise = np.random.default_rng(13)
+        sigma = np.sqrt(10.0 ** (-imp.snr_db / 10.0) / 2.0)
+        expected += sigma * (noise.standard_normal(real.duration)
+                             + 1j * noise.standard_normal(real.duration))
+        assert np.array_equal(out, expected)
+
     def test_fractional_theta_raises(self):
         """Non-integer timing offsets are refused."""
         real = self._unit_channel(10)
