@@ -74,9 +74,14 @@ class ChannelModel:
 
 @dataclass
 class ChannelRealization:
-    """Sampled tap gains h[ell, k], one row per tap."""
+    """Sampled tap gains h[ell, k], one row per tap.
+
+    Column j holds absolute sample k = start + j, so the realization
+    covers samples [start, start + duration).
+    """
 
     taps: np.ndarray
+    start: int = 0
 
     @property
     def n_taps(self) -> int:
@@ -85,6 +90,10 @@ class ChannelRealization:
     @property
     def duration(self) -> int:
         return self.taps.shape[1]
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.duration
 
 
 @dataclass(frozen=True)
@@ -114,15 +123,22 @@ def eva_model(ts: float, length: int, nu_max: float,
 
     Each standard tap is mapped to the nearest sample bin (clipped to the
     last bin when a delay exceeds the span); powers landing in the same
-    bin add, and the result is renormalized to unit total power.
+    bin add, and the result is renormalized to unit total power.  A tap
+    that rounds to just one bin past the span (the 2510 ns tap at the
+    design rate and 21 taps) is folded in as expected and logged at
+    DEBUG; a tap further out means the span truncates the profile and is
+    logged as a WARNING.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     bins = np.rint(EVA_DELAYS_NS * 1e-9 / ts).astype(int)
     clipped = np.minimum(bins, length - 1)
-    if np.any(bins != clipped):
+    if np.any(bins > length):
         logger.warning(
             "EVA taps beyond %d bins clipped to the last bin", length)
+    elif np.any(bins == length):
+        logger.debug(
+            "EVA tap rounding to bin %d folded into the last bin", length)
     pdp = np.zeros(length)
     np.add.at(pdp, clipped, 10.0 ** (EVA_POWERS_DB / 10.0))
     return ChannelModel(pdp=pdp / pdp.sum(), nu_max=nu_max,
@@ -141,9 +157,30 @@ def mean_delay(model: ChannelModel) -> float:
     return float(weights @ model.pdp / model.pdp.sum())
 
 
+def _phasor_rows(base: np.ndarray, step: np.ndarray,
+                 count: int) -> np.ndarray:
+    """exp(j (base + step i)) for i = 0 .. count-1, stacked on axis -2.
+
+    Built by doubling, t[n:2n] = t[:n] exp(j step n), so only
+    ceil(log2 count) + 1 exponentials are taken per entry of ``base`` and
+    each row is a product of at most that many exactly rounded phasors,
+    with no running-product drift.
+    """
+    table = np.empty(base.shape[:-1] + (count, base.shape[-1]),
+                     dtype=complex)
+    table[..., 0, :] = np.exp(1j * base)
+    n = 1
+    while n < count:
+        m = min(n, count - n)
+        table[..., n:n + m, :] = (table[..., :m, :]
+                                  * np.exp(1j * n * step)[..., None, :])
+        n *= 2
+    return table
+
+
 def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
-                    seed) -> ChannelRealization:
-    """Draw one channel realization over ``duration`` samples.
+                    seed, start: int = 0) -> ChannelRealization:
+    """Draw one channel realization over samples [start, start + duration).
 
     Each tap is an independent sum of S = JAKES_SINUSOIDS equal-power
     complex sinusoids with arrival angles psi and phases phi uniform on
@@ -157,57 +194,78 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
     IEEE Trans. Commun. 2003).  A static spectrum freezes every tap at its
     k = 0 value.
 
-    Every tap draws its psi then phi, in tap order, whether or not it
-    carries power, so the draws of tap ell do not depend on which taps
-    are live.  Only taps with nonzero power are synthesized; the others
-    stay exactly zero.  The sum is a blocked product: with k = b R + r and
+    The draws do not depend on the window: every tap draws its psi then
+    phi, in tap order, whether or not it carries power, so a window
+    matches the same samples of the start-0 realization of the same seed
+    to rounding, and the draws of tap ell do not depend on which taps are
+    live.  Only taps
+    with nonzero power are synthesized; the others stay exactly zero.
+    The sum is a blocked product: with k = start + b R + r and
     R = ceil(sqrt(duration)), row b of the (blocks x R) tap grid is
-    exp(j (phi + omega b R)) @ exp(j omega r), so only S (blocks + R)
-    exponentials are taken per tap and each sample is one exact phasor
-    product away from exp(j (phi + omega k)), with no running-product
-    drift.
+    exp(j (phi + omega (start + b R))) @ exp(j omega r).  Both phasor
+    tables are built by doubling (:func:`_phasor_rows`), so a tap takes
+    S (ceil(log2 blocks) + ceil(log2 R) + 2) exponentials and each sample
+    is within a few ulps of the exact exp(j (phi + omega k)) sum.
     """
     if duration < 1:
         raise ValueError("duration must be >= 1")
     rng = np.random.default_rng(seed)
     n_taps = model.n_taps
-    psi = np.empty((n_taps, JAKES_SINUSOIDS))
-    phi = np.empty((n_taps, JAKES_SINUSOIDS))
-    for ell in range(n_taps):
-        psi[ell] = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
-        phi[ell] = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
+    draws = rng.uniform(0.0, 2.0 * np.pi, (n_taps, 2, JAKES_SINUSOIDS))
+    psi, phi = draws[:, 0], draws[:, 1]
     gains = np.sqrt(model.pdp) * (1.0 / np.sqrt(JAKES_SINUSOIDS))
     if model.doppler_spectrum == "static" or model.nu_max == 0.0:
-        start = np.exp(1j * phi).sum(axis=1)
-        taps = np.repeat((gains * start)[:, None], duration, axis=1)
-        return ChannelRealization(taps=taps)
+        initial = np.exp(1j * phi).sum(axis=1)
+        taps = np.repeat((gains * initial)[:, None], duration, axis=1)
+        return ChannelRealization(taps=taps, start=start)
     live = np.flatnonzero(model.pdp)
     omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi[live])
     width = math.isqrt(duration - 1) + 1
     blocks = -(-duration // width)
-    outer = np.exp(1j * (phi[live][:, None, :] + omega[:, None, :]
-                         * (np.arange(blocks) * width)[None, :, None]))
-    inner = np.exp(1j * omega[:, :, None] * np.arange(width)[None, None, :])
-    sums = np.matmul(outer, inner).reshape(live.size, blocks * width)
+    outer = _phasor_rows(phi[live] + omega * start, omega * width, blocks)
+    inner = _phasor_rows(np.zeros_like(omega), omega, width)
+    sums = np.matmul(outer, inner.swapaxes(-1, -2))
     taps = np.zeros((n_taps, duration), dtype=complex)
-    taps[live] = gains[live, None] * sums[:, :duration]
-    return ChannelRealization(taps=taps)
+    taps[live] = (gains[live, None]
+                  * sums.reshape(live.size, blocks * width)[:, :duration])
+    return ChannelRealization(taps=taps, start=start)
+
+
+def stream_reach(shift: int, n_samples: int, n_taps: int,
+                 length: int) -> tuple:
+    """Buffer samples [lo, hi) whose tap gains a shifted stream reads.
+
+    A stream of ``n_samples`` delayed by ``shift`` through ``n_taps`` taps
+    lands on [shift, shift + n_samples + n_taps - 1); this is that span
+    clipped to the buffer [0, length).  ``lo == hi`` when it misses the
+    buffer.
+    """
+    lo = min(max(0, shift), length)
+    hi = max(lo, min(length, shift + n_samples + n_taps - 1))
+    return lo, hi
 
 
 def apply_impairments(stream: np.ndarray, real: ChannelRealization,
                       imp: Impairments, params: OtfsParams,
-                      seed=None) -> np.ndarray:
+                      seed=None, length: int | None = None) -> np.ndarray:
     """Propagate ``stream`` through the channel with TO, CFO, and noise.
 
     r[k] = e^{j 2 pi eps k / (M N)} * sum_ell h[ell, k] s[k - ell - theta]
            + eta[k]
 
-    for k = 0 .. duration-1, with s taken as zero outside its support and
+    for k = 0 .. length-1, with s taken as zero outside its support and
     eta complex white Gaussian with variance 10^(-snr_db/10) (unit-power
     data convention).  The CFO phase index k counts received samples from
-    the start of the observation buffer.  Taps that are zero over the
-    samples the stream reaches (dead PDP bins) are skipped; adding their
-    zero products would leave every output sample bit-identical.
+    the start of the observation buffer.  ``length`` defaults to the end
+    of the realization, ``real.stop``.
+
+    Taps are indexed by absolute sample, relative to ``real.start``; the
+    realization must cover the samples the stream reaches
+    (:func:`stream_reach`), or this raises ``ValueError``.  Outside that
+    reach the buffer is zero until noise is added, so the CFO ramp is
+    applied only over it.  Taps that are zero over the reach (dead PDP
+    bins) are skipped; adding their zero products would leave every
+    output sample bit-identical.
     """
     stream = np.asarray(stream, dtype=complex)
     if stream.ndim != 1:
@@ -215,33 +273,44 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     if not float(imp.theta).is_integer():
         raise ValueError(f"timing offset must be an integer, got {imp.theta!r}")
     theta = int(imp.theta)
-    duration = real.duration
-    out = np.zeros(duration, dtype=complex)
-    first, last = max(0, theta), max(0, theta + stream.size + real.n_taps - 1)
-    for ell in np.flatnonzero(np.any(real.taps[:, first:last], axis=1)):
+    length = real.stop if length is None else int(length)
+    lo, hi = stream_reach(theta, stream.size, real.n_taps, length)
+    if lo < hi and (lo < real.start or hi > real.stop):
+        raise ValueError(
+            f"channel window [{real.start}, {real.stop}) does not cover "
+            f"the stream's reach [{lo}, {hi})")
+    out = np.zeros(length, dtype=complex)
+    live = np.any(real.taps[:, lo - real.start:hi - real.start], axis=1)
+    for ell in np.flatnonzero(live):
         shift = theta + int(ell)
-        lo = max(0, shift)
-        hi = min(duration, stream.size + shift)
-        if lo >= hi:
+        first = max(0, shift)
+        last = min(length, stream.size + shift)
+        if first >= last:
             continue
-        out[lo:hi] += real.taps[ell, lo:hi] * stream[lo - shift:hi - shift]
+        out[first:last] += (real.taps[ell, first - real.start:
+                                      last - real.start]
+                            * stream[first - shift:last - shift])
     if imp.epsilon != 0.0:
-        out *= np.exp(2j * np.pi * imp.epsilon * np.arange(duration)
-                      / params.mn)
+        out[lo:hi] *= np.exp(2j * np.pi * imp.epsilon * np.arange(lo, hi)
+                             / params.mn)
     if imp.snr_db is not None:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(10.0 ** (-imp.snr_db / 10.0) / 2.0)
-        out += sigma * (rng.standard_normal(duration)
-                        + 1j * rng.standard_normal(duration))
+        out += sigma * (rng.standard_normal(length)
+                        + 1j * rng.standard_normal(length))
     return out
 
 
 def export_taps(real: ChannelRealization, path) -> None:
-    """Write the realization as columnar text: k, ell, re, im."""
+    """Write the realization as columnar text: k, ell, re, im.
+
+    ``k`` is the absolute sample index, so a windowed realization exports
+    only its window, [start, start + duration).
+    """
     with open(path, "w") as fh:
         fh.write("k,ell,re,im\n")
         for ell in range(real.n_taps):
             row = real.taps[ell]
-            for k in range(real.duration):
-                fh.write(f"{k},{ell},{float(row[k].real)!r},"
-                         f"{float(row[k].imag)!r}\n")
+            for j in range(real.duration):
+                fh.write(f"{real.start + j},{ell},{float(row[j].real)!r},"
+                         f"{float(row[j].imag)!r}\n")

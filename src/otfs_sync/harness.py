@@ -32,7 +32,7 @@ from .cfo import (MlWorkspace, SingularModelError, build_bem,
                   build_workspace, coarse_cfo, extract_pilot, fine_cfo)
 from .channel import (ChannelModel, Impairments, apply_impairments,
                       eva_model, export_taps, mean_delay, realize_channel,
-                      single_tap_model)
+                      single_tap_model, stream_reach)
 from .modem import OtfsParams, build_stream
 from .pilot import PcpSpec, build_frame
 from .timing import estimate_to, fold_offset
@@ -224,10 +224,13 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
               trial_idx: int, traces: dict | None = None) -> TrialResult:
     """One end-to-end trial: synthesize, impair, synchronize.
 
-    This is the only place the receive chain is written out.  A ``traces``
-    dict, when given, receives each stage's artifacts as they are made:
-    the channel ``realization``, the timing estimate ``to`` and its
-    ``metrics``, and the fine-CFO ``estimate``.
+    This is the only place the receive chain is written out.  The channel
+    is synthesized only over the samples of the 2 n_t buffer that the
+    shifted stream reaches (:func:`stream_reach`); the rest of the buffer
+    carries noise alone.  A ``traces`` dict, when given, receives each
+    stage's artifacts as they are made: the channel ``realization`` (that
+    window), the timing estimate ``to`` and its ``metrics``, and the
+    fine-CFO ``estimate``.
     """
     params, spec = ctx.params, ctx.spec
     traces = {} if traces is None else traces
@@ -243,13 +246,17 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
     grids = [build_frame(params, spec, r_data)
              for _ in range(params.blocks)]
     stream = build_stream(grids, params)
-    realization = realize_channel(ctx.model, params, 2 * params.n_t, r_chan)
+    shift, length = theta + ctx.advance, 2 * params.n_t
+    lo, hi = stream_reach(shift, stream.size, ctx.model.n_taps, length)
+    # A stream that misses the buffer reads no taps; one sample keeps the
+    # realization nonempty.
+    realization = realize_channel(ctx.model, params, max(hi - lo, 1), r_chan,
+                                  start=lo)
     traces["realization"] = realization
     received = apply_impairments(
         stream, realization,
-        Impairments(theta=theta + ctx.advance, epsilon=eps,
-                    snr_db=config.snr_db),
-        params, r_noise)
+        Impairments(theta=shift, epsilon=eps, snr_db=config.snr_db),
+        params, r_noise, length=length)
 
     result = TrialResult(theta_true=theta, eps_true=eps)
     tic = time.perf_counter()

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from otfs_sync.cfo import (OpCounter, bem_fit_nmse, bem_order,
                            beta_coefficients, build_bem, build_g,
@@ -289,6 +290,7 @@ class TestCriterion9:
 class TestCriterion6:
     """SNR trend suite on the shipped config (few minutes)."""
 
+    @pytest.mark.slow
     def test_snr_trend_suite(self, capsys):
         """500-trial points at SNR {0,10,20} dB, vehicular channel at high
         Doppler: (a) timing-error variance strictly decreases with SNR;
@@ -324,6 +326,7 @@ class TestCriterion6:
 class TestCriterion7:
     """Doppler-diversity trend on the shipped config (several minutes)."""
 
+    @pytest.mark.slow
     def test_doppler_diversity_trend(self, capsys):
         """At SNR 20 dB and fixed MN = 4096, the timing-error variance at
         normalized Doppler 1.36 is below the 0.14 value for each of the

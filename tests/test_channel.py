@@ -2,14 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import j0
 
 from otfs_sync.channel import (JAKES_SINUSOIDS, ChannelModel,
                                ChannelRealization, Impairments,
                                apply_impairments, eva_model, export_taps,
-                               mean_delay, realize_channel, single_tap_model)
+                               mean_delay, realize_channel, single_tap_model,
+                               stream_reach)
 from otfs_sync.modem import OtfsParams
+
+#: The shipped 128x32 geometry with its 2 n_t observation buffer.
+PARAMS = OtfsParams(m=128, n=32, lcp=32)
+
+
+def exact_taps(model, params, seed, start, duration):
+    """The definitional form: sqrt(p/S) sum_s exp(j (phi + omega k)) with
+    one exact exponential per sinusoid and sample, from the draws of
+    ``realize_channel`` (psi then phi, per tap, in tap order)."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(start, start + duration)
+    taps = np.zeros((model.n_taps, duration), dtype=complex)
+    for ell in range(model.n_taps):
+        psi = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
+        phi = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
+        omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi)
+        taps[ell] = np.sqrt(model.pdp[ell] / JAKES_SINUSOIDS) * np.exp(
+            1j * (phi[:, None] + omega[:, None] * k[None, :])).sum(axis=0)
+    return taps
 
 
 class TestChannelModel:
@@ -62,6 +84,15 @@ class TestEvaProfile:
         with caplog.at_level("WARNING", logger="otfs_sync.channel"):
             eva_model(1.0 / 8.25e6, 10, 0.0)
         assert any("clipped" in rec.message for rec in caplog.records)
+
+    def test_one_bin_rounding_fold_is_quiet(self, caplog):
+        """At the design rate and L = 21 the 2510 ns tap rounds to bin 21,
+        one past the span; that expected fold is logged at DEBUG only."""
+        with caplog.at_level("DEBUG", logger="otfs_sync.channel"):
+            eva_model(1.0 / 8.25e6, 21, 0.0)
+        assert not [rec for rec in caplog.records
+                    if rec.levelname == "WARNING"]
+        assert any("folded" in rec.message for rec in caplog.records)
 
 
 class TestMeanDelay:
@@ -129,6 +160,50 @@ class TestRealizeChannel:
             exact = np.sqrt(model.pdp[ell] / JAKES_SINUSOIDS) * np.exp(
                 1j * (phi[:, None] + omega[:, None] * k[None, :])).sum(axis=0)
             assert_allclose(real.taps[ell], exact, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("nu_t", [0.14, 1.36])
+    @pytest.mark.parametrize("duration", [1, 2, 97, PARAMS.n_t + 21 - 1])
+    def test_window_matches_exact_sum(self, duration, nu_t):
+        """A window at start > 0 equals the exact per-tap sum over absolute
+        samples [start, start + duration), within 1e-12."""
+        model = eva_model(PARAMS.ts, 21, nu_t / (PARAMS.mn * PARAMS.ts))
+        real = realize_channel(model, PARAMS, duration, seed=7, start=1523)
+        assert (real.start, real.stop) == (1523, 1523 + duration)
+        assert_allclose(real.taps,
+                        exact_taps(model, PARAMS, 7, 1523, duration),
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spectrum", ["jakes", "static"])
+    def test_window_is_slice_of_full_realization(self, spectrum):
+        """A window reproduces the matching slice of the start-0
+        realization of the same seed, within 1e-14 (static: exactly)."""
+        model = eva_model(PARAMS.ts, 21, 1.36 / (PARAMS.mn * PARAMS.ts),
+                          doppler_spectrum=spectrum)
+        full = realize_channel(model, PARAMS, 2 * PARAMS.n_t, seed=5)
+        for start, duration in [(0, 1), (1500, 4148), (6000, 2256),
+                                (8255, 1)]:
+            real = realize_channel(model, PARAMS, duration, seed=5,
+                                   start=start)
+            window = full.taps[:, start:start + duration]
+            assert_array_equal(real.taps == 0.0, window == 0.0)
+            assert_allclose(real.taps, window, rtol=0, atol=1e-14)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(start=st.integers(0, 20000), duration=st.integers(1, 700),
+           nu_t=st.floats(0.01, 4.0),
+           powers=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)
+           .filter(lambda p: sum(p) > 0.1))
+    def test_window_property(self, start, duration, nu_t, powers):
+        """Over random windows, Doppler values and PDPs (dead taps
+        included), the synthesis matches the exact sum within 1e-12."""
+        pdp = np.array(powers) / np.sum(powers)
+        model = ChannelModel(pdp=pdp,
+                             nu_max=nu_t / (PARAMS.mn * PARAMS.ts))
+        real = realize_channel(model, PARAMS, duration, seed=start,
+                               start=start)
+        assert_allclose(real.taps,
+                        exact_taps(model, PARAMS, start, start, duration),
+                        rtol=0, atol=1e-12)
 
     def test_zero_power_rows_exactly_zero(self):
         """Taps without PDP power are not synthesized and stay exactly 0."""
@@ -288,6 +363,44 @@ class TestApplyImpairments:
                              + 1j * noise.standard_normal(real.duration))
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("theta", [-300, 7000, 1960])
+    def test_window_matches_full_realization(self, theta):
+        """Fed only the stream's reach, the impairments match the full
+        2 n_t realization: bit for bit on the sliced window, within 1e-12
+        on a separately synthesized one.  The shifts cover a stream
+        starting before the buffer, one running past its end, and one in
+        the middle."""
+        params = PARAMS
+        length = 2 * params.n_t
+        model = eva_model(params.ts, 21, 1.36 / (params.mn * params.ts))
+        rng = np.random.default_rng(11)
+        stream = rng.standard_normal(params.n_t) \
+            + 1j * rng.standard_normal(params.n_t)
+        lo, hi = stream_reach(theta, stream.size, model.n_taps, length)
+        assert (lo, hi) == (max(0, theta),
+                            min(length, theta + params.n_t + 20))
+        full = realize_channel(model, params, length, seed=12)
+        imp = Impairments(theta=theta, epsilon=0.37, snr_db=20.0)
+        expected = apply_impairments(stream, full, imp, params, seed=13)
+        sliced = ChannelRealization(taps=full.taps[:, lo:hi], start=lo)
+        out = apply_impairments(stream, sliced, imp, params, seed=13,
+                                length=length)
+        assert np.array_equal(out, expected)
+        window = realize_channel(model, params, hi - lo, seed=12, start=lo)
+        out = apply_impairments(stream, window, imp, params, seed=13,
+                                length=length)
+        assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("start, stop", [(6, 15), (5, 14)])
+    def test_window_missing_reach_raises(self, start, stop):
+        """A realization that misses a sample of the reach is refused."""
+        real = ChannelRealization(
+            taps=np.ones((1, stop - start), dtype=complex), start=start)
+        assert stream_reach(5, self.stream.size, 1, 20) == (5, 15)
+        with pytest.raises(ValueError, match="does not cover"):
+            apply_impairments(self.stream, real, Impairments(theta=5),
+                              self.params, length=20)
+
     def test_fractional_theta_raises(self):
         """Non-integer timing offsets are refused."""
         real = self._unit_channel(10)
@@ -312,3 +425,21 @@ class TestExportTaps:
             k, ell, re, im = line.split(",")
             parsed[int(ell), int(k)] = float(re) + 1j * float(im)
         assert_array_equal(parsed, taps)
+
+    def test_round_trip_windowed(self, tmp_path):
+        """A window exports absolute sample indices k = start + j and only
+        the samples it covers."""
+        taps = np.array([[1.0 + 2.0j, -0.5j, 7.0], [0.25, 3.0 - 1.0j, 0.0]])
+        real = ChannelRealization(taps=taps, start=40)
+        path = tmp_path / "taps.csv"
+        export_taps(real, path)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "k,ell,re,im"
+        assert len(lines) == 1 + taps.size
+        parsed = {}
+        for line in lines[1:]:
+            k, ell, re, im = line.split(",")
+            parsed[int(ell), int(k)] = float(re) + 1j * float(im)
+        assert sorted({k for _, k in parsed}) == [40, 41, 42]
+        assert_array_equal([[parsed[ell, 40 + j] for j in range(3)]
+                            for ell in range(2)], taps)

@@ -206,6 +206,20 @@ class TestRunTrial:
         with pytest.raises(TypeError, match="bad call"):
             run_trial(TINY, ctx, 0)
 
+    @pytest.mark.parametrize("theta", [-100, 0, 300])
+    def test_channel_synthesized_over_stream_reach(self, theta):
+        """The traced realization covers exactly the buffer samples the
+        shifted stream reaches, clipped to the 2 n_t buffer."""
+        config = dataclasses.replace(TINY, theta=theta, epsilon=0.25,
+                                     advance=40)
+        ctx = build_point(config)
+        traces = {}
+        run_trial(config, ctx, 0, traces)
+        real = traces["realization"]
+        shift, n_t = theta + 40, ctx.params.n_t
+        assert real.start == max(0, shift)
+        assert real.stop == min(2 * n_t, shift + n_t + ctx.model.n_taps - 1)
+
     def test_point_context_is_frozen(self):
         """Trials share the point context and its ML workspace read-only."""
         ctx = build_point(TINY)
