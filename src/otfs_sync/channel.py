@@ -245,6 +245,25 @@ def stream_reach(shift: int, n_samples: int, n_taps: int,
     return lo, hi
 
 
+def noise_sigma(snr_db: float) -> float:
+    """Per-component noise scale sqrt(10^(-snr_db/10) / 2).
+
+    ``noise_sigma(snr_db) * unit_noise(...)`` has complex variance
+    10^(-snr_db/10) against unit-power data.
+    """
+    return np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+
+
+def unit_noise(length: int, seed) -> np.ndarray:
+    """Noise shape w = a + j b, with a and b standard normal, in that order.
+
+    This is the only draw the noise stream sees, so one seed gives the
+    same w at every SNR.
+    """
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
+
+
 def apply_impairments(stream: np.ndarray, real: ChannelRealization,
                       imp: Impairments, params: OtfsParams,
                       seed=None, length: int | None = None) -> np.ndarray:
@@ -254,8 +273,10 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
            + eta[k]
 
     for k = 0 .. length-1, with s taken as zero outside its support and
-    eta complex white Gaussian with variance 10^(-snr_db/10) (unit-power
-    data convention).  The CFO phase index k counts received samples from
+    eta = noise_sigma(snr_db) * unit_noise(length, seed), complex white
+    Gaussian with variance 10^(-snr_db/10) (unit-power data convention),
+    so the noisy buffer is the noiseless one plus eta, bit for bit.  The
+    CFO phase index k counts received samples from
     the start of the observation buffer.  ``length`` defaults to the end
     of the realization, ``real.stop``.
 
@@ -294,10 +315,7 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
         out[lo:hi] *= np.exp(2j * np.pi * imp.epsilon * np.arange(lo, hi)
                              / params.mn)
     if imp.snr_db is not None:
-        rng = np.random.default_rng(seed)
-        sigma = np.sqrt(10.0 ** (-imp.snr_db / 10.0) / 2.0)
-        out += sigma * (rng.standard_normal(length)
-                        + 1j * rng.standard_normal(length))
+        out += noise_sigma(imp.snr_db) * unit_noise(length, seed)
     return out
 
 

@@ -31,8 +31,9 @@ from . import __version__
 from .cfo import (MlWorkspace, SingularModelError, build_bem,
                   build_workspace, coarse_cfo, extract_pilot, fine_cfo)
 from .channel import (ChannelModel, Impairments, apply_impairments,
-                      eva_model, export_taps, mean_delay, realize_channel,
-                      single_tap_model, stream_reach)
+                      eva_model, export_taps, mean_delay, noise_sigma,
+                      realize_channel, single_tap_model, stream_reach,
+                      unit_noise)
 from .modem import OtfsParams, build_stream
 from .pilot import PcpSpec, build_frame
 from .timing import estimate_to, fold_offset
@@ -221,7 +222,8 @@ def trial_streams(root_seed: int, trial_idx: int) -> list:
 
 
 def run_trial(config: ExperimentConfig, ctx: PointContext,
-              trial_idx: int, traces: dict | None = None) -> TrialResult:
+              trial_idx: int, traces: dict | None = None,
+              link: dict | None = None) -> TrialResult:
     """One end-to-end trial: synthesize, impair, synchronize.
 
     This is the only place the receive chain is written out.  The channel
@@ -231,32 +233,56 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
     stage's artifacts as they are made: the channel ``realization`` (that
     window), the timing estimate ``to`` and its ``metrics``, and the
     fine-CFO ``estimate``.
+
+    ``link`` shares one trial's transmit half between sweep points that
+    differ only in ``snr_db`` (one :func:`context_key`): pass the same
+    fresh dict to each such point's call for this trial index.  The first
+    call fills it with the offsets, the realization, the read-only
+    noiseless received buffer and the noise stream; every call then forms
+    its own buffer as ``clean + noise_sigma(snr_db) * w``, with the unit
+    shape w drawn on first use.  Because the trial's draws do not depend
+    on the point (common random numbers), this is bit-identical to a call
+    without ``link``, which adds the noise in place and keeps no copy.
     """
     params, spec = ctx.params, ctx.spec
     traces = {} if traces is None else traces
-    r_data, r_chan, r_noise, r_draw = trial_streams(config.seed, trial_idx)
-    if config.theta is None:
-        theta = int(r_draw.integers(-params.mn // 2, params.mn // 2))
+    if link:
+        theta, eps, realization, received = (
+            link[key] for key in ("theta", "eps", "realization", "clean"))
     else:
-        theta = int(config.theta)
-    u = float(r_draw.uniform(0.0, 1.0))
-    eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
-        else float(config.epsilon)
+        r_data, r_chan, r_noise, r_draw = trial_streams(config.seed,
+                                                        trial_idx)
+        if config.theta is None:
+            theta = int(r_draw.integers(-params.mn // 2, params.mn // 2))
+        else:
+            theta = int(config.theta)
+        u = float(r_draw.uniform(0.0, 1.0))
+        eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
+            else float(config.epsilon)
 
-    grids = [build_frame(params, spec, r_data)
-             for _ in range(params.blocks)]
-    stream = build_stream(grids, params)
-    shift, length = theta + ctx.advance, 2 * params.n_t
-    lo, hi = stream_reach(shift, stream.size, ctx.model.n_taps, length)
-    # A stream that misses the buffer reads no taps; one sample keeps the
-    # realization nonempty.
-    realization = realize_channel(ctx.model, params, max(hi - lo, 1), r_chan,
-                                  start=lo)
+        grids = [build_frame(params, spec, r_data)
+                 for _ in range(params.blocks)]
+        stream = build_stream(grids, params)
+        shift, length = theta + ctx.advance, 2 * params.n_t
+        lo, hi = stream_reach(shift, stream.size, ctx.model.n_taps, length)
+        # A stream that misses the buffer reads no taps; one sample keeps
+        # the realization nonempty.
+        realization = realize_channel(ctx.model, params, max(hi - lo, 1),
+                                      r_chan, start=lo)
+        received = apply_impairments(
+            stream, realization,
+            Impairments(theta=shift, epsilon=eps,
+                        snr_db=config.snr_db if link is None else None),
+            params, r_noise, length=length)
+        if link is not None:
+            received.flags.writeable = False
+            link.update(theta=theta, eps=eps, realization=realization,
+                        clean=received, noise=r_noise)
     traces["realization"] = realization
-    received = apply_impairments(
-        stream, realization,
-        Impairments(theta=shift, epsilon=eps, snr_db=config.snr_db),
-        params, r_noise, length=length)
+    if link is not None and config.snr_db is not None:
+        if "w" not in link:
+            link["w"] = unit_noise(received.size, link["noise"])
+        received = received + noise_sigma(config.snr_db) * link["w"]
 
     result = TrialResult(theta_true=theta, eps_true=eps)
     tic = time.perf_counter()
@@ -318,16 +344,38 @@ def aggregate(sweep_value, results, ctx: PointContext) -> PointSummary:
     )
 
 
+def run_group(configs: list, ctx: PointContext) -> list:
+    """Trial results of sweep points that share ``ctx``, one list per point.
+
+    The points may differ only in ``snr_db`` (one :func:`context_key`).
+    They run trial-major: each trial index runs at every point in turn,
+    and with more than one point the calls share that trial's ``link``
+    (see :func:`run_trial`), so its transmit half is made once.  One
+    trial's link is alive at a time.
+    """
+    results = [[] for _ in configs]
+    for t in range(configs[0].trials):
+        link = {} if len(configs) > 1 else None
+        for config, point in zip(configs, results):
+            point.append(run_trial(config, ctx, t, link=link))
+    return results
+
+
+def _summarize(sweep_value, results, ctx: PointContext) -> PointSummary:
+    """Log one point's failed trials, then :func:`aggregate` them."""
+    for t, r in enumerate(results):
+        if r.failure is not None:
+            logger.warning("point %s: trial %d failed (%s)", sweep_value, t,
+                           r.failure)
+    return aggregate(sweep_value, results, ctx)
+
+
 def run_point(config: ExperimentConfig, sweep_value,
               ctx: PointContext | None = None) -> PointSummary:
     """Run all trials of one sweep point and aggregate them."""
     if ctx is None:
         ctx = build_point(config)
-    results = [run_trial(config, ctx, t) for t in range(config.trials)]
-    for r in results:
-        if r.failure is not None:
-            logger.warning("trial failed (%s)", r.failure)
-    return aggregate(sweep_value, results, ctx)
+    return _summarize(sweep_value, run_group([config], ctx)[0], ctx)
 
 
 def _format_cell(value) -> str:
@@ -475,7 +523,8 @@ def context_key(config: ExperimentConfig) -> tuple:
     """Cache key of the point context: every config field but ``snr_db``.
 
     The data SNR only scales the noise drawn per trial, so points that
-    differ in nothing else share one :func:`build_point` result.
+    differ in nothing else share one :func:`build_point` result and, in
+    :func:`run_group`, each trial's noiseless link.
     """
     return dataclasses.astuple(replace(config, snr_db=None))
 
@@ -485,8 +534,11 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
     With a non-geometry axis and several ``geometries``, the whole axis is
     swept once per geometry and written to ``results_{M}x{N}.csv`` each;
-    otherwise everything lands in ``results.csv``.  Point contexts are
-    cached so an SNR sweep builds its ML workspace once.
+    otherwise everything lands in ``results.csv``.  Points that share a
+    :func:`context_key` form one group: the group builds its context once
+    and runs trial-major through :func:`run_group`, so an SNR sweep builds
+    its ML workspace once and synthesizes each trial's link once.  Rows,
+    failure warnings and aggregation stay in sweep order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -498,18 +550,23 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
     emitted = {}
     for filename, variant in variants:
-        summaries = []
-        cache = {}
-        for value, point_cfg in sweep_axis_configs(variant):
-            key = context_key(point_cfg)
-            if key not in cache:
-                cache[key] = build_point(point_cfg)
+        points = list(sweep_axis_configs(variant))
+        groups = {}
+        for i, (_, point_cfg) in enumerate(points):
+            groups.setdefault(context_key(point_cfg), []).append(i)
+        runs = [None] * len(points)
+        for members in groups.values():
+            ctx = build_point(points[members[0]][1])
             tic = time.perf_counter()
-            summary = run_point(point_cfg, value, ctx=cache[key])
-            logger.info("point %s=%s done in %.1f s (%d trials)",
-                        variant.sweep, value, time.perf_counter() - tic,
-                        point_cfg.trials)
-            summaries.append(summary)
+            group = run_group([points[i][1] for i in members], ctx)
+            for i, point_results in zip(members, group):
+                runs[i] = (point_results, ctx)
+            logger.info("%s: points %s=%s done in %.1f s (%d trials each)",
+                        filename, variant.sweep,
+                        ",".join(str(points[i][0]) for i in members),
+                        time.perf_counter() - tic, variant.trials)
+        summaries = [_summarize(value, *run)
+                     for (value, _), run in zip(points, runs)]
         write_csv(out / filename, RESULT_COLUMNS, summary_rows(summaries))
         emitted[filename] = summaries
     write_manifest(out / "manifest.txt", config)

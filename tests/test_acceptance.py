@@ -291,7 +291,7 @@ class TestCriterion6:
     """SNR trend suite on the shipped config (few minutes)."""
 
     @pytest.mark.slow
-    def test_snr_trend_suite(self, capsys):
+    def test_snr_trend_suite(self, capsys, tmp_path):
         """500-trial points at SNR {0,10,20} dB, vehicular channel at high
         Doppler: (a) timing-error variance strictly decreases with SNR;
         (b) |mean timing error| <= 1 sample at SNR >= 10 (fractional mean
@@ -299,7 +299,7 @@ class TestCriterion6:
         below coarse at 20 dB; (d) fine CFO MSE is non-increasing in SNR."""
         tic = time.perf_counter()
         config = load_config(CONFIG_DIR / "sweep_snr.cfg")
-        emitted = run_sweep(config, "/tmp/acceptance_snr_sweep")
+        emitted = run_sweep(config, tmp_path)
         rows = emitted["results.csv"]
         elapsed = time.perf_counter() - tic
         var = [s.to_err_var for s in rows]
@@ -327,13 +327,13 @@ class TestCriterion7:
     """Doppler-diversity trend on the shipped config (several minutes)."""
 
     @pytest.mark.slow
-    def test_doppler_diversity_trend(self, capsys):
+    def test_doppler_diversity_trend(self, capsys, tmp_path):
         """At SNR 20 dB and fixed MN = 4096, the timing-error variance at
         normalized Doppler 1.36 is below the 0.14 value for each of the
         geometries 64x64, 128x32, 256x16 over 500 trials."""
         tic = time.perf_counter()
         config = load_config(CONFIG_DIR / "sweep_doppler_geometries.cfg")
-        emitted = run_sweep(config, "/tmp/acceptance_doppler_sweep")
+        emitted = run_sweep(config, tmp_path)
         elapsed = time.perf_counter() - tic
         details = []
         all_ok = True

@@ -10,8 +10,8 @@ from scipy.special import j0
 from otfs_sync.channel import (JAKES_SINUSOIDS, ChannelModel,
                                ChannelRealization, Impairments,
                                apply_impairments, eva_model, export_taps,
-                               mean_delay, realize_channel, single_tap_model,
-                               stream_reach)
+                               mean_delay, noise_sigma, realize_channel,
+                               single_tap_model, stream_reach, unit_noise)
 from otfs_sync.modem import OtfsParams
 
 #: The shipped 128x32 geometry with its 2 n_t observation buffer.
@@ -313,6 +313,28 @@ class TestApplyImpairments:
                                   self.params, seed=5)
         assert_array_equal(out, again)
         assert_allclose(np.mean(np.abs(out) ** 2), 0.1, rtol=0.05)
+
+    @pytest.mark.parametrize("snr_db", [-3.0, 0.0, 17.5])
+    def test_noise_is_noiseless_plus_sigma_w(self, snr_db):
+        """The noisy buffer is the noiseless one plus noise_sigma * w from
+        the same seed, bit for bit, and w, sigma are the literal
+        standard-normal pair and sqrt(10^(-snr/10) / 2)."""
+        real = ChannelRealization(
+            taps=np.random.default_rng(2).standard_normal((2, 14)) + 0j,
+            start=3)
+        noisy = apply_impairments(self.stream, real,
+                                  Impairments(theta=3, epsilon=0.3,
+                                              snr_db=snr_db),
+                                  self.params, seed=8, length=20)
+        clean = apply_impairments(self.stream, real,
+                                  Impairments(theta=3, epsilon=0.3),
+                                  self.params, seed=8, length=20)
+        w = unit_noise(20, 8)
+        assert np.array_equal(noisy, clean + noise_sigma(snr_db) * w)
+        rng = np.random.default_rng(8)
+        literal = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        assert np.array_equal(w, literal)
+        assert noise_sigma(snr_db) == np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
 
     def test_noiseless_when_snr_none(self):
         """snr_db = None adds no noise at all."""

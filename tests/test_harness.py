@@ -1,6 +1,7 @@
 """Tests for the experiment harness: configs, trials, aggregation, IO, CLI."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfs_sync.cli import main
-from otfs_sync import harness
+from otfs_sync import channel, harness
 from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
                                build_point, config_items, context_key,
                                load_config, parse_config, read_csv, run_point,
@@ -406,6 +407,99 @@ class TestRunners:
                  "fine_cfo": "fine"}[stage]
         with pytest.raises(ValueError, match=f"{label}: no lock"):
             run_snapshot(TINY, tmp_path)
+
+
+class TestSharedLink:
+    """Points that share a context run trial-major on one link per trial."""
+
+    #: time-varying single tap, so the shared realization matters
+    FADING = dataclasses.replace(TINY, doppler_spectrum="jakes",
+                                 nu_max_t=0.5, trials=4)
+
+    @pytest.mark.parametrize("values", [(None, 0.0, 20.0),
+                                        (20.0, None, 0.0)])
+    def test_sweep_equals_point_major_trials(self, tmp_path, values):
+        """run_sweep's summaries equal aggregate over point-major run_trial
+        calls without a link, field for field."""
+        config = dataclasses.replace(self.FADING, sweep="snr_db",
+                                     sweep_values=values)
+        summaries = run_sweep(config, tmp_path)["results.csv"]
+        expected = []
+        for value in values:
+            point = dataclasses.replace(config, snr_db=value)
+            ctx = build_point(point)
+            expected.append(aggregate(
+                value, [run_trial(point, ctx, t)
+                        for t in range(config.trials)], ctx))
+        assert summaries == expected
+        assert [s.failures for s in summaries] == [0, 0, 0]
+
+    @pytest.mark.parametrize("sweep,values,snr_db,per_trial", [
+        ("snr_db", (None, 10.0, 30.0), None, (1, 1, 1)),
+        ("nu_max_t", (0.0, 0.5), 30.0, (2, 2, 2)),
+        ("nu_max_t", (0.0, 0.5), None, (2, 2, 0)),
+    ])
+    def test_transmit_half_made_once_per_group(self, tmp_path, monkeypatch,
+                                               sweep, values, snr_db,
+                                               per_trial):
+        """realize_channel, build_frame and the noise draw run once per
+        trial index per context group: once for a whole SNR sweep, once
+        per point on a Doppler sweep, and never without noise."""
+        calls = {"realize_channel": 0, "build_frame": 0, "unit_noise": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(harness, name,
+                                counting(name, getattr(harness, name)))
+        monkeypatch.setattr(channel, "unit_noise",
+                            counting("unit_noise", channel.unit_noise))
+        config = dataclasses.replace(self.FADING, sweep=sweep,
+                                     sweep_values=values, snr_db=snr_db)
+        run_sweep(config, tmp_path)
+        assert tuple(calls.values()) == tuple(config.trials * k
+                                              for k in per_trial)
+
+    def test_noisy_only_failures_stay_at_their_points(self, tmp_path,
+                                                      monkeypatch, caplog):
+        """A timing stub that refuses noisy buffers fails every trial of
+        the noisy points and none of the noiseless one, and the failure
+        warnings come out point by point in sweep order."""
+        estimate_to = harness.estimate_to
+
+        def noise_shy(received, *args):
+            # The noiseless buffer is exactly zero off the stream's reach.
+            if np.count_nonzero(received) == received.size:
+                raise ValueError("noisy")
+            return estimate_to(received, *args)
+
+        monkeypatch.setattr(harness, "estimate_to", noise_shy)
+        config = dataclasses.replace(self.FADING, sweep="snr_db",
+                                     sweep_values=(10.0, None, 20.0),
+                                     trials=2)
+        with caplog.at_level(logging.WARNING, logger="otfs_sync.harness"):
+            summaries = run_sweep(config, tmp_path)["results.csv"]
+        assert [s.failures for s in summaries] == [2, 0, 2]
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "otfs_sync.harness"] == [
+            "point 10.0: trial 0 failed (timing: noisy)",
+            "point 10.0: trial 1 failed (timing: noisy)",
+            "point 20.0: trial 0 failed (timing: noisy)",
+            "point 20.0: trial 1 failed (timing: noisy)"]
+
+    def test_shared_clean_buffer_is_read_only(self):
+        """The noiseless buffer a link hands to later points cannot be
+        written, so no point can corrupt another's input."""
+        ctx = build_point(self.FADING)
+        link = {}
+        run_trial(self.FADING, ctx, 0, link=link)
+        with pytest.raises(ValueError, match="read-only"):
+            link["clean"][0] = 0.0
+
 
 
 class TestCli:
