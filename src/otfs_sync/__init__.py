@@ -4,7 +4,7 @@ The package splits along the processing chain:
 
 * :mod:`otfs_sync.modem`   delay-Doppler grid transforms and CP framing;
 * :mod:`otfs_sync.pilot`   cyclic-prefixed pilot construction;
-* :mod:`otfs_sync.channel` LTV channel synthesis and impairment injection;
+* :mod:`otfs_sync.channel` LTV channel synthesis, TO/CFO injection, noise;
 * :mod:`otfs_sync.timing`  dual-domain timing-offset estimation;
 * :mod:`otfs_sync.cfo`     coarse and BEM-based fine CFO estimation;
 * :mod:`otfs_sync.harness` Monte-Carlo experiments, CSV/manifest IO;
@@ -25,8 +25,8 @@ from .cfo import (BemModel, CfoEstimate, MlWorkspace, OpCounter,
                   SingularModelError, bem_order, build_bem, build_workspace,
                   coarse_cfo, fine_cfo, extract_pilot, ml_cost, ml_cost_fast)
 from .harness import (ExperimentConfig, PointSummary, TrialResult,
-                      build_point, load_config, parse_config, run_point,
-                      run_single, run_snapshot, run_sweep, run_trial)
+                      build_point, load_config, parse_config, run_single,
+                      run_snapshot, run_sweep, run_trial)
 
 __all__ = [
     "OtfsParams", "build_stream", "measure_papr",
@@ -40,7 +40,7 @@ __all__ = [
     "SingularModelError", "bem_order", "build_bem", "build_workspace",
     "coarse_cfo", "fine_cfo", "extract_pilot", "ml_cost", "ml_cost_fast",
     "ExperimentConfig", "PointSummary", "TrialResult", "build_point",
-    "load_config", "parse_config", "run_point", "run_single",
-    "run_snapshot", "run_sweep", "run_trial",
+    "load_config", "parse_config", "run_single", "run_snapshot",
+    "run_sweep", "run_trial",
     "__version__",
 ]

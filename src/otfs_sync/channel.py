@@ -5,7 +5,8 @@ carries a complex gain process h[ell, k].  Gains are zero-mean complex
 Gaussian with per-tap average power set by the PDP (power delay profile)
 and a Jakes Doppler spectrum synthesized as a sum of equal-power sinusoids
 with random arrival angles and phases.  Impairments (integer timing offset,
-normalized CFO, AWGN) are injected on the serialized stream.
+normalized CFO) are injected on the serialized stream; :func:`noise_sigma`
+and :func:`unit_noise` define the AWGN that the trial adds on top.
 """
 
 from __future__ import annotations
@@ -102,12 +103,11 @@ class Impairments:
 
     theta is the integer timing offset in samples (delay-resolution
     units); epsilon is the CFO normalized by the Doppler resolution
-    1/(M N Ts); snr_db is the data-region SNR, or None for noiseless.
+    1/(M N Ts).
     """
 
     theta: int = 0
     epsilon: float = 0.0
-    snr_db: float | None = None
 
 
 def single_tap_model(doppler_spectrum: str = "static",
@@ -266,27 +266,22 @@ def unit_noise(length: int, seed) -> np.ndarray:
 
 def apply_impairments(stream: np.ndarray, real: ChannelRealization,
                       imp: Impairments, params: OtfsParams,
-                      seed=None, length: int | None = None) -> np.ndarray:
-    """Propagate ``stream`` through the channel with TO, CFO, and noise.
+                      length: int | None = None) -> np.ndarray:
+    """Propagate ``stream`` through the channel with TO and CFO, noiselessly.
 
     r[k] = e^{j 2 pi eps k / (M N)} * sum_ell h[ell, k] s[k - ell - theta]
-           + eta[k]
 
-    for k = 0 .. length-1, with s taken as zero outside its support and
-    eta = noise_sigma(snr_db) * unit_noise(length, seed), complex white
-    Gaussian with variance 10^(-snr_db/10) (unit-power data convention),
-    so the noisy buffer is the noiseless one plus eta, bit for bit.  The
-    CFO phase index k counts received samples from
-    the start of the observation buffer.  ``length`` defaults to the end
-    of the realization, ``real.stop``.
+    for k = 0 .. length-1, with s taken as zero outside its support.  The
+    CFO phase index k counts received samples from the start of the
+    observation buffer.  ``length`` defaults to the end of the
+    realization, ``real.stop``.
 
     Taps are indexed by absolute sample, relative to ``real.start``; the
     realization must cover the samples the stream reaches
     (:func:`stream_reach`), or this raises ``ValueError``.  Outside that
-    reach the buffer is zero until noise is added, so the CFO ramp is
-    applied only over it.  Taps that are zero over the reach (dead PDP
-    bins) are skipped; adding their zero products would leave every
-    output sample bit-identical.
+    reach the buffer is zero, so the CFO ramp is applied only over it.
+    Taps that are zero over the reach (dead PDP bins) are skipped; adding
+    their zero products would leave every output sample bit-identical.
     """
     stream = np.asarray(stream, dtype=complex)
     if stream.ndim != 1:
@@ -314,8 +309,6 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     if imp.epsilon != 0.0:
         out[lo:hi] *= np.exp(2j * np.pi * imp.epsilon * np.arange(lo, hi)
                              / params.mn)
-    if imp.snr_db is not None:
-        out += noise_sigma(imp.snr_db) * unit_noise(length, seed)
     return out
 
 

@@ -22,30 +22,31 @@ from .harness import (ExperimentConfig, _parse_value, load_config,
                       run_single, run_snapshot, run_sweep)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(ExperimentConfig):
-        parser.add_argument(f"--{f.name}", type=str, default=None,
-                            metavar="V", help=f"config key {f.name}")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the verb, -v, --config, --out and a flag per key."""
     parser = argparse.ArgumentParser(
         prog="otfs-sync",
         description="OTFS timing/CFO synchronization experiments",
     )
+    parser.add_argument("verb", choices=("run", "sweep", "snapshot"),
+                        help="run: single sweep point; sweep: full sweep "
+                             "along one axis; snapshot: one trial with raw "
+                             "traces")
     parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log per-point progress")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, text in (("run", "single sweep point"),
-                       ("sweep", "full sweep along one axis"),
-                       ("snapshot", "one trial with raw traces")):
-        sp = sub.add_parser(verb, help=text)
-        sp.add_argument("--config", type=str, default=None,
+                        help="log one line per group of points that share "
+                             "a context")
+    parser.add_argument("--config", type=str, default=None,
                         help="flat key=value config file")
-        sp.add_argument("--out", type=str, default=".",
+    parser.add_argument("--out", type=str, default=".",
                         help="output directory (default: current)")
-        _add_config_flags(sp)
+    for f in dataclasses.fields(ExperimentConfig):
+        parser.add_argument(f"--{f.name}", type=str, default=None,
+                            metavar="V", help=f"config key {f.name}")
     return parser
+
+
+#: Built once at import: ``main`` only parses.
+PARSER = build_parser()
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -54,7 +55,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         config = load_config(args.config, base=config)
     overrides = {}
     for f in dataclasses.fields(ExperimentConfig):
-        raw = getattr(args, f.name, None)
+        raw = getattr(args, f.name)
         if raw is not None:
             overrides[f.name] = _parse_value(f.name, raw)
     if overrides:
@@ -63,7 +64,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")

@@ -224,32 +224,30 @@ def trial_streams(root_seed: int, trial_idx: int) -> list:
 def run_trial(config: ExperimentConfig, ctx: PointContext,
               trial_idx: int, traces: dict | None = None,
               link: dict | None = None) -> TrialResult:
-    """One end-to-end trial: synthesize, impair, synchronize.
+    """One end-to-end trial: synthesize, impair, add noise, synchronize.
 
-    This is the only place the receive chain is written out.  The channel
-    is synthesized only over the samples of the 2 n_t buffer that the
-    shifted stream reaches (:func:`stream_reach`); the rest of the buffer
-    carries noise alone.  A ``traces`` dict, when given, receives each
-    stage's artifacts as they are made: the channel ``realization`` (that
-    window), the timing estimate ``to`` and its ``metrics``, and the
-    fine-CFO ``estimate``.
+    This is the only place the receive chain is written out and the only
+    place noise is added.  The channel is synthesized only over the
+    samples of the 2 n_t buffer that the shifted stream reaches
+    (:func:`stream_reach`); the rest of the buffer carries noise alone.  A
+    ``traces`` dict, when given, receives each stage's artifacts as they
+    are made: the channel ``realization`` (that window), the timing
+    estimate ``to`` and its ``metrics``, and the fine-CFO ``estimate``.
 
-    ``link`` shares one trial's transmit half between sweep points that
-    differ only in ``snr_db`` (one :func:`context_key`): pass the same
-    fresh dict to each such point's call for this trial index.  The first
-    call fills it with the offsets, the realization, the read-only
-    noiseless received buffer and the noise stream; every call then forms
-    its own buffer as ``clean + noise_sigma(snr_db) * w``, with the unit
-    shape w drawn on first use.  Because the trial's draws do not depend
-    on the point (common random numbers), this is bit-identical to a call
-    without ``link``, which adds the noise in place and keeps no copy.
+    ``link`` holds the trial's transmit half: its first call, made with
+    an empty dict (the default is a fresh one), fills it with the
+    offsets, the realization, the read-only noiseless received buffer
+    and the noise stream.  Every call then receives
+    ``clean + noise_sigma(snr_db) * w``, with the unit noise shape w
+    drawn on first noisy use.  Points that differ only in ``snr_db`` (one
+    :func:`context_key`) pass the same dict for a trial index and so
+    share its transmit half; the trial's draws do not depend on the
+    point (common random numbers).
     """
     params, spec = ctx.params, ctx.spec
     traces = {} if traces is None else traces
-    if link:
-        theta, eps, realization, received = (
-            link[key] for key in ("theta", "eps", "realization", "clean"))
-    else:
+    link = {} if link is None else link
+    if not link:
         r_data, r_chan, r_noise, r_draw = trial_streams(config.seed,
                                                         trial_idx)
         if config.theta is None:
@@ -269,17 +267,16 @@ def run_trial(config: ExperimentConfig, ctx: PointContext,
         # the realization nonempty.
         realization = realize_channel(ctx.model, params, max(hi - lo, 1),
                                       r_chan, start=lo)
-        received = apply_impairments(
-            stream, realization,
-            Impairments(theta=shift, epsilon=eps,
-                        snr_db=config.snr_db if link is None else None),
-            params, r_noise, length=length)
-        if link is not None:
-            received.flags.writeable = False
-            link.update(theta=theta, eps=eps, realization=realization,
-                        clean=received, noise=r_noise)
+        clean = apply_impairments(stream, realization,
+                                  Impairments(theta=shift, epsilon=eps),
+                                  params, length=length)
+        clean.flags.writeable = False
+        link.update(theta=theta, eps=eps, realization=realization,
+                    clean=clean, noise=r_noise)
+    theta, eps, realization, received = (
+        link[key] for key in ("theta", "eps", "realization", "clean"))
     traces["realization"] = realization
-    if link is not None and config.snr_db is not None:
+    if config.snr_db is not None:
         if "w" not in link:
             link["w"] = unit_noise(received.size, link["noise"])
         received = received + noise_sigma(config.snr_db) * link["w"]
@@ -348,34 +345,16 @@ def run_group(configs: list, ctx: PointContext) -> list:
     """Trial results of sweep points that share ``ctx``, one list per point.
 
     The points may differ only in ``snr_db`` (one :func:`context_key`).
-    They run trial-major: each trial index runs at every point in turn,
-    and with more than one point the calls share that trial's ``link``
-    (see :func:`run_trial`), so its transmit half is made once.  One
-    trial's link is alive at a time.
+    They run trial-major: each trial index runs at every point in turn on
+    one fresh ``link`` (see :func:`run_trial`), so its transmit half is
+    made once.  One trial's link is alive at a time.
     """
     results = [[] for _ in configs]
     for t in range(configs[0].trials):
-        link = {} if len(configs) > 1 else None
+        link = {}
         for config, point in zip(configs, results):
             point.append(run_trial(config, ctx, t, link=link))
     return results
-
-
-def _summarize(sweep_value, results, ctx: PointContext) -> PointSummary:
-    """Log one point's failed trials, then :func:`aggregate` them."""
-    for t, r in enumerate(results):
-        if r.failure is not None:
-            logger.warning("point %s: trial %d failed (%s)", sweep_value, t,
-                           r.failure)
-    return aggregate(sweep_value, results, ctx)
-
-
-def run_point(config: ExperimentConfig, sweep_value,
-              ctx: PointContext | None = None) -> PointSummary:
-    """Run all trials of one sweep point and aggregate them."""
-    if ctx is None:
-        ctx = build_point(config)
-    return _summarize(sweep_value, run_group([config], ctx)[0], ctx)
 
 
 def _format_cell(value) -> str:
@@ -405,6 +384,13 @@ def summary_rows(summaries) -> list:
              s.cfo_mse_fine, s.trials, s.failures) for s in summaries]
 
 
+#: How ``None`` is spelled for each optional key: the first word is the
+#: one written, every word is accepted on input.
+_NONE_WORDS = {"pilot_m_p": ("auto", "none"), "pilot_n_p": ("auto", "none"),
+               "bem_q": ("auto", "none"), "snr_db": ("none", "off"),
+               "theta": ("random",), "epsilon": ("random",)}
+
+
 def config_items(config: ExperimentConfig) -> list:
     """(key, value-string) pairs for every config field, in field order."""
     items = []
@@ -416,8 +402,7 @@ def config_items(config: ExperimentConfig) -> list:
             else:
                 text = ",".join(_format_cell(v) for v in value)
         elif value is None:
-            text = "auto" if f.name in ("pilot_m_p", "pilot_n_p", "bem_q") \
-                else ("none" if f.name == "snr_db" else "random")
+            text = _NONE_WORDS[f.name][0]
         elif isinstance(value, bool):
             text = "true" if value else "false"
         else:
@@ -438,22 +423,22 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
 
+#: Annotation text of each config field, e.g. ``"int | None"``.
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+
 def _parse_value(name: str, text: str):
     """Convert one config value from its text form."""
+    if name not in _FIELD_TYPES:
+        raise ValueError(f"unknown config key {name!r}")
     text = text.strip()
     low = text.lower()
-    if name in ("pilot_m_p", "pilot_n_p", "bem_q"):
-        return None if low in ("auto", "none") else int(text)
-    if name == "snr_db":
-        return None if low in ("none", "off") else float(text)
-    if name == "theta":
-        return None if low == "random" else int(text)
-    if name == "epsilon":
-        return None if low == "random" else float(text)
+    kind = _FIELD_TYPES[name]
+    if low in _NONE_WORDS.get(name, ()):
+        return None
     if name == "advance":
         return "centered" if low == "centered" else int(text)
-    if name in ("bias_correction_known_pdp", "bem_literal_exponent",
-                "fast_cost"):
+    if kind == "bool":
         if low not in _BOOL_WORDS:
             raise ValueError(f"config key {name} expects a boolean, "
                              f"got {text!r}")
@@ -471,12 +456,9 @@ def _parse_value(name: str, text: str):
         return tuple(pairs)
     if name in ("channel", "doppler_spectrum", "sweep"):
         return low
-    field_types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    if name not in field_types:
-        raise ValueError(f"unknown config key {name!r}")
-    if field_types[name] == "int":
+    if kind.startswith("int"):
         return int(text)
-    if field_types[name] == "float":
+    if kind.startswith("float"):
         return float(text)
     return text
 
@@ -529,16 +511,46 @@ def context_key(config: ExperimentConfig) -> tuple:
     return dataclasses.astuple(replace(config, snr_db=None))
 
 
+def _run_table(filename: str, axis: str, points: list) -> list:
+    """Summaries of ``points``, (sweep value, config) pairs, in their order.
+
+    Points that share a :func:`context_key` form one group: the group
+    builds its context once and runs trial-major through
+    :func:`run_group`, so an SNR sweep builds its ML workspace once and
+    synthesizes each trial's link once.  Each group logs one INFO line;
+    failure warnings and aggregation stay in point order.
+    """
+    groups = {}
+    for i, (_, point_cfg) in enumerate(points):
+        groups.setdefault(context_key(point_cfg), []).append(i)
+    runs = [None] * len(points)
+    for members in groups.values():
+        configs = [points[i][1] for i in members]
+        ctx = build_point(configs[0])
+        tic = time.perf_counter()
+        for i, point_results in zip(members, run_group(configs, ctx)):
+            runs[i] = (point_results, ctx)
+        logger.info("%s: points %s=%s done in %.1f s (%d trials each)",
+                    filename, axis,
+                    ",".join(str(points[i][0]) for i in members),
+                    time.perf_counter() - tic, configs[0].trials)
+    summaries = []
+    for (value, _), (results, ctx) in zip(points, runs):
+        for t, r in enumerate(results):
+            if r.failure is not None:
+                logger.warning("point %s: trial %d failed (%s)", value, t,
+                               r.failure)
+        summaries.append(aggregate(value, results, ctx))
+    return summaries
+
+
 def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     """Full sweep; returns {csv filename: [PointSummary, ...]}.
 
     With a non-geometry axis and several ``geometries``, the whole axis is
     swept once per geometry and written to ``results_{M}x{N}.csv`` each;
-    otherwise everything lands in ``results.csv``.  Points that share a
-    :func:`context_key` form one group: the group builds its context once
-    and runs trial-major through :func:`run_group`, so an SNR sweep builds
-    its ML workspace once and synthesizes each trial's link once.  Rows,
-    failure warnings and aggregation stay in sweep order.
+    otherwise everything lands in ``results.csv``.  Each file's points
+    run as one :func:`_run_table`.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -550,23 +562,8 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
     emitted = {}
     for filename, variant in variants:
-        points = list(sweep_axis_configs(variant))
-        groups = {}
-        for i, (_, point_cfg) in enumerate(points):
-            groups.setdefault(context_key(point_cfg), []).append(i)
-        runs = [None] * len(points)
-        for members in groups.values():
-            ctx = build_point(points[members[0]][1])
-            tic = time.perf_counter()
-            group = run_group([points[i][1] for i in members], ctx)
-            for i, point_results in zip(members, group):
-                runs[i] = (point_results, ctx)
-            logger.info("%s: points %s=%s done in %.1f s (%d trials each)",
-                        filename, variant.sweep,
-                        ",".join(str(points[i][0]) for i in members),
-                        time.perf_counter() - tic, variant.trials)
-        summaries = [_summarize(value, *run)
-                     for (value, _), run in zip(points, runs)]
+        summaries = _run_table(filename, variant.sweep,
+                               list(sweep_axis_configs(variant)))
         write_csv(out / filename, RESULT_COLUMNS, summary_rows(summaries))
         emitted[filename] = summaries
     write_manifest(out / "manifest.txt", config)
@@ -574,11 +571,13 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
 
 def run_single(config: ExperimentConfig, out_dir) -> PointSummary:
-    """One sweep point at the config's scalar settings."""
+    """One sweep point at the config's scalar settings: a one-point table
+    whose sweep value is ``snr_db`` on an SNR axis, else ``nu_max_t``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    value = config.snr_db if config.sweep == "snr_db" else config.nu_max_t
-    summary = run_point(config, value)
+    axis = "snr_db" if config.sweep == "snr_db" else "nu_max_t"
+    [summary] = _run_table("results.csv", axis,
+                           [(getattr(config, axis), config)])
     write_csv(out / "results.csv", RESULT_COLUMNS, summary_rows([summary]))
     write_manifest(out / "manifest.txt", config)
     return summary

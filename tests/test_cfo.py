@@ -18,7 +18,8 @@ from otfs_sync.cfo import (BemModel, OpCounter, SingularModelError,
                            extract_pilot, fine_cfo, ml_cost, ml_cost_fast,
                            pilot_sample_indices, projection)
 from otfs_sync.channel import (Impairments, apply_impairments, mean_delay,
-                               realize_channel, single_tap_model)
+                               noise_sigma, realize_channel, single_tap_model,
+                               unit_noise)
 from otfs_sync.harness import build_point, load_config
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
@@ -38,9 +39,11 @@ def chain_setup(seed=0):
 
 def receive_and_time(params, spec, stream, real, mu, eps, snr_db=None,
                      noise_seed=None):
-    received = apply_impairments(
-        stream, real, Impairments(theta=0, epsilon=eps, snr_db=snr_db),
-        params, noise_seed)
+    received = apply_impairments(stream, real,
+                                 Impairments(theta=0, epsilon=eps), params)
+    if snr_db is not None:
+        received += noise_sigma(snr_db) * unit_noise(received.size,
+                                                     noise_seed)
     to, _ = estimate_to(received, params, spec, mu)
     return received, to
 

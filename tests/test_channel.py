@@ -255,7 +255,8 @@ class TestRealizeChannel:
 
 
 class TestApplyImpairments:
-    """Timing shift, CFO rotation, and noise on the serialized stream."""
+    """Timing shift and CFO rotation on the serialized stream; the AWGN
+    helpers the trial adds on top."""
 
     def setup_method(self):
         self.params = OtfsParams(m=8, n=4, lcp=2)
@@ -303,43 +304,25 @@ class TestApplyImpairments:
         assert_allclose(out, self.stream * ramp, atol=1e-12)
 
     def test_noise_power_and_determinism(self):
-        """Noise adds 10^(-snr/10) complex variance, reproducibly."""
-        duration = 20000
-        real = ChannelRealization(taps=np.ones((1, duration), dtype=complex))
-        silence = np.zeros(duration, dtype=complex)
-        out = apply_impairments(silence, real, Impairments(snr_db=10.0),
-                                self.params, seed=5)
-        again = apply_impairments(silence, real, Impairments(snr_db=10.0),
-                                  self.params, seed=5)
-        assert_array_equal(out, again)
+        """noise_sigma * unit_noise has 10^(-snr/10) complex variance,
+        reproducibly."""
+        out = noise_sigma(10.0) * unit_noise(20000, 5)
+        assert_array_equal(out, noise_sigma(10.0) * unit_noise(20000, 5))
         assert_allclose(np.mean(np.abs(out) ** 2), 0.1, rtol=0.05)
 
     @pytest.mark.parametrize("snr_db", [-3.0, 0.0, 17.5])
-    def test_noise_is_noiseless_plus_sigma_w(self, snr_db):
-        """The noisy buffer is the noiseless one plus noise_sigma * w from
-        the same seed, bit for bit, and w, sigma are the literal
-        standard-normal pair and sqrt(10^(-snr/10) / 2)."""
-        real = ChannelRealization(
-            taps=np.random.default_rng(2).standard_normal((2, 14)) + 0j,
-            start=3)
-        noisy = apply_impairments(self.stream, real,
-                                  Impairments(theta=3, epsilon=0.3,
-                                              snr_db=snr_db),
-                                  self.params, seed=8, length=20)
-        clean = apply_impairments(self.stream, real,
-                                  Impairments(theta=3, epsilon=0.3),
-                                  self.params, seed=8, length=20)
-        w = unit_noise(20, 8)
-        assert np.array_equal(noisy, clean + noise_sigma(snr_db) * w)
+    def test_noise_helpers_are_literal_formula(self, snr_db):
+        """w is the literal standard-normal pair, real part drawn first,
+        and sigma is sqrt(10^(-snr/10) / 2)."""
         rng = np.random.default_rng(8)
         literal = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        assert np.array_equal(w, literal)
+        assert np.array_equal(unit_noise(20, 8), literal)
         assert noise_sigma(snr_db) == np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
 
     def test_noiseless_when_snr_none(self):
-        """snr_db = None adds no noise at all."""
+        """The impairments add no noise at all."""
         real = self._unit_channel(10)
-        out = apply_impairments(self.stream, real, Impairments(snr_db=None),
+        out = apply_impairments(self.stream, real, Impairments(),
                                 self.params)
         assert_array_equal(out, self.stream)
 
@@ -369,8 +352,8 @@ class TestApplyImpairments:
             + 1j * rng.standard_normal(params.n_t)
         real = realize_channel(model, params, 2 * params.n_t, seed=12)
         assert np.count_nonzero(np.any(real.taps, axis=1)) == 7
-        imp = Impairments(theta=theta, epsilon=0.37, snr_db=20.0)
-        out = apply_impairments(stream, real, imp, params, seed=13)
+        imp = Impairments(theta=theta, epsilon=0.37)
+        out = apply_impairments(stream, real, imp, params)
         expected = np.zeros(real.duration, dtype=complex)
         for ell in range(real.n_taps):
             shift = theta + ell
@@ -379,10 +362,6 @@ class TestApplyImpairments:
                 * stream[lo - shift:hi - shift]
         expected *= np.exp(2j * np.pi * imp.epsilon
                            * np.arange(real.duration) / params.mn)
-        noise = np.random.default_rng(13)
-        sigma = np.sqrt(10.0 ** (-imp.snr_db / 10.0) / 2.0)
-        expected += sigma * (noise.standard_normal(real.duration)
-                             + 1j * noise.standard_normal(real.duration))
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("theta", [-300, 7000, 1960])
@@ -402,15 +381,13 @@ class TestApplyImpairments:
         assert (lo, hi) == (max(0, theta),
                             min(length, theta + params.n_t + 20))
         full = realize_channel(model, params, length, seed=12)
-        imp = Impairments(theta=theta, epsilon=0.37, snr_db=20.0)
-        expected = apply_impairments(stream, full, imp, params, seed=13)
+        imp = Impairments(theta=theta, epsilon=0.37)
+        expected = apply_impairments(stream, full, imp, params)
         sliced = ChannelRealization(taps=full.taps[:, lo:hi], start=lo)
-        out = apply_impairments(stream, sliced, imp, params, seed=13,
-                                length=length)
+        out = apply_impairments(stream, sliced, imp, params, length=length)
         assert np.array_equal(out, expected)
         window = realize_channel(model, params, hi - lo, seed=12, start=lo)
-        out = apply_impairments(stream, window, imp, params, seed=13,
-                                length=length)
+        out = apply_impairments(stream, window, imp, params, length=length)
         assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("start, stop", [(6, 15), (5, 14)])

@@ -12,7 +12,7 @@ from otfs_sync.cli import main
 from otfs_sync import channel, harness
 from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
                                build_point, config_items, context_key,
-                               load_config, parse_config, read_csv, run_point,
+                               load_config, parse_config, read_csv,
                                run_single, run_snapshot, run_sweep, run_trial,
                                trial_streams, write_csv, write_manifest)
 
@@ -221,6 +221,28 @@ class TestRunTrial:
         assert real.start == max(0, shift)
         assert real.stop == min(2 * n_t, shift + n_t + ctx.model.n_taps - 1)
 
+    @pytest.mark.parametrize("snr_db", [-3.0, 0.0, 17.5])
+    def test_noise_is_noiseless_plus_sigma_w(self, monkeypatch, snr_db):
+        """The buffer timing sync receives is the link's noiseless buffer
+        plus noise_sigma(snr_db) * w, bit for bit, with w the unit noise of
+        the trial's noise stream."""
+        seen = []
+        estimate_to = harness.estimate_to
+
+        def capture(received, *args):
+            seen.append(received)
+            return estimate_to(received, *args)
+
+        monkeypatch.setattr(harness, "estimate_to", capture)
+        config = dataclasses.replace(TINY, snr_db=snr_db)
+        ctx = build_point(config)
+        link = {}
+        run_trial(config, ctx, 2, link=link)
+        w = channel.unit_noise(2 * ctx.params.n_t,
+                               trial_streams(config.seed, 2)[2])
+        assert np.array_equal(
+            seen[0], link["clean"] + channel.noise_sigma(snr_db) * w)
+
     def test_point_context_is_frozen(self):
         """Trials share the point context and its ML workspace read-only."""
         ctx = build_point(TINY)
@@ -358,14 +380,6 @@ class TestRunners:
         run_sweep(config, tmp_path)
         assert calls == [30.0]
 
-    def test_run_point_matches_trials(self):
-        """run_point reduces exactly the trials it ran."""
-        ctx = build_point(TINY)
-        summary = run_point(TINY, 0.0, ctx=ctx)
-        expected = aggregate(0.0, [run_trial(TINY, ctx, t)
-                                   for t in range(TINY.trials)], ctx)
-        assert summary == expected
-
     def test_run_snapshot_artifacts(self, tmp_path):
         """A snapshot writes metric, cost, channel, estimate, manifest."""
         config = dataclasses.replace(TINY, theta=40, epsilon=0.25)
@@ -417,10 +431,12 @@ class TestSharedLink:
                                  nu_max_t=0.5, trials=4)
 
     @pytest.mark.parametrize("values", [(None, 0.0, 20.0),
-                                        (20.0, None, 0.0)])
+                                        (20.0, None, 0.0), (20.0,),
+                                        (None,)])
     def test_sweep_equals_point_major_trials(self, tmp_path, values):
         """run_sweep's summaries equal aggregate over point-major run_trial
-        calls without a link, field for field."""
+        calls, each on a link of its own, field for field; one-point
+        tables included."""
         config = dataclasses.replace(self.FADING, sweep="snr_db",
                                      sweep_values=values)
         summaries = run_sweep(config, tmp_path)["results.csv"]
@@ -432,7 +448,7 @@ class TestSharedLink:
                 value, [run_trial(point, ctx, t)
                         for t in range(config.trials)], ctx))
         assert summaries == expected
-        assert [s.failures for s in summaries] == [0, 0, 0]
+        assert [s.failures for s in summaries] == [0] * len(values)
 
     @pytest.mark.parametrize("sweep,values,snr_db,per_trial", [
         ("snr_db", (None, 10.0, 30.0), None, (1, 1, 1)),
@@ -456,8 +472,6 @@ class TestSharedLink:
         for name in calls:
             monkeypatch.setattr(harness, name,
                                 counting(name, getattr(harness, name)))
-        monkeypatch.setattr(channel, "unit_noise",
-                            counting("unit_noise", channel.unit_noise))
         config = dataclasses.replace(self.FADING, sweep=sweep,
                                      sweep_values=values, snr_db=snr_db)
         run_sweep(config, tmp_path)
@@ -537,6 +551,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "theta_hat=10" in out
         assert (tmp_path / "metric_delay.csv").exists()
+
+    def test_unknown_flag_exits_2(self, tmp_path, capsys):
+        """An unknown flag is a usage error: exit status 2, nothing run."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--out", str(tmp_path), "--no_such_key", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no_such_key" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         """Flags override file values, which override the defaults."""
