@@ -8,7 +8,9 @@ trial index alone, so a trial reuses the same data, channel, offsets, and
 unit-variance noise shape at every sweep point; sweep points then differ
 only through the swept quantity (common-random-numbers pairing), which
 makes trend comparisons across points far less noisy than independent
-draws would.
+draws would.  One :func:`run_trial` call makes a trial's draws once and
+runs the receive chain at every point that shares them (one
+:func:`context_key`: the points of an SNR sweep).
 
 Outputs are flat text: a results CSV with one row per sweep point, a
 manifest echoing every resolved config key, and (for snapshots) the raw
@@ -21,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -122,9 +123,6 @@ class TrialResult:
     theta_hat: int | None = None
     eps_coarse: float | None = None
     eps_fine: float | None = None
-    t_timing: float = 0.0
-    t_coarse: float = 0.0
-    t_fine: float = 0.0
     failure: str | None = None
 
 
@@ -221,104 +219,79 @@ def trial_streams(root_seed: int, trial_idx: int) -> list:
     return [np.random.default_rng(child) for child in ss.spawn(4)]
 
 
-def run_trial(config: ExperimentConfig, ctx: PointContext,
-              trial_idx: int, traces: dict | None = None,
-              link: dict | None = None) -> TrialResult:
-    """One end-to-end trial: synthesize, impair, add noise, synchronize.
+def run_trial(configs: list, ctx: PointContext, trial_idx: int,
+              traces: dict | None = None) -> list:
+    """One trial index at every point of ``configs``: a result per point.
 
     This is the only place the receive chain is written out and the only
-    place noise is added.  The channel is synthesized only over the
-    samples of the 2 n_t buffer that the shifted stream reaches
-    (:func:`stream_reach`); the rest of the buffer carries noise alone.  A
-    ``traces`` dict, when given, receives each stage's artifacts as they
+    place noise is added.  The points must share one :func:`context_key`
+    (:func:`_run_table` groups them so); ``configs[0]`` supplies the seed,
+    theta and epsilon.  The transmit half is made once: the trial's draws,
+    frame, stream, the channel over the samples of the 2 n_t buffer that
+    the shifted stream reaches (:func:`stream_reach`), and the read-only
+    noiseless received buffer.  Each point's receiver then sees
+    ``clean + noise_sigma(snr_db) * w``, with the unit noise shape w drawn
+    at the first noisy point; since no draw depends on the point, this is
+    the common-random-numbers pairing.
+
+    A ``traces`` dict, when given, receives each stage's artifacts as they
     are made: the channel ``realization`` (that window), the timing
-    estimate ``to`` and its ``metrics``, and the fine-CFO ``estimate``.
-
-    ``link`` holds the trial's transmit half: its first call, made with
-    an empty dict (the default is a fresh one), fills it with the
-    offsets, the realization, the read-only noiseless received buffer
-    and the noise stream.  Every call then receives
-    ``clean + noise_sigma(snr_db) * w``, with the unit noise shape w
-    drawn on first noisy use.  Points that differ only in ``snr_db`` (one
-    :func:`context_key`) pass the same dict for a trial index and so
-    share its transmit half; the trial's draws do not depend on the
-    point (common random numbers).
+    estimate ``to`` and its ``metrics``, and the fine-CFO ``estimate``;
+    with several points, the last point's estimator artifacts.
     """
-    params, spec = ctx.params, ctx.spec
+    params, spec, config = ctx.params, ctx.spec, configs[0]
     traces = {} if traces is None else traces
-    link = {} if link is None else link
-    if not link:
-        r_data, r_chan, r_noise, r_draw = trial_streams(config.seed,
-                                                        trial_idx)
-        if config.theta is None:
-            theta = int(r_draw.integers(-params.mn // 2, params.mn // 2))
-        else:
-            theta = int(config.theta)
-        u = float(r_draw.uniform(0.0, 1.0))
-        eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
-            else float(config.epsilon)
+    r_data, r_chan, r_noise, r_draw = trial_streams(config.seed, trial_idx)
+    if config.theta is None:
+        theta = int(r_draw.integers(-params.mn // 2, params.mn // 2))
+    else:
+        theta = int(config.theta)
+    u = float(r_draw.uniform(0.0, 1.0))
+    eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
+        else float(config.epsilon)
 
-        grids = [build_frame(params, spec, r_data)
-                 for _ in range(params.blocks)]
-        stream = build_stream(grids, params)
-        shift, length = theta + ctx.advance, 2 * params.n_t
-        lo, hi = stream_reach(shift, stream.size, ctx.model.n_taps, length)
-        # A stream that misses the buffer reads no taps; one sample keeps
-        # the realization nonempty.
-        realization = realize_channel(ctx.model, params, max(hi - lo, 1),
-                                      r_chan, start=lo)
-        clean = apply_impairments(stream, realization,
-                                  Impairments(theta=shift, epsilon=eps),
-                                  params, length=length)
-        clean.flags.writeable = False
-        link.update(theta=theta, eps=eps, realization=realization,
-                    clean=clean, noise=r_noise)
-    theta, eps, realization, received = (
-        link[key] for key in ("theta", "eps", "realization", "clean"))
+    grids = [build_frame(params, spec, r_data) for _ in range(params.blocks)]
+    stream = build_stream(grids, params)
+    shift, length = theta + ctx.advance, 2 * params.n_t
+    lo, hi = stream_reach(shift, stream.size, ctx.model.n_taps, length)
+    # A stream that misses the buffer reads no taps; one sample keeps the
+    # realization nonempty.
+    realization = realize_channel(ctx.model, params, max(hi - lo, 1),
+                                  r_chan, start=lo)
     traces["realization"] = realization
-    if config.snr_db is not None:
-        if "w" not in link:
-            link["w"] = unit_noise(received.size, link["noise"])
-        received = received + noise_sigma(config.snr_db) * link["w"]
+    clean = apply_impairments(stream, realization,
+                              Impairments(theta=shift, epsilon=eps),
+                              params, length=length)
+    # The noiseless points all receive this one array.
+    clean.flags.writeable = False
 
-    result = TrialResult(theta_true=theta, eps_true=eps)
-    tic = time.perf_counter()
-    try:
-        to, metrics = estimate_to(received, params, spec, ctx.mu_est)
-        traces.update(to=to, metrics=metrics)
-        result.theta_hat = int(fold_offset(to.theta_hat - ctx.advance,
-                                           params.n_t))
-    except ESTIMATOR_ERRORS as exc:
-        result.failure = f"timing: {exc}"
-        return result
-    finally:
-        result.t_timing = time.perf_counter() - tic
-
-    tic = time.perf_counter()
-    try:
-        result.eps_coarse = coarse_cfo(received, to, params, spec)
-    except ESTIMATOR_ERRORS as exc:
-        result.failure = f"coarse: {exc}"
-        return result
-    finally:
-        result.t_coarse = time.perf_counter() - tic
-
-    tic = time.perf_counter()
-    try:
-        r_p = extract_pilot(received, to.theta_hat, params, spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    results, w = [], None
+    for config in configs:
+        received = clean
+        if config.snr_db is not None:
+            if w is None:
+                w = unit_noise(clean.size, r_noise)
+            received = clean + noise_sigma(config.snr_db) * w
+        result = TrialResult(theta_true=theta, eps_true=eps)
+        stage = "timing"
+        try:
+            to, metrics = estimate_to(received, params, spec, ctx.mu_est)
+            traces.update(to=to, metrics=metrics)
+            result.theta_hat = int(fold_offset(to.theta_hat - ctx.advance,
+                                               params.n_t))
+            stage = "coarse"
+            result.eps_coarse = coarse_cfo(received, to, params, spec)
+            stage = "fine"
+            r_p = extract_pilot(received, to.theta_hat, params, spec)
             estimate = fine_cfo(r_p, ctx.workspace, result.eps_coarse,
                                 half_width=config.cfo_half_width,
                                 use_fast=config.fast_cost)
-        traces["estimate"] = estimate
-        result.eps_fine = float(fold_offset(estimate.eps_fine, params.n))
-    except ESTIMATOR_ERRORS as exc:
-        result.failure = f"fine: {exc}"
-        return result
-    finally:
-        result.t_fine = time.perf_counter() - tic
-    return result
+            traces["estimate"] = estimate
+            result.eps_fine = float(fold_offset(estimate.eps_fine, params.n))
+        except ESTIMATOR_ERRORS as exc:
+            result.failure = f"{stage}: {exc}"
+        results.append(result)
+    return results
 
 
 def aggregate(sweep_value, results, ctx: PointContext) -> PointSummary:
@@ -339,22 +312,6 @@ def aggregate(sweep_value, results, ctx: PointContext) -> PointSummary:
         trials=len(results),
         failures=len(results) - len(ok),
     )
-
-
-def run_group(configs: list, ctx: PointContext) -> list:
-    """Trial results of sweep points that share ``ctx``, one list per point.
-
-    The points may differ only in ``snr_db`` (one :func:`context_key`).
-    They run trial-major: each trial index runs at every point in turn on
-    one fresh ``link`` (see :func:`run_trial`), so its transmit half is
-    made once.  One trial's link is alive at a time.
-    """
-    results = [[] for _ in configs]
-    for t in range(configs[0].trials):
-        link = {}
-        for config, point in zip(configs, results):
-            point.append(run_trial(config, ctx, t, link=link))
-    return results
 
 
 def _format_cell(value) -> str:
@@ -506,7 +463,7 @@ def context_key(config: ExperimentConfig) -> tuple:
 
     The data SNR only scales the noise drawn per trial, so points that
     differ in nothing else share one :func:`build_point` result and, in
-    :func:`run_group`, each trial's noiseless link.
+    one :func:`run_trial` call per trial index, its transmit half.
     """
     return dataclasses.astuple(replace(config, snr_db=None))
 
@@ -515,10 +472,10 @@ def _run_table(filename: str, axis: str, points: list) -> list:
     """Summaries of ``points``, (sweep value, config) pairs, in their order.
 
     Points that share a :func:`context_key` form one group: the group
-    builds its context once and runs trial-major through
-    :func:`run_group`, so an SNR sweep builds its ML workspace once and
-    synthesizes each trial's link once.  Each group logs one INFO line;
-    failure warnings and aggregation stay in point order.
+    builds its context once and makes one :func:`run_trial` call per trial
+    index over all its points, so an SNR sweep builds its ML workspace
+    once and each trial's transmit half once.  Each group logs one INFO
+    line; failure warnings and aggregation stay in point order.
     """
     groups = {}
     for i, (_, point_cfg) in enumerate(points):
@@ -528,9 +485,13 @@ def _run_table(filename: str, axis: str, points: list) -> list:
         configs = [points[i][1] for i in members]
         ctx = build_point(configs[0])
         tic = time.perf_counter()
-        for i, point_results in zip(members, run_group(configs, ctx)):
+        results = [[] for _ in configs]
+        for t in range(configs[0].trials):
+            for point, result in zip(results, run_trial(configs, ctx, t)):
+                point.append(result)
+        for i, point_results in zip(members, results):
             runs[i] = (point_results, ctx)
-        logger.info("%s: points %s=%s done in %.1f s (%d trials each)",
+        logger.info("%s: points %s=%s done in %.3f s (%d trials each)",
                     filename, axis,
                     ",".join(str(points[i][0]) for i in members),
                     time.perf_counter() - tic, configs[0].trials)
@@ -598,7 +559,7 @@ def run_snapshot(config: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traces = {}
-    result = run_trial(config, build_point(config), 0, traces)
+    [result] = run_trial([config], build_point(config), 0, traces)
     if result.failure is not None:
         raise ValueError(f"snapshot trial failed at {result.failure}")
     to, metrics = traces["to"], traces["metrics"]

@@ -129,9 +129,8 @@ def embed_pcp(data: np.ndarray, spec: PcpSpec, params: OtfsParams) -> np.ndarray
     z = spec.amplitude * make_zc(spec.length, spec.zc_root)
     out = data.copy().astype(complex)
     out[rows, :] = 0.0
-    out[spec.m_p:spec.m_p + spec.length, spec.n_p] = z
-    for k in range(1, spec.length):
-        out[spec.m_p - k, spec.n_p] = z[spec.length - k]
+    out[spec.m_p - spec.length + 1:spec.m_p + spec.length, spec.n_p] = \
+        np.concatenate((z[1:], z))
     return out
 
 

@@ -58,8 +58,18 @@ def fold_offset(value, width):
     return (value + width / 2) % width - width / 2
 
 
-def _delay_products(received: np.ndarray, length: int) -> np.ndarray:
-    """c[y] = conj(r[y]) * r[y + L], the L-lag sample products."""
+def _delay_products(received: np.ndarray, params: OtfsParams,
+                    spec: PcpSpec) -> np.ndarray:
+    """c[y] = conj(r[y]) * r[y + L], the L-lag sample products of a buffer
+    long enough for every window of the delay metric."""
+    received = np.asarray(received)
+    m, n, length = params.m, params.n, spec.length
+    needed = (n - 1) * m + (m - 1) + (length - 2) + length + 1
+    if received.size < needed:
+        raise ValueError(
+            f"buffer too short for the delay metric: need {needed} samples, "
+            f"got {received.size}"
+        )
     if length < 2:
         raise ValueError(
             "the delay metric needs a pilot of length >= 2 (its window "
@@ -75,15 +85,8 @@ def metric_delay(received: np.ndarray, params: OtfsParams,
     P_d[m] = sum_{i=0}^{N-1} sum_{u=0}^{L-2}
              conj(r[iM + m + u]) r[iM + m + u + L],   m = 0 .. M-1.
     """
-    received = np.asarray(received)
     m, n, length = params.m, params.n, spec.length
-    needed = (n - 1) * m + (m - 1) + (length - 2) + length + 1
-    if received.size < needed:
-        raise ValueError(
-            f"buffer too short for the delay metric: need {needed} samples, "
-            f"got {received.size}"
-        )
-    prods = _delay_products(received, length)
+    prods = _delay_products(received, params, spec)
     windows = sliding_window_view(prods, length - 1).sum(axis=-1)
     idx = np.arange(n)[:, None] * m + np.arange(m)[None, :]
     return windows[idx].sum(axis=0)
@@ -98,26 +101,18 @@ def metric_delay_iterative(received: np.ndarray, params: OtfsParams,
 
     Each step exchanges the oldest lag product of every window for the
     newest one: 2N multiplies per output point instead of the direct
-    form's N(L-1).
+    form's N(L-1).  The trace is the first window followed by the running
+    sum of these exchanges.
     """
-    received = np.asarray(received)
     m, n, length = params.m, params.n, spec.length
-    needed = (n - 1) * m + (m - 1) + (length - 2) + length + 1
-    if received.size < needed:
-        raise ValueError(
-            f"buffer too short for the delay metric: need {needed} samples, "
-            f"got {received.size}"
-        )
-    prods = _delay_products(received, length)
-    out = np.empty(m, dtype=complex)
-    rows = np.arange(n) * m
-    acc = prods[rows[:, None] + np.arange(length - 1)].sum()
-    out[0] = acc
-    for pos in range(m - 1):
-        acc = acc - prods[rows + pos].sum() \
-                  + prods[rows + pos + length - 1].sum()
-        out[pos + 1] = acc
-    return out
+    prods = _delay_products(received, params, spec)
+    # lag products summed over the N slots, at each delay offset
+    sums = prods[np.arange(n)[:, None] * m
+                 + np.arange(m + length - 2)].sum(axis=0)
+    steps = np.empty(m, dtype=complex)
+    steps[0] = sums[:length - 1].sum()
+    steps[1:] = sums[length - 1:] - sums[:m - 1]
+    return np.cumsum(steps)
 
 
 def estimate_theta_d(p_d: np.ndarray, spec: PcpSpec, params: OtfsParams,
@@ -186,17 +181,15 @@ def metric_time_iterative(received: np.ndarray, params: OtfsParams,
                       + sum_i conj(r[(l+N-1)M+i]) r[(l+N)M+i]
 
     2 * 2L new products per output point instead of the direct form's
-    (N-1) * 2L.
+    (N-1) * 2L.  The trace is the first window followed by the running
+    sum of these exchanges.
     """
     rowsums = _slot_row_sums(received, params, spec, mprime_p)
     n = params.n
-    out = np.empty(n, dtype=complex)
-    acc = rowsums[:n - 1].sum()
-    out[0] = acc
-    for pos in range(n - 1):
-        acc = acc - rowsums[pos] + rowsums[pos + n - 1]
-        out[pos + 1] = acc
-    return out
+    steps = np.empty(n, dtype=complex)
+    steps[0] = rowsums[:n - 1].sum()
+    steps[1:] = rowsums[n - 1:] - rowsums[:n - 1]
+    return np.cumsum(steps)
 
 
 def estimate_theta_t(p_t: np.ndarray) -> int:

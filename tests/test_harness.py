@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,8 +146,8 @@ class TestRunTrial:
     def test_deterministic(self):
         """A repeated trial reproduces every field bit for bit."""
         ctx = build_point(TINY)
-        one = run_trial(TINY, ctx, 0)
-        two = run_trial(TINY, ctx, 0)
+        [one] = run_trial([TINY], ctx, 0)
+        [two] = run_trial([TINY], ctx, 0)
         assert one.theta_true == two.theta_true
         assert one.eps_true == two.eps_true
         assert one.theta_hat == two.theta_hat
@@ -158,7 +159,7 @@ class TestRunTrial:
         """The tiny noiseless link recovers both offsets in every trial."""
         ctx = build_point(TINY)
         for t in range(5):
-            r = run_trial(TINY, ctx, t)
+            [r] = run_trial([TINY], ctx, t)
             assert r.theta_hat == r.theta_true
             assert abs(r.eps_fine - r.eps_true) <= 1e-4
 
@@ -168,8 +169,8 @@ class TestRunTrial:
         noisy = dataclasses.replace(TINY, snr_db=0.0)
         ctx_a = build_point(TINY)
         ctx_b = build_point(noisy)
-        a = run_trial(TINY, ctx_a, 2)
-        b = run_trial(noisy, ctx_b, 2)
+        [a] = run_trial([TINY], ctx_a, 2)
+        [b] = run_trial([noisy], ctx_b, 2)
         assert a.theta_true == b.theta_true
         assert a.eps_true == b.eps_true
 
@@ -177,7 +178,7 @@ class TestRunTrial:
         """Explicit theta/epsilon settings pin every trial."""
         fixed = dataclasses.replace(TINY, theta=11, epsilon=0.375)
         ctx = build_point(fixed)
-        r = run_trial(fixed, ctx, 4)
+        [r] = run_trial([fixed], ctx, 4)
         assert r.theta_true == 11
         assert r.eps_true == 0.375
 
@@ -193,7 +194,8 @@ class TestRunTrial:
         monkeypatch.setattr(harness, stage, refuse)
         label = {"estimate_to": "timing", "coarse_cfo": "coarse",
                  "fine_cfo": "fine"}[stage]
-        assert run_trial(TINY, ctx, 0).failure == f"{label}: no lock"
+        [r] = run_trial([TINY], ctx, 0)
+        assert r.failure == f"{label}: no lock"
 
     @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
                                        "fine_cfo"])
@@ -205,7 +207,7 @@ class TestRunTrial:
         ctx = build_point(TINY)
         monkeypatch.setattr(harness, stage, broken)
         with pytest.raises(TypeError, match="bad call"):
-            run_trial(TINY, ctx, 0)
+            run_trial([TINY], ctx, 0)
 
     @pytest.mark.parametrize("theta", [-100, 0, 300])
     def test_channel_synthesized_over_stream_reach(self, theta):
@@ -215,7 +217,7 @@ class TestRunTrial:
                                      advance=40)
         ctx = build_point(config)
         traces = {}
-        run_trial(config, ctx, 0, traces)
+        run_trial([config], ctx, 0, traces)
         real = traces["realization"]
         shift, n_t = theta + 40, ctx.params.n_t
         assert real.start == max(0, shift)
@@ -223,9 +225,9 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("snr_db", [-3.0, 0.0, 17.5])
     def test_noise_is_noiseless_plus_sigma_w(self, monkeypatch, snr_db):
-        """The buffer timing sync receives is the link's noiseless buffer
-        plus noise_sigma(snr_db) * w, bit for bit, with w the unit noise of
-        the trial's noise stream."""
+        """The buffer timing sync receives at a noisy point is the one the
+        noiseless point receives plus noise_sigma(snr_db) * w, bit for bit,
+        with w the unit noise of the trial's noise stream."""
         seen = []
         estimate_to = harness.estimate_to
 
@@ -234,14 +236,14 @@ class TestRunTrial:
             return estimate_to(received, *args)
 
         monkeypatch.setattr(harness, "estimate_to", capture)
-        config = dataclasses.replace(TINY, snr_db=snr_db)
-        ctx = build_point(config)
-        link = {}
-        run_trial(config, ctx, 2, link=link)
+        noisy = dataclasses.replace(TINY, snr_db=snr_db)
+        ctx = build_point(TINY)
+        run_trial([TINY, noisy], ctx, 2)
+        clean, received = seen
         w = channel.unit_noise(2 * ctx.params.n_t,
-                               trial_streams(config.seed, 2)[2])
+                               trial_streams(TINY.seed, 2)[2])
         assert np.array_equal(
-            seen[0], link["clean"] + channel.noise_sigma(snr_db) * w)
+            received, clean + channel.noise_sigma(snr_db) * w)
 
     def test_point_context_is_frozen(self):
         """Trials share the point context and its ML workspace read-only."""
@@ -401,7 +403,7 @@ class TestRunners:
     def test_snapshot_reports_trial_zero(self, tmp_path):
         """The snapshot's truths and estimates are trial 0 of run_trial."""
         report = run_snapshot(TINY, tmp_path)
-        trial = run_trial(TINY, build_point(TINY), 0)
+        [trial] = run_trial([TINY], build_point(TINY), 0)
         assert (report["theta_true"], report["eps_true"]) == \
             (trial.theta_true, trial.eps_true)
         assert (report["theta_hat"], report["eps_coarse"],
@@ -424,7 +426,8 @@ class TestRunners:
 
 
 class TestSharedLink:
-    """Points that share a context run trial-major on one link per trial."""
+    """Points that share a context run in one run_trial call per trial
+    index, which makes the trial's transmit half once for all of them."""
 
     #: time-varying single tap, so the shared realization matters
     FADING = dataclasses.replace(TINY, doppler_spectrum="jakes",
@@ -435,8 +438,8 @@ class TestSharedLink:
                                         (None,)])
     def test_sweep_equals_point_major_trials(self, tmp_path, values):
         """run_sweep's summaries equal aggregate over point-major run_trial
-        calls, each on a link of its own, field for field; one-point
-        tables included."""
+        calls, one point each, field for field; one-point tables
+        included."""
         config = dataclasses.replace(self.FADING, sweep="snr_db",
                                      sweep_values=values)
         summaries = run_sweep(config, tmp_path)["results.csv"]
@@ -445,7 +448,7 @@ class TestSharedLink:
             point = dataclasses.replace(config, snr_db=value)
             ctx = build_point(point)
             expected.append(aggregate(
-                value, [run_trial(point, ctx, t)
+                value, [run_trial([point], ctx, t)[0]
                         for t in range(config.trials)], ctx))
         assert summaries == expected
         assert [s.failures for s in summaries] == [0] * len(values)
@@ -505,15 +508,18 @@ class TestSharedLink:
             "point 20.0: trial 0 failed (timing: noisy)",
             "point 20.0: trial 1 failed (timing: noisy)"]
 
-    def test_shared_clean_buffer_is_read_only(self):
-        """The noiseless buffer a link hands to later points cannot be
-        written, so no point can corrupt another's input."""
-        ctx = build_point(self.FADING)
-        link = {}
-        run_trial(self.FADING, ctx, 0, link=link)
-        with pytest.raises(ValueError, match="read-only"):
-            link["clean"][0] = 0.0
+    def test_shared_clean_buffer_is_read_only(self, monkeypatch):
+        """The noiseless buffer that every noiseless point receives cannot
+        be written, so no point can corrupt another's input: an estimator
+        that writes into it fails the trial."""
+        def scribble(received, *args):
+            received[0] = 0.0
 
+        monkeypatch.setattr(harness, "estimate_to", scribble)
+        ctx = build_point(self.FADING)
+        [r] = run_trial([self.FADING], ctx, 0)
+        assert r.failure.startswith("timing: ")
+        assert "read-only" in r.failure
 
 
 class TestCli:
@@ -551,6 +557,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "theta_hat=10" in out
         assert (tmp_path / "metric_delay.csv").exists()
+
+    def test_verbose_group_line_in_milliseconds(self, tmp_path, caplog):
+        """`-v` logs one line per group of points, with the group's wall
+        time to the millisecond, so a short group does not read 0.0 s."""
+        with caplog.at_level(logging.INFO, logger="otfs_sync.harness"):
+            code = main(["-v", "run", "--out", str(tmp_path)]
+                        + self._flags())
+        assert code == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.name == "otfs_sync.harness"]
+        assert re.fullmatch(r"results\.csv: points snr_db=None done in "
+                            r"\d+\.\d{3} s \(2 trials each\)", line)
 
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         """An unknown flag is a usage error: exit status 2, nothing run."""
