@@ -153,13 +153,10 @@ class BemModel:
     freqs: np.ndarray
     pilot_idx: np.ndarray
     basis: np.ndarray
-    literal_exponent: bool = False
 
     def evaluate(self, indices: np.ndarray) -> np.ndarray:
         """Tone matrix at arbitrary sample indices, shape (len, Q)."""
-        factor = 2.0 if self.literal_exponent else 1.0
-        return np.exp(2j * np.pi * factor
-                      * np.asarray(indices, dtype=float)[:, None]
+        return np.exp(2j * np.pi * np.asarray(indices, dtype=float)[:, None]
                       * self.freqs[None, :])
 
 
@@ -189,8 +186,7 @@ def extract_pilot(received: np.ndarray, block_start: int,
 
 
 def build_bem(params: OtfsParams, spec: PcpSpec, k: int, nu_max: float,
-              q: int | None = None,
-              literal_exponent: bool = False) -> BemModel:
+              q: int | None = None) -> BemModel:
     """Construct the GCE-BEM tone set for one block's pilot region."""
     if q is None:
         q = bem_order(k, nu_max, params)
@@ -199,8 +195,7 @@ def build_bem(params: OtfsParams, spec: PcpSpec, k: int, nu_max: float,
     freqs = (np.arange(q) - q // 2) / (k * params.mn)
     idx = pilot_sample_indices(params, spec)
     model = BemModel(k=k, q=q, nu_max=nu_max, params=params, freqs=freqs,
-                     pilot_idx=idx, basis=np.empty(0),
-                     literal_exponent=literal_exponent)
+                     pilot_idx=idx, basis=np.empty(0))
     model.basis = model.evaluate(idx.ravel().astype(float))
     return model
 

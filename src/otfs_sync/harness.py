@@ -69,12 +69,13 @@ class ExperimentConfig:
     [-MN/2, MN/2) integer, epsilon over +-(N - nu_max_t)/2); fixed values
     make every trial use that offset.
 
-    Modes: ``bias_correction_known_pdp`` subtracts floor(mu_h) computed
-    from the power delay profile inside the timing estimator; when off,
-    the CP is lengthened by floor(mu_h) instead and the estimator assumes
-    zero mean delay.  ``bem_literal_exponent`` doubles the basis-tone
-    exponent (a documented variant switch), ``fast_cost`` selects the
-    trigonometric-polynomial ML cost over the matrix form.
+    ``bias_correction_known_pdp`` subtracts floor(mu_h) computed from the
+    power delay profile inside the timing estimator; when off, the CP is
+    lengthened by floor(mu_h) instead and the estimator assumes zero mean
+    delay.
+
+    Each trial transmits one block, and the fine-CFO search evaluates the
+    trigonometric-polynomial ML cost; neither is a key.
     """
 
     # grid geometry and framing
@@ -82,7 +83,6 @@ class ExperimentConfig:
     n: int = 32
     lcp: int = 32
     ts: float = 1.0 / 8.25e6
-    blocks: int = 1
     # pilot
     pilot_length: int = 21
     pilot_m_p: int | None = None
@@ -102,10 +102,8 @@ class ExperimentConfig:
     bem_k: int = 4
     bem_q: int | None = None
     cfo_half_width: float = 0.5
-    # modes
+    # mode
     bias_correction_known_pdp: bool = True
-    bem_literal_exponent: bool = False
-    fast_cost: bool = True
     # harness
     trials: int = 500
     seed: int = 1
@@ -184,7 +182,7 @@ def resolve_channel(config: ExperimentConfig,
 def build_point(config: ExperimentConfig) -> PointContext:
     """Resolve one sweep point's geometry, channel, and ML workspace."""
     params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp,
-                        ts=config.ts, blocks=config.blocks)
+                        ts=config.ts)
     model = resolve_channel(config, params)
     mu_model = mean_delay(model)
     if config.bias_correction_known_pdp:
@@ -200,8 +198,7 @@ def build_point(config: ExperimentConfig) -> PointContext:
     else:
         advance = int(config.advance)
     bem = build_bem(params, spec, k=config.bem_k, nu_max=model.nu_max,
-                    q=config.bem_q,
-                    literal_exponent=config.bem_literal_exponent)
+                    q=config.bem_q)
     workspace = build_workspace(params, spec, bem)
     eps_span = params.n - 2.0 * model.nu_max * params.mn * params.ts
     return PointContext(params=params, spec=spec, model=model,
@@ -250,8 +247,7 @@ def run_trial(configs: list, ctx: PointContext, trial_idx: int,
     eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
         else float(config.epsilon)
 
-    grids = [build_frame(params, spec, r_data) for _ in range(params.blocks)]
-    stream = build_stream(grids, params)
+    stream = build_stream([build_frame(params, spec, r_data)], params)
     shift, length = theta + ctx.advance, 2 * params.n_t
     lo, hi = stream_reach(shift, stream.size, ctx.model.n_taps, length)
     # A stream that misses the buffer reads no taps; one sample keeps the
@@ -284,8 +280,7 @@ def run_trial(configs: list, ctx: PointContext, trial_idx: int,
             stage = "fine"
             r_p = extract_pilot(received, to.theta_hat, params, spec)
             estimate = fine_cfo(r_p, ctx.workspace, result.eps_coarse,
-                                half_width=config.cfo_half_width,
-                                use_fast=config.fast_cost)
+                                half_width=config.cfo_half_width)
             traces["estimate"] = estimate
             result.eps_fine = float(fold_offset(estimate.eps_fine, params.n))
         except ESTIMATOR_ERRORS as exc:

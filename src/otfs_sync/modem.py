@@ -21,7 +21,10 @@ QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 
 @dataclass(frozen=True)
 class OtfsParams:
-    """Grid geometry and framing constants for one OTFS link.
+    """Grid geometry and framing constants of one OTFS block.
+
+    The number of blocks in a stream is not a parameter: it is the number
+    of grids handed to :func:`build_stream`.
 
     Attributes
     ----------
@@ -33,23 +36,16 @@ class OtfsParams:
         Cyclic-prefix length in samples; one CP per block.
     ts : float
         Sampling period in seconds (also the delay resolution).
-    blocks : int
-        Number of back-to-back blocks in the transmitted stream.
-        Three blocks guarantee a full block falls inside the receiver's
-        two-block buffer for any timing offset in [-MN/2, MN/2).
     """
 
     m: int
     n: int
     lcp: int
     ts: float = 1.0 / 8.25e6
-    blocks: int = 3
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.m}x{self.n}")
-        if self.blocks < 1:
-            raise ValueError(f"need at least one block, got {self.blocks}")
         if not 0 <= self.lcp <= self.m * self.n:
             raise ValueError(f"lcp must lie in [0, M*N], got {self.lcp}")
         if self.ts <= 0:

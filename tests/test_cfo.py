@@ -28,7 +28,7 @@ from otfs_sync.timing import estimate_to, fold_offset
 
 def chain_setup(seed=0):
     """Noiseless single-tap link at (32, 8) used by the coarse tests."""
-    params = OtfsParams(m=32, n=8, lcp=16, blocks=1)
+    params = OtfsParams(m=32, n=8, lcp=16)
     spec = PcpSpec(length=2, m_p=16, n_p=4)
     rng = np.random.default_rng(seed)
     stream = build_stream([build_frame(params, spec, rng)], params)
@@ -127,16 +127,6 @@ class TestBemModel:
         for l in range(4):
             for a in range(3):
                 assert idx[l, a] == 5 + l * 16 + 8 + a
-
-    def test_literal_exponent_doubles_phase(self):
-        """The documented variant evaluates tones with a doubled exponent."""
-        params = OtfsParams(m=16, n=8, lcp=4)
-        spec = PcpSpec(length=3, m_p=8, n_p=4)
-        plain = build_bem(params, spec, k=2, nu_max=0.0, q=3)
-        doubled = build_bem(params, spec, k=2, nu_max=0.0, q=3,
-                            literal_exponent=True)
-        assert_allclose(doubled.basis, plain.evaluate(
-            2.0 * plain.pilot_idx.ravel()), atol=1e-12)
 
 
 class TestModelMatrix:
@@ -306,9 +296,9 @@ class TestFactoredWorkspace:
            extra_m=st.integers(0, 40), q_frac=st.floats(0.0, 1.0),
            k=st.integers(1, 4), lcp_frac=st.floats(0.0, 1.0),
            np_frac=st.floats(0.0, 1.0), mp_frac=st.floats(0.0, 1.0),
-           literal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 32 - 1))
     def test_random_geometries(self, length, n, extra_m, q_frac, k,
-                               lcp_frac, np_frac, mp_frac, literal, seed):
+                               lcp_frac, np_frac, mp_frac, seed):
         m = 2 * length + extra_m
         q = 1 + int(q_frac * (n - 1))
         params = OtfsParams(m=m, n=n, lcp=int(lcp_frac * m))
@@ -316,8 +306,7 @@ class TestFactoredWorkspace:
                        m_p=length + int(mp_frac * (m - 2 * length)),
                        n_p=int(np_frac * (n - 1)))
         spec.validate_fit(params)
-        bem = build_bem(params, spec, k=k, nu_max=0.0, q=q,
-                        literal_exponent=literal)
+        bem = build_bem(params, spec, k=k, nu_max=0.0, q=q)
         ws = build_workspace(params, spec, bem)
         rng = np.random.default_rng(seed)
         nl = n * length

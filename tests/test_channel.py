@@ -344,7 +344,7 @@ class TestApplyImpairments:
     def test_dead_taps_skipped_bit_identically(self, theta):
         """On a seeded EVA trial at L = 21, where 14 rows are exactly zero,
         the output equals the all-taps loop bit for bit."""
-        params = OtfsParams(m=128, n=32, lcp=32, blocks=1)
+        params = OtfsParams(m=128, n=32, lcp=32)
         nu_max = 1.36 / (params.mn * params.ts)
         model = eva_model(params.ts, 21, nu_max)
         rng = np.random.default_rng(11)

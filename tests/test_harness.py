@@ -18,7 +18,7 @@ from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
                                trial_streams, write_csv, write_manifest)
 
 #: Small, fast, noiseless link used across the harness tests.
-TINY = ExperimentConfig(m=32, n=8, lcp=16, blocks=1, pilot_length=2,
+TINY = ExperimentConfig(m=32, n=8, lcp=16, pilot_length=2,
                         channel="single_tap", doppler_spectrum="static",
                         nu_max_t=0.0, snr_db=None, bem_q=1, trials=3, seed=9)
 
@@ -53,7 +53,8 @@ class TestConfigParsing:
         ("epsilon = random", "epsilon", None),
         ("advance = centered", "advance", "centered"),
         ("advance = 0", "advance", 0),
-        ("fast_cost = false", "fast_cost", False),
+        ("bias_correction_known_pdp = false", "bias_correction_known_pdp",
+         False),
         ("sweep_values = 0, 10, 20", "sweep_values", (0.0, 10.0, 20.0)),
         ("geometries = 64x64, 128x32", "geometries", ((64, 64), (128, 32))),
     ])
@@ -66,10 +67,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("trails = 100")
 
+    def test_removed_keys_are_unknown(self):
+        """The deleted blocks, bem_literal_exponent and fast_cost keys are
+        refused like any misspelling, not silently ignored."""
+        for key in ("blocks", "bem_literal_exponent", "fast_cost"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config(f"{key} = 1")
+
     def test_bad_boolean_raises(self):
         """Mode flags only accept boolean spellings."""
         with pytest.raises(ValueError, match="boolean"):
-            parse_config("fast_cost = maybe")
+            parse_config("bias_correction_known_pdp = maybe")
 
     def test_malformed_line_raises(self):
         """Lines without '=' are reported with their number."""
@@ -526,7 +534,7 @@ class TestCli:
     """Command-line verbs end to end."""
 
     def _flags(self):
-        return ["--m", "32", "--n", "8", "--lcp", "16", "--blocks", "1",
+        return ["--m", "32", "--n", "8", "--lcp", "16",
                 "--pilot_length", "2", "--channel", "single_tap",
                 "--doppler_spectrum", "static", "--nu_max_t", "0",
                 "--snr_db", "off", "--bem_q", "1", "--trials", "2",
@@ -582,7 +590,7 @@ class TestCli:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         """Flags override file values, which override the defaults."""
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("m = 32\nn = 8\nlcp = 16\nblocks = 1\n"
+        cfg.write_text("m = 32\nn = 8\nlcp = 16\n"
                        "pilot_length = 2\nchannel = single_tap\n"
                        "doppler_spectrum = static\nnu_max_t = 0\n"
                        "snr_db = off\nbem_q = 1\ntrials = 5\nseed = 9\n")

@@ -30,7 +30,6 @@ class TestOtfsParams:
         dict(m=8, n=8, lcp=-1),
         dict(m=8, n=8, lcp=65),
         dict(m=8, n=8, lcp=0, ts=0.0),
-        dict(m=8, n=8, lcp=0, blocks=0),
     ])
     def test_rejects_bad_geometry(self, bad):
         """Nonpositive dimensions and out-of-range CP lengths are refused."""
@@ -156,7 +155,7 @@ class TestBuildStream:
 
     def test_concatenates_blocks(self):
         """Each block of the stream is the CP-prefixed serialized frame."""
-        params = OtfsParams(m=4, n=4, lcp=3, blocks=2)
+        params = OtfsParams(m=4, n=4, lcp=3)
         rng = np.random.default_rng(13)
         grids = [rng.standard_normal((4, 4)) + 0j for _ in range(2)]
         stream = build_stream(grids, params)

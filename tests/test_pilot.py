@@ -175,7 +175,7 @@ class TestFrames:
     def test_pcp_papr_below_impulse(self):
         """Spreading the pilot over 2L-1 rows lowers the stream PAPR
         against an equal-energy single-bin impulse."""
-        params = OtfsParams(m=128, n=32, lcp=32, blocks=1)
+        params = OtfsParams(m=128, n=32, lcp=32)
         spec = default_pcp_spec(params, 21)
         rng = np.random.default_rng(4)
         pcp_stream = build_stream([build_frame(params, spec, rng)], params)

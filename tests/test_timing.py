@@ -147,7 +147,7 @@ class TestNoiselessRecovery:
     """End-to-end estimates on a clean single-tap channel."""
 
     def setup_method(self):
-        self.params = OtfsParams(m=32, n=8, lcp=16, blocks=1)
+        self.params = OtfsParams(m=32, n=8, lcp=16)
         self.spec = PcpSpec(length=2, m_p=16, n_p=4)
         rng = np.random.default_rng(0)
         self.stream = build_stream([build_frame(self.params, self.spec, rng)],
