@@ -45,10 +45,9 @@ from .timing import ToEstimate, fold_offset
 
 logger = logging.getLogger(__name__)
 
-#: Condition-number ceiling for the normal equations before the ridge
-#: fallback engages.
-COND_LIMIT = 1e12
-RIDGE_SCALE = 1e-10
+#: Numerical-rank floor of ``projection``: singular values at or below
+#: RANK_TOL times the largest are dropped, i.e. cond(G^H G) > 1e12.
+RANK_TOL = 1e-6
 
 
 class SingularModelError(Exception):
@@ -229,25 +228,26 @@ def build_g(params: OtfsParams, spec: PcpSpec, bem: BemModel) -> np.ndarray:
 
 
 def projection(g: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto col(G) with a conditioning guard.
+    """Orthogonal projector onto the numerical column space of G.
 
-    Uses a thin QR factorization; if cond(G^H G) exceeds COND_LIMIT a
-    diagonal ridge RIDGE_SCALE * trace / (columns) is added to the normal
-    equations and the (then only approximately idempotent) projector is
-    returned with a logged warning.  ``build_workspace`` passes the N x Q
-    slot factor S, whose projector P gives Lambda = P kron I_L.
+    One thin SVD G = U diag(s) V^H; the left singular vectors U_r whose
+    singular values exceed RANK_TOL * s_max span the kept space, and
+    U_r U_r^H is returned: Hermitian and idempotent by construction
+    (rank-truncated projector, Golub & Van Loan, *Matrix Computations*,
+    5.5).  Dropping a direction, i.e. rank below the column count, logs
+    a warning.  ``build_workspace`` passes the N x Q slot factor S, whose
+    projector P gives Lambda = P kron I_L.
     """
-    q_thin, r_fac = np.linalg.qr(g)
-    cond = np.linalg.cond(r_fac) ** 2
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        gram = g.conj().T @ g
-        ridge = RIDGE_SCALE * np.trace(gram).real / gram.shape[0]
+    u, s, _ = np.linalg.svd(g, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * s[0]))
+    if rank < g.shape[1]:
+        tail = s[-1] if s.size == g.shape[1] else 0.0
+        cond = (s[0] / tail) ** 2 if tail > 0 else np.inf
         logger.warning(
-            "projection: cond(G^H G) = %.3e exceeds %.1e; applying "
-            "diagonal ridge %.3e", cond, COND_LIMIT, ridge)
-        gram[np.diag_indices_from(gram)] += ridge
-        return g @ np.linalg.solve(gram, g.conj().T)
-    return q_thin @ q_thin.conj().T
+            "projection: cond(G^H G) = %.3e exceeds %.1e; keeping rank %d "
+            "of %d", cond, RANK_TOL ** -2, rank, g.shape[1])
+    u_r = u[:, :rank]
+    return u_r @ u_r.conj().T
 
 
 @dataclass(frozen=True)
@@ -312,8 +312,9 @@ def build_workspace(params: OtfsParams, spec: PcpSpec,
     The slot factor S is G's rows at each slot's first pilot row and its
     columns for delay shift 0: S[l, q] = s_l[0] B[k_{l,0}, q], the
     slot-l pilot sample (slot phase times a constant) times tone q.
-    ``projection`` applies its conditioning guard to S, and
-    cond(S^H S) tracks cond(G^H G).
+    Each relative singular value of S appears L times among G's, so
+    ``projection`` truncates S exactly where it would truncate G, and
+    rank(G) = L rank(S).
     """
     _require_slots(params, spec, bem)
     slots = pilot_dt_slots(spec, params)

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -191,29 +192,47 @@ class TestProjection:
         v = g @ c
         assert_allclose(lam @ v, v, atol=1e-9 * np.linalg.norm(v))
 
-    def test_ill_conditioned_falls_back_to_ridge(self, caplog):
-        """A duplicated tone drives the normal equations singular; the
-        guard adds a ridge and logs instead of crashing."""
-        params = OtfsParams(m=16, n=8, lcp=4)
-        spec = PcpSpec(length=3, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=2)
-        bem.freqs = np.array([bem.freqs[0], bem.freqs[0]])
-        bem.basis = bem.evaluate(bem.pilot_idx.ravel().astype(float))
+    def test_ill_conditioned_truncates_rank(self):
+        """A duplicated tone makes G rank deficient; the projector keeps
+        its rank L of 2L columns, logs that, and equals both the
+        projector onto one tone's columns and the factored build."""
+        params, spec, bem = duplicated_tone_bem()
         g = build_g(params, spec, bem)
-        with caplog.at_level("WARNING", logger="otfs_sync.cfo"):
+        with rank_messages() as messages:
             lam = projection(g)
-        assert any("ridge" in rec.message for rec in caplog.records)
-        assert np.all(np.isfinite(lam))
+        assert logged_ranks(messages) == [(3, 6)]
+        expected = projection(g[:, ::2])
+        assert np.linalg.norm(lam - expected) <= 1e-12 * np.linalg.norm(
+            expected)
+        factored = build_workspace(params, spec, bem).lam
+        assert np.linalg.norm(factored - lam) <= 1e-10 * np.linalg.norm(lam)
 
 
-RIDGE_PREFIX = "projection: cond(G^H G)"
+def duplicated_tone_bem():
+    """A two-tone BEM at (16, 8), L = 3, whose tones coincide."""
+    params = OtfsParams(m=16, n=8, lcp=4)
+    spec = PcpSpec(length=3, m_p=8, n_p=4)
+    bem = build_bem(params, spec, k=2, nu_max=0.0, q=2)
+    bem.freqs = np.array([bem.freqs[0], bem.freqs[0]])
+    bem.basis = bem.evaluate(bem.pilot_idx.ravel().astype(float))
+    return params, spec, bem
+
+
+RANK_PREFIX = "projection: cond(G^H G)"
 GEOMETRY_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
                    / "sweep_doppler_geometries.cfg")
 
 
+def logged_ranks(messages):
+    """(kept rank, columns) of each rank-truncation warning."""
+    return [tuple(int(v) for v in re.search(
+        r"keeping rank (\d+) of (\d+)$", m).groups()) for m in messages]
+
+
 @contextlib.contextmanager
-def ridge_messages():
-    """Collect the projector's ridge warnings logged inside the block."""
+def rank_messages():
+    """Collect the projector's rank-truncation warnings logged inside
+    the block."""
     messages = []
     handler = logging.Handler(logging.WARNING)
     handler.emit = lambda rec: messages.append(rec.getMessage())
@@ -226,7 +245,7 @@ def ridge_messages():
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-        messages[:] = [m for m in messages if m.startswith(RIDGE_PREFIX)]
+        messages[:] = [m for m in messages if m.startswith(RANK_PREFIX)]
 
 
 def stored_arrays(ws):
@@ -247,16 +266,19 @@ def shipped_workspace(geometry, nu_max_t, bem_q=7):
 
 def check_factored(ws, r_p):
     """The Kronecker-factored workspace against the dense definitions:
-    Lambda = projection(G) within 1e-10 ||Lambda|| and beta within 1e-10
-    relative with equal multiply counts, unless the ridge engaged; with
-    L > 1, no stored array has (N L)^2 entries."""
+    both builds truncate alike (rank(G) = L rank(S)), Lambda =
+    projection(G) within 1e-10 ||Lambda|| and beta within 1e-10
+    relative with equal multiply counts; with L > 1, no stored array
+    has (N L)^2 entries."""
     params, spec, bem = ws.params, ws.spec, ws.bem
     nl = params.n * spec.length
-    with ridge_messages() as dense_ridge:
+    with rank_messages() as dense_ranks:
         dense = projection(build_g(params, spec, bem))
-    with ridge_messages() as factored_ridge:
+    with rank_messages() as factored_ranks:
         rebuilt = build_workspace(params, spec, bem)
-    assert bool(dense_ridge) == bool(factored_ridge)
+    assert logged_ranks(dense_ranks) == [
+        (spec.length * r, spec.length * q)
+        for r, q in logged_ranks(factored_ranks)]
     assert_array_equal(rebuilt.p, ws.p)
     lam = ws.lam
     assert lam.shape == (nl, nl)
@@ -266,19 +288,17 @@ def check_factored(ws, r_p):
     assert counter.multiplies == ref_counter.multiplies
     assert np.linalg.norm(beta - reference) <= 1e-10 * np.linalg.norm(
         reference)
-    if not dense_ridge:
-        scale = np.linalg.norm(dense)
-        assert np.linalg.norm(lam - dense) <= 1e-10 * scale
-        reference = beta_coefficients(r_p, dense, params)
-        assert np.linalg.norm(beta - reference) <= 1e-10 * np.linalg.norm(
-            reference)
+    assert np.linalg.norm(lam - dense) <= 1e-10 * np.linalg.norm(dense)
+    reference = beta_coefficients(r_p, dense, params)
+    assert np.linalg.norm(beta - reference) <= 1e-10 * np.linalg.norm(
+        reference)
     for name, value in stored_arrays(ws):
         assert spec.length == 1 or value.size < nl * nl, name
 
 
 class TestFactoredWorkspace:
     """Lambda = P kron I_L: the N x N slot projector replaces the NL x NL
-    projector and its QR without changing the cost."""
+    projector and its SVD without changing the cost."""
 
     @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
     @pytest.mark.parametrize("nu_max_t", [0.14, 1.36])
@@ -331,28 +351,44 @@ class TestFactoredWorkspace:
     @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
     @pytest.mark.parametrize("bem_q", [None, 7, 11])
     def test_ridge_engages_on_the_dense_cases(self, geometry, bem_q):
-        """The slot-factor guard engages exactly where the dense one did:
-        at Q = 11 and at the order rule's Q = 12 (nu T = 1.36), not at
-        Q = 7, with the same log prefix."""
-        with ridge_messages() as factored:
+        """Rank truncation (counted by the benchmark as
+        ``cfo.projection.ridge_fallbacks``, the name of the guard it
+        replaced) happens exactly where the dense build truncates: at
+        Q = 11 and at the order rule's Q = 12 (nu T = 1.36), both kept
+        at rank 10, and not at Q = 7; the two projectors agree."""
+        with rank_messages() as factored:
             ws = shipped_workspace(geometry, 1.36, bem_q=bem_q)
-        with ridge_messages() as dense:
-            projection(ws.g)
-        assert bool(factored) == bool(dense) == (ws.bem.q >= 11)
+        with rank_messages() as dense:
+            lam = projection(ws.g)
+        length, q = ws.spec.length, ws.bem.q
+        expected = [(10, q)] if q >= 11 else []
+        assert logged_ranks(factored) == expected
+        assert logged_ranks(dense) == [(length * r, length * c)
+                                       for r, c in expected]
+        assert np.linalg.norm(ws.lam - lam) <= 1e-10 * np.linalg.norm(lam)
 
-    def test_duplicated_tone_falls_back_to_ridge(self):
-        """The duplicated-tone BEM of the projection test engages the
-        ridge through build_workspace too, and stays finite."""
-        params = OtfsParams(m=16, n=8, lcp=4)
-        spec = PcpSpec(length=3, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=2)
-        bem.freqs = np.array([bem.freqs[0], bem.freqs[0]])
-        bem.basis = bem.evaluate(bem.pilot_idx.ravel().astype(float))
-        with ridge_messages() as messages:
+    @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
+    @pytest.mark.parametrize("bem_q", [11, 12])
+    def test_truncated_projector_is_exact(self, geometry, bem_q):
+        """Where the rank is truncated (nu T = 1.36, Q = 11 and 12), P is
+        still Hermitian and idempotent to 1e-12 relative."""
+        p = shipped_workspace(geometry, 1.36, bem_q=bem_q).p
+        scale = np.linalg.norm(p)
+        assert np.linalg.norm(p - p.conj().T) <= 1e-12 * scale
+        assert np.linalg.norm(p @ p - p) <= 1e-12 * scale
+
+    def test_duplicated_tone_truncates_rank(self):
+        """The duplicated-tone BEM of the projection test keeps rank 1 of
+        2 through build_workspace, rank 3 of 6 densely, and the two
+        builds agree."""
+        params, spec, bem = duplicated_tone_bem()
+        with rank_messages() as factored:
             ws = build_workspace(params, spec, bem)
-        assert len(messages) == 1
-        assert np.all(np.isfinite(ws.p))
-        assert np.all(np.isfinite(ws.lam))
+        with rank_messages() as dense:
+            lam = projection(build_g(params, spec, bem))
+        assert logged_ranks(factored) == [(1, 2)]
+        assert logged_ranks(dense) == [(3, 6)]
+        assert np.linalg.norm(ws.lam - lam) <= 1e-10 * np.linalg.norm(lam)
 
     def test_too_many_tones_raise(self):
         """More tones than slots are refused before any projector is built."""
