@@ -201,14 +201,15 @@ def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
                 mu_h: float) -> tuple[ToEstimate, TimingMetrics]:
     """Run the full dual-domain timing estimate on one buffer.
 
-    The slot-domain window is anchored at the measured delay peak
-    (mprime_p - L = argmax |P_d|), which by construction equals
-    theta_d_hat + (m_p - L) + Lcp + floor(mu_h).
+    Both metrics use their iterative forms; the direct forms stay as
+    their definitional check.  The slot-domain window is anchored at the
+    measured delay peak (mprime_p - L = argmax |P_d|), which by
+    construction equals theta_d_hat + (m_p - L) + Lcp + floor(mu_h).
     """
-    p_d = metric_delay(received, params, spec)
+    p_d = metric_delay_iterative(received, params, spec)
     theta_d_hat = estimate_theta_d(p_d, spec, params, mu_h)
     mprime_p = int(np.argmax(np.abs(p_d))) + spec.length
-    p_t = metric_time(received, params, spec, mprime_p)
+    p_t = metric_time_iterative(received, params, spec, mprime_p)
     theta_t_hat = estimate_theta_t(p_t)
     theta_hat = theta_d_hat + params.m * theta_t_hat
     return (
