@@ -241,8 +241,7 @@ def projection(g: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(g, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * s[0]))
     if rank < g.shape[1]:
-        tail = s[-1] if s.size == g.shape[1] else 0.0
-        cond = (s[0] / tail) ** 2 if tail > 0 else np.inf
+        cond = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
         logger.warning(
             "projection: cond(G^H G) = %.3e exceeds %.1e; keeping rank %d "
             "of %d", cond, RANK_TOL ** -2, rank, g.shape[1])

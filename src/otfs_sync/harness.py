@@ -75,7 +75,7 @@ class ExperimentConfig:
     delay.
 
     Each trial transmits one block, and the fine-CFO search evaluates the
-    trigonometric-polynomial ML cost; neither is a key.
+    trigonometric-polynomial ML cost.
     """
 
     # grid geometry and framing
