@@ -192,10 +192,12 @@ class TestProjection:
         v = g @ c
         assert_allclose(lam @ v, v, atol=1e-9 * np.linalg.norm(v))
 
-    def test_ill_conditioned_truncates_rank(self):
+    def test_ill_conditioned_falls_back_to_ridge(self):
         """A duplicated tone makes G rank deficient; the projector keeps
         its rank L of 2L columns, logs that, and equals both the
-        projector onto one tone's columns and the factored build."""
+        projector onto one tone's columns and the factored build.  The
+        name follows the benchmark counter
+        ``cfo.projection.ridge_fallbacks``, which counts truncations."""
         params, spec, bem = duplicated_tone_bem()
         g = build_g(params, spec, bem)
         with rank_messages() as messages:
@@ -351,11 +353,11 @@ class TestFactoredWorkspace:
     @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
     @pytest.mark.parametrize("bem_q", [None, 7, 11])
     def test_ridge_engages_on_the_dense_cases(self, geometry, bem_q):
-        """Rank truncation (counted by the benchmark as
-        ``cfo.projection.ridge_fallbacks``, the name of the guard it
-        replaced) happens exactly where the dense build truncates: at
-        Q = 11 and at the order rule's Q = 12 (nu T = 1.36), both kept
-        at rank 10, and not at Q = 7; the two projectors agree."""
+        """Rank truncation happens exactly where the dense build
+        truncates: at Q = 11 and at the order rule's Q = 12 (nu T =
+        1.36), both kept at rank 10, and not at Q = 7; the two
+        projectors agree.  The name follows the benchmark counter
+        ``cfo.projection.ridge_fallbacks``, which counts truncations."""
         with rank_messages() as factored:
             ws = shipped_workspace(geometry, 1.36, bem_q=bem_q)
         with rank_messages() as dense:
@@ -377,10 +379,11 @@ class TestFactoredWorkspace:
         assert np.linalg.norm(p - p.conj().T) <= 1e-12 * scale
         assert np.linalg.norm(p @ p - p) <= 1e-12 * scale
 
-    def test_duplicated_tone_truncates_rank(self):
+    def test_duplicated_tone_falls_back_to_ridge(self):
         """The duplicated-tone BEM of the projection test keeps rank 1 of
         2 through build_workspace, rank 3 of 6 densely, and the two
-        builds agree."""
+        builds agree.  The name follows the benchmark counter
+        ``cfo.projection.ridge_fallbacks``, which counts truncations."""
         params, spec, bem = duplicated_tone_bem()
         with rank_messages() as factored:
             ws = build_workspace(params, spec, bem)
