@@ -46,7 +46,8 @@ from .timing import ToEstimate, fold_offset
 logger = logging.getLogger(__name__)
 
 #: Numerical-rank floor of ``projection``: singular values at or below
-#: RANK_TOL times the largest are dropped, i.e. cond(G^H G) > 1e12.
+#: RANK_TOL times the largest are dropped, the same cut as
+#: cond(G^H G) > 1e12.
 RANK_TOL = 1e-6
 
 

@@ -181,8 +181,7 @@ def resolve_channel(config: ExperimentConfig,
 
 def build_point(config: ExperimentConfig) -> PointContext:
     """Resolve one sweep point's geometry, channel, and ML workspace."""
-    params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp,
-                        ts=config.ts)
+    params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp, ts=config.ts)
     model = resolve_channel(config, params)
     mu_model = mean_delay(model)
     if config.bias_correction_known_pdp:
