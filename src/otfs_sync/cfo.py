@@ -384,6 +384,16 @@ def ml_cost_fast(r_p: np.ndarray, lam: np.ndarray, bem: BemModel,
     return float(-beta[0].real + 2.0 * np.real(beta @ phases))
 
 
+@functools.lru_cache(maxsize=None)
+def _phase_table(n: int, step: float, steps: int) -> np.ndarray:
+    """Read-only T[k, m] = e^{j 2 pi m (k - steps) step / N}: the phasors
+    of the 2 steps + 1 grid offsets (k - steps) step, m = 0 .. N-1."""
+    offsets = np.arange(-steps, steps + 1) * step
+    table = np.exp(2j * np.pi * offsets[:, None] * np.arange(n)[None, :] / n)
+    table.flags.writeable = False
+    return table
+
+
 def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
              half_width: float = 0.5, coarse_step: float = 1e-2,
              fine_step: float = 1e-4, use_fast: bool = True,
@@ -396,41 +406,46 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
     order.  A peak on the stage-one boundary logs a warning since the
     true CFO may sit outside the searched range.
 
-    The fast path evaluates ``ml_cost_fast`` at a whole grid at once: one
-    (grid x N) phase matrix, built in ``ml_cost_fast``'s operation order
-    so every phasor is bit-equal, times beta from the workspace's slot
-    projector.  It still counts N multiplies per grid point.  The matrix
-    path builds Lambda once per call.
+    The fast path evaluates a whole stage at once.  Its grid points are
+    eps_c + k step around the stage center eps_c, so a point's phasors
+    factor as e^{j 2 pi m eps_c / N} times row k of the table
+    T[k, m] = e^{j 2 pi m k step / N}, cached read-only per
+    (N, step, steps) (``_phase_table``).  A stage's costs are
+    -beta[0] + 2 Re(T @ (beta * e^{j 2 pi m eps_c / N})): N exponentials
+    per stage instead of N per grid point, with beta from the workspace's
+    slot projector.  They agree with ``ml_cost_fast`` to rounding, not
+    bit for bit.  The counter keeps the convention of N multiplies per
+    grid point, the cost of one phasor-weighted sum.  The matrix path
+    builds Lambda once per call.
     """
-    params, bem = workspace.params, workspace.bem
+    bem, n = workspace.bem, workspace.params.n
     if use_fast:
         beta = workspace.beta(r_p, counter=counter)
     else:
         lam = workspace.lam
 
-    def evaluate(grid: np.ndarray) -> np.ndarray:
-        if use_fast:
-            phases = np.exp(2j * np.pi * np.arange(params.n)[None, :]
-                            * grid[:, None] / params.n)
-            if counter is not None:
-                counter.add(params.n * grid.size)
-            return -beta[0].real + 2.0 * np.real(phases @ beta)
-        return np.array([
-            ml_cost(r_p, lam, bem, e, counter=counter) for e in grid
-        ])
+    def evaluate(center: float, step: float, steps: int) -> tuple:
+        grid = center + np.arange(-steps, steps + 1) * step
+        if not use_fast:
+            return grid, np.array([
+                ml_cost(r_p, lam, bem, e, counter=counter) for e in grid
+            ])
+        if counter is not None:
+            counter.add(n * grid.size)
+        rotated = beta * np.exp(2j * np.pi * np.arange(n) * center / n)
+        table = _phase_table(n, step, steps)
+        return grid, -beta[0].real + 2.0 * np.real(table @ rotated)
 
-    steps = int(round(half_width / coarse_step))
-    grid1 = eps_coarse + np.arange(-steps, steps + 1) * coarse_step
-    costs1 = evaluate(grid1)
+    grid1, costs1 = evaluate(eps_coarse, coarse_step,
+                             int(round(half_width / coarse_step)))
     best1 = int(np.argmax(costs1))
     if best1 == 0 or best1 == grid1.size - 1:
         logger.warning(
             "fine CFO: cost peak on the search boundary at %.4f; the true "
             "offset may lie outside +-%.2f of the coarse estimate",
             grid1[best1], half_width)
-    steps2 = int(round(coarse_step / fine_step))
-    grid2 = grid1[best1] + np.arange(-steps2, steps2 + 1) * fine_step
-    costs2 = evaluate(grid2)
+    grid2, costs2 = evaluate(grid1[best1], fine_step,
+                             int(round(coarse_step / fine_step)))
     eps_fine = float(grid2[int(np.argmax(costs2))])
     trace = np.column_stack([
         np.concatenate([grid1, grid2]),

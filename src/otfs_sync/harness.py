@@ -206,13 +206,18 @@ def build_point(config: ExperimentConfig) -> PointContext:
 
 
 def trial_streams(root_seed: int, trial_idx: int) -> list:
-    """Independent generators for data, channel, noise, and offset draws.
+    """Independent streams for data, channel, noise, and offset draws.
 
     Seeds depend only on (root_seed, trial_idx), never on the sweep point,
     so the same trial index reproduces the same randomness at every point.
+    The data, channel and offset streams are generators; the noise stream
+    is left as its ``SeedSequence``, which :func:`unit_noise` turns into a
+    generator only when a noisy point draws from it.
     """
-    ss = np.random.SeedSequence([int(root_seed), int(trial_idx)])
-    return [np.random.default_rng(child) for child in ss.spawn(4)]
+    data, chan, noise, draw = np.random.SeedSequence(
+        [int(root_seed), int(trial_idx)]).spawn(4)
+    return [np.random.default_rng(data), np.random.default_rng(chan), noise,
+            np.random.default_rng(draw)]
 
 
 def run_trial(configs: list, ctx: PointContext, trial_idx: int,

@@ -11,6 +11,7 @@ circularly over the protected rows m_p .. m_p+L-1.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -134,13 +135,33 @@ def embed_pcp(data: np.ndarray, spec: PcpSpec, params: OtfsParams) -> np.ndarray
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _frame_layout(params: OtfsParams, spec: PcpSpec) -> tuple:
+    """Read-only pilot grid (the pilot embedded in an all-zero grid) and
+    data rows (every delay row outside ``guard_rows``) of one geometry.
+
+    Every frame of a sweep point shares them; a spec that does not fit
+    raises here on every call, since a raising call is not cached.
+    """
+    pilot_grid = embed_pcp(np.zeros((params.m, params.n), dtype=complex),
+                           spec, params)
+    data_rows = np.setdiff1d(np.arange(params.m), spec.guard_rows())
+    pilot_grid.flags.writeable = data_rows.flags.writeable = False
+    return pilot_grid, data_rows
+
+
 def build_frame(params: OtfsParams, spec: PcpSpec,
                 rng: np.random.Generator) -> np.ndarray:
-    """Random 16-QAM data grid with the pilot embedded."""
-    grid = np.zeros((params.m, params.n), dtype=complex)
-    data_rows = np.setdiff1d(np.arange(params.m), spec.guard_rows())
+    """Random 16-QAM data grid with the pilot embedded.
+
+    The pilot grid and data rows are built once per (params, spec) and
+    cached read-only (``_frame_layout``); each call copies the pilot grid
+    and fills only the data rows, so the result is a fresh writable array.
+    """
+    pilot_grid, data_rows = _frame_layout(params, spec)
+    grid = pilot_grid.copy()
     grid[data_rows, :] = qam16_symbols(rng, (data_rows.size, params.n))
-    return embed_pcp(grid, spec, params)
+    return grid
 
 
 def build_impulse_frame(params: OtfsParams, spec: PcpSpec,
@@ -150,8 +171,8 @@ def build_impulse_frame(params: OtfsParams, spec: PcpSpec,
     Reference frame for PAPR comparisons: all pilot energy P*(2L-1) is
     concentrated in the one bin (m_p, n_p).
     """
+    data_rows = _frame_layout(params, spec)[1]
     grid = np.zeros((params.m, params.n), dtype=complex)
-    data_rows = np.setdiff1d(np.arange(params.m), spec.guard_rows())
     grid[data_rows, :] = qam16_symbols(rng, (data_rows.size, params.n))
     total_energy = spec.amplitude ** 2 * (2 * spec.length - 1)
     grid[spec.m_p, spec.n_p] = np.sqrt(total_energy)

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfs_sync.cfo import (BemModel, OpCounter, SingularModelError,
-                           bem_fit_nmse, bem_order, bem_reconstruct,
-                           beta_coefficients, build_bem, build_g,
-                           build_workspace, coarse_cfo, estimate_channel_bem,
-                           extract_pilot, fine_cfo, ml_cost, ml_cost_fast,
-                           pilot_sample_indices, projection)
+                           _phase_table, bem_fit_nmse, bem_order,
+                           bem_reconstruct, beta_coefficients, build_bem,
+                           build_g, build_workspace, coarse_cfo,
+                           estimate_channel_bem, extract_pilot, fine_cfo,
+                           ml_cost, ml_cost_fast, pilot_sample_indices,
+                           projection)
 from otfs_sync.channel import (Impairments, apply_impairments, mean_delay,
                                noise_sigma, realize_channel, single_tap_model,
                                unit_noise)
@@ -579,6 +580,43 @@ class TestFineCfo:
             est = fine_cfo(r_p, ws, eps_coarse=coarse, counter=counter)
             assert est.eps_fine == expected, seed
             assert counter.multiplies == ref_counter.multiplies
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_grid_matches_exact_phasors(self, seed):
+        """At N = 64 with the shipped sweeps' half width 1.0 and order
+        Q = 7, every traced cost of both stages is within 1e-12 relative
+        of ml_cost_fast's exact-exp phasors, and the counter still adds N
+        multiplies per grid point on top of the beta reduction."""
+        rng = np.random.default_rng(seed)
+        n, length, q = 64, 3, 7
+        params = OtfsParams(m=16, n=n, lcp=4)
+        spec = PcpSpec(length=length, m_p=8, n_p=n // 2)
+        ws = build_workspace(params, spec,
+                             build_bem(params, spec, k=2, nu_max=0.0, q=q))
+        c = rng.standard_normal(length * q) + 1j * rng.standard_normal(
+            length * q)
+        eps = rng.uniform(-n / 2, n / 2)
+        gamma = np.exp(2j * np.pi * eps * ws.bem.pilot_idx.ravel()
+                       / params.mn)
+        noise = rng.standard_normal(n * length) + 1j * rng.standard_normal(
+            n * length)
+        r_p = gamma * (ws.g @ c) + 0.3 * noise
+        counter = OpCounter()
+        est = fine_cfo(r_p, ws, eps_coarse=eps + 0.3, half_width=1.0,
+                       counter=counter)
+        assert est.cost_trace.shape == (201 + 201, 2)
+        beta = beta_coefficients(r_p, ws.lam, params)
+        for point, cost in est.cost_trace:
+            fast = ml_cost_fast(r_p, ws.lam, ws.bem, point, beta=beta)
+            assert abs(cost - fast) <= 1e-12 * abs(fast)
+        assert counter.multiplies == length * n * (n + 1) + n * (201 + 201)
+
+    def test_phase_table_is_read_only(self):
+        """The cached phasor table refuses writes."""
+        table = _phase_table(64, 1e-2, 100)
+        assert table.shape == (201, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
     def test_boundary_peak_warns(self, caplog):
         """A peak pinned to the search edge logs a warning."""

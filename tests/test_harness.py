@@ -135,17 +135,31 @@ class TestCsvIo:
 class TestTrialStreams:
     """Per-trial seed derivation."""
 
+    @staticmethod
+    def _draws(root, trial):
+        return [np.random.default_rng(s).uniform()
+                for s in trial_streams(root, trial)]
+
     def test_deterministic_per_index(self):
         """The same (root, trial) pair reproduces identical draws."""
-        a = [rng.uniform() for rng in trial_streams(5, 3)]
-        b = [rng.uniform() for rng in trial_streams(5, 3)]
-        assert a == b
+        assert self._draws(5, 3) == self._draws(5, 3)
 
     def test_independent_across_indices(self):
         """Different trial indices draw from different streams."""
-        a = [rng.uniform() for rng in trial_streams(5, 3)]
-        b = [rng.uniform() for rng in trial_streams(5, 4)]
-        assert a != b
+        assert self._draws(5, 3) != self._draws(5, 4)
+
+    def test_noise_stream_left_unbuilt(self):
+        """The noise stream stays a SeedSequence until a noisy point draws
+        from it, and draws what a generator built from the spawned child
+        draws."""
+        streams = trial_streams(5, 3)
+        assert [type(s) for s in streams] == [
+            np.random.Generator, np.random.Generator,
+            np.random.SeedSequence, np.random.Generator]
+        child = np.random.SeedSequence([5, 3]).spawn(4)[2]
+        assert np.array_equal(
+            channel.unit_noise(64, streams[2]),
+            channel.unit_noise(64, np.random.default_rng(child)))
 
 
 class TestRunTrial:
@@ -216,6 +230,31 @@ class TestRunTrial:
         monkeypatch.setattr(harness, stage, broken)
         with pytest.raises(TypeError, match="bad call"):
             run_trial([TINY], ctx, 0)
+
+    def test_every_traced_stage_called_once(self, monkeypatch):
+        """One trial on a fading point calls each stage whose time
+        perfbench's traced pass reports through the harness module's
+        bindings, once each, so hoisting a stage out of run_trial shows
+        here rather than as a missing span."""
+        stages = ("build_frame", "build_stream", "realize_channel",
+                  "apply_impairments", "estimate_to", "coarse_cfo",
+                  "extract_pilot", "fine_cfo")
+        calls = dict.fromkeys(stages, 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in stages:
+            monkeypatch.setattr(harness, name,
+                                counting(name, getattr(harness, name)))
+        fading = dataclasses.replace(TINY, doppler_spectrum="jakes",
+                                     nu_max_t=0.5, snr_db=20.0)
+        [r] = run_trial([fading], build_point(fading), 0)
+        assert r.failure is None
+        assert calls == dict.fromkeys(stages, 1)
 
     @pytest.mark.parametrize("theta", [-100, 0, 300])
     def test_channel_synthesized_over_stream_reach(self, theta):

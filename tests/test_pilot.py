@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfs_sync.modem import OtfsParams, build_stream, dd_to_dt, measure_papr
-from otfs_sync.pilot import (PcpSpec, build_frame, build_impulse_frame,
-                             default_pcp_spec, embed_pcp, make_zc,
-                             pilot_dt_slots)
+from otfs_sync.modem import (OtfsParams, build_stream, dd_to_dt,
+                             measure_papr, qam16_symbols)
+from otfs_sync.pilot import (PcpSpec, _frame_layout, build_frame,
+                             build_impulse_frame, default_pcp_spec,
+                             embed_pcp, make_zc, pilot_dt_slots)
 
 
 class TestZadoffChu:
@@ -183,3 +184,61 @@ class TestFrames:
         imp_stream = build_stream([build_impulse_frame(params, spec, rng)],
                                   params)
         assert measure_papr(pcp_stream) < measure_papr(imp_stream) - 3.0
+
+
+class TestFrameLayout:
+    """The cached per-geometry pilot grid and data rows."""
+
+    GEOMETRIES = [
+        (OtfsParams(m=32, n=8, lcp=16), PcpSpec(length=2, m_p=16, n_p=4)),
+        (OtfsParams(m=128, n=32, lcp=32), PcpSpec(length=21, m_p=64, n_p=16)),
+        (OtfsParams(m=64, n=64, lcp=16), PcpSpec(length=21, m_p=21, n_p=32)),
+        (OtfsParams(m=256, n=16, lcp=64),
+         PcpSpec(length=21, m_p=128, n_p=8)),
+    ]
+
+    @staticmethod
+    def _definitional_frame(params, spec, rng):
+        """Fresh data rows, a data grid filled from rng, then embed_pcp."""
+        data_rows = np.setdiff1d(np.arange(params.m), spec.guard_rows())
+        grid = np.zeros((params.m, params.n), dtype=complex)
+        grid[data_rows, :] = qam16_symbols(rng, (data_rows.size, params.n))
+        return embed_pcp(grid, spec, params)
+
+    @pytest.mark.parametrize("params,spec", GEOMETRIES)
+    def test_matches_definitional_build(self, params, spec):
+        """Two successive frames equal the definitional build bit for bit."""
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):
+            frame = build_frame(params, spec, rng)
+            expected = self._definitional_frame(params, spec, ref_rng)
+            assert frame.dtype == expected.dtype
+            assert frame.tobytes() == expected.tobytes()
+
+    def test_frame_is_a_fresh_writable_array(self):
+        """Writing into a returned frame changes neither the cached layout
+        nor the next frame."""
+        params, spec = self.GEOMETRIES[0]
+        first = build_frame(params, spec, np.random.default_rng(1))
+        first[:] = 7.0
+        again = build_frame(params, spec, np.random.default_rng(1))
+        assert again.tobytes() == self._definitional_frame(
+            params, spec, np.random.default_rng(1)).tobytes()
+
+    def test_cached_layout_is_read_only(self):
+        """Both cached arrays refuse writes."""
+        params, spec = self.GEOMETRIES[0]
+        pilot_grid, data_rows = _frame_layout(params, spec)
+        with pytest.raises(ValueError, match="read-only"):
+            pilot_grid[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            data_rows[0] = 5
+
+    def test_out_of_grid_spec_raises_every_call(self):
+        """A spec that does not fit raises on the first and second build;
+        the failure is not cached as a layout."""
+        params = OtfsParams(m=16, n=8, lcp=4)
+        spec = PcpSpec(length=4, m_p=14, n_p=4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not fit"):
+                build_frame(params, spec, np.random.default_rng(0))
