@@ -135,7 +135,13 @@ def bem_order(k: int, nu_max: float, params: OtfsParams) -> int:
     return int(math.ceil(2.0 * k * nu_max * params.mn * params.ts)) + 1
 
 
-@dataclass
+def _tones(indices: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """exp(j 2 pi f k) for every sample index k and tone f, shape (len, Q)."""
+    return np.exp(2j * np.pi * np.asarray(indices, dtype=float)[:, None]
+                  * freqs[None, :])
+
+
+@dataclass(frozen=True)
 class BemModel:
     """Complex-exponential basis over the pilot samples of one block.
 
@@ -143,7 +149,8 @@ class BemModel:
     (q - floor(Q/2)) / (K M N) for q = 0 .. Q-1; ``pilot_idx`` holds the
     block-relative stream index of every pilot sample, shape (N, L); and
     ``basis`` is the (N L, Q) evaluation of the tones at those samples in
-    pilot-vector order.
+    pilot-vector order.  The model is shared by every trial of a point,
+    so the three arrays are made read-only.
     """
 
     k: int
@@ -154,10 +161,13 @@ class BemModel:
     pilot_idx: np.ndarray
     basis: np.ndarray
 
+    def __post_init__(self) -> None:
+        for array in (self.freqs, self.pilot_idx, self.basis):
+            array.flags.writeable = False
+
     def evaluate(self, indices: np.ndarray) -> np.ndarray:
         """Tone matrix at arbitrary sample indices, shape (len, Q)."""
-        return np.exp(2j * np.pi * np.asarray(indices, dtype=float)[:, None]
-                      * self.freqs[None, :])
+        return _tones(indices, self.freqs)
 
 
 def pilot_sample_indices(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
@@ -194,10 +204,8 @@ def build_bem(params: OtfsParams, spec: PcpSpec, k: int, nu_max: float,
         raise ValueError("model order q must be >= 1")
     freqs = (np.arange(q) - q // 2) / (k * params.mn)
     idx = pilot_sample_indices(params, spec)
-    model = BemModel(k=k, q=q, nu_max=nu_max, params=params, freqs=freqs,
-                     pilot_idx=idx, basis=np.empty(0))
-    model.basis = model.evaluate(idx.ravel().astype(float))
-    return model
+    return BemModel(k=k, q=q, nu_max=nu_max, params=params, freqs=freqs,
+                    pilot_idx=idx, basis=_tones(idx.ravel(), freqs))
 
 
 def _require_slots(params: OtfsParams, spec: PcpSpec,
@@ -255,15 +263,18 @@ class MlWorkspace:
     """Precomputed per-geometry objects for the ML cost.
 
     Built once per (params, spec, bem) and shared read-only by every
-    trial of a point.  It stores only the N x N slot projector ``p``;
-    ``lam`` and ``g`` are rebuilt on each access for the definitional
-    paths, so no NL x NL array is kept.
+    trial of a point.  It stores only the N x N slot projector ``p``,
+    made read-only; ``lam`` and ``g`` are rebuilt on each access for the
+    definitional paths, so no NL x NL array is kept.
     """
 
     params: OtfsParams
     spec: PcpSpec
     bem: BemModel
     p: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.p.flags.writeable = False
 
     @property
     def lam(self) -> np.ndarray:
@@ -490,10 +501,12 @@ def bem_reconstruct(c_hat: np.ndarray, bem: BemModel,
 def bem_fit_nmse(taps: np.ndarray, bem: BemModel) -> float:
     """NMSE of the best BEM fit to known tap gains over the pilot region.
 
-    ``taps`` has shape (L, duration); each tap's trajectory at the pilot
-    sample indices is least-squares fitted onto the tone set, and the
-    pooled residual power over signal power is returned.  This measures
-    the expressiveness of the basis, independent of any estimator.
+    ``taps`` has one row per tap and one column per sample from 0, such
+    as the rows of a start-0 ``ChannelRealization``; each tap's
+    trajectory at the pilot sample indices is least-squares fitted onto
+    the tone set, and the pooled residual power over signal power is
+    returned.  This measures the expressiveness of the basis, independent
+    of any estimator.
     """
     idx = bem.pilot_idx.ravel()
     targets = taps[:, idx].T

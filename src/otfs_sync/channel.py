@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +75,17 @@ class ChannelModel:
 
 @dataclass
 class ChannelRealization:
-    """Sampled tap gains h[ell, k], one row per tap.
+    """Sampled gains h[ell, k] of the taps that carry power.
 
+    Row i of ``taps`` is the tap at integer delay bin ``delays[i]``;
+    ``delays`` is ascending, and a delay bin without power has no row.
     Column j holds absolute sample k = start + j, so the realization
     covers samples [start, start + duration).
     """
 
     taps: np.ndarray
+    delays: np.ndarray
     start: int = 0
-
-    @property
-    def n_taps(self) -> int:
-        return self.taps.shape[0]
 
     @property
     def duration(self) -> int:
@@ -198,8 +197,8 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
     phi, in tap order, whether or not it carries power, so a window
     matches the same samples of the start-0 realization of the same seed
     to rounding, and the draws of tap ell do not depend on which taps are
-    live.  Only taps
-    with nonzero power are synthesized; the others stay exactly zero.
+    live.  Only the taps with nonzero power, ``np.flatnonzero(model.pdp)``,
+    are synthesized and returned, one row each; a dead bin gets no row.
     The sum is a blocked product: with k = start + b R + r and
     R = ceil(sqrt(duration)), row b of the (blocks x R) tap grid is
     exp(j (phi + omega (start + b R))) @ exp(j omega r).  Both phasor
@@ -210,25 +209,23 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
     if duration < 1:
         raise ValueError("duration must be >= 1")
     rng = np.random.default_rng(seed)
-    n_taps = model.n_taps
-    draws = rng.uniform(0.0, 2.0 * np.pi, (n_taps, 2, JAKES_SINUSOIDS))
-    psi, phi = draws[:, 0], draws[:, 1]
-    gains = np.sqrt(model.pdp) * (1.0 / np.sqrt(JAKES_SINUSOIDS))
-    if model.doppler_spectrum == "static" or model.nu_max == 0.0:
-        initial = np.exp(1j * phi).sum(axis=1)
-        taps = np.repeat((gains * initial)[:, None], duration, axis=1)
-        return ChannelRealization(taps=taps, start=start)
     live = np.flatnonzero(model.pdp)
-    omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi[live])
+    draws = rng.uniform(0.0, 2.0 * np.pi,
+                        (model.n_taps, 2, JAKES_SINUSOIDS))[live]
+    psi, phi = draws[:, 0], draws[:, 1]
+    gains = np.sqrt(model.pdp[live, None]) * (1.0 / np.sqrt(JAKES_SINUSOIDS))
+    if model.doppler_spectrum == "static" or model.nu_max == 0.0:
+        initial = np.exp(1j * phi).sum(axis=1, keepdims=True)
+        taps = np.repeat(gains * initial, duration, axis=1)
+        return ChannelRealization(taps=taps, delays=live, start=start)
+    omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi)
     width = math.isqrt(duration - 1) + 1
     blocks = -(-duration // width)
-    outer = _phasor_rows(phi[live] + omega * start, omega * width, blocks)
+    outer = _phasor_rows(phi + omega * start, omega * width, blocks)
     inner = _phasor_rows(np.zeros_like(omega), omega, width)
     sums = np.matmul(outer, inner.swapaxes(-1, -2))
-    taps = np.zeros((n_taps, duration), dtype=complex)
-    taps[live] = (gains[live, None]
-                  * sums.reshape(live.size, blocks * width)[:, :duration])
-    return ChannelRealization(taps=taps, start=start)
+    taps = gains * sums.reshape(live.size, blocks * width)[:, :duration]
+    return ChannelRealization(taps=taps, delays=live, start=start)
 
 
 def stream_reach(shift: int, n_samples: int, n_taps: int,
@@ -276,12 +273,12 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     observation buffer.  ``length`` defaults to the end of the
     realization, ``real.stop``.
 
-    Taps are indexed by absolute sample, relative to ``real.start``; the
-    realization must cover the samples the stream reaches
-    (:func:`stream_reach`), or this raises ``ValueError``.  Outside that
-    reach the buffer is zero, so the CFO ramp is applied only over it.
-    Taps that are zero over the reach (dead PDP bins) are skipped; adding
-    their zero products would leave every output sample bit-identical.
+    The sum runs over the realization's rows, tap ``real.delays[i]``
+    delaying by that many samples.  Taps are indexed by absolute sample,
+    relative to ``real.start``; the realization must cover the samples the
+    stream reaches through its largest delay (:func:`stream_reach`), or
+    this raises ``ValueError``.  Outside that reach the buffer is zero, so
+    the CFO ramp is applied only over it.
     """
     stream = np.asarray(stream, dtype=complex)
     if stream.ndim != 1:
@@ -290,21 +287,20 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
         raise ValueError(f"timing offset must be an integer, got {imp.theta!r}")
     theta = int(imp.theta)
     length = real.stop if length is None else int(length)
-    lo, hi = stream_reach(theta, stream.size, real.n_taps, length)
+    lo, hi = stream_reach(theta, stream.size, int(real.delays[-1]) + 1,
+                          length)
     if lo < hi and (lo < real.start or hi > real.stop):
         raise ValueError(
             f"channel window [{real.start}, {real.stop}) does not cover "
             f"the stream's reach [{lo}, {hi})")
     out = np.zeros(length, dtype=complex)
-    live = np.any(real.taps[:, lo - real.start:hi - real.start], axis=1)
-    for ell in np.flatnonzero(live):
+    for ell, row in zip(real.delays, real.taps):
         shift = theta + int(ell)
         first = max(0, shift)
         last = min(length, stream.size + shift)
         if first >= last:
             continue
-        out[first:last] += (real.taps[ell, first - real.start:
-                                      last - real.start]
+        out[first:last] += (row[first - real.start:last - real.start]
                             * stream[first - shift:last - shift])
     if imp.epsilon != 0.0:
         out[lo:hi] *= np.exp(2j * np.pi * imp.epsilon * np.arange(lo, hi)
@@ -315,13 +311,14 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
 def export_taps(real: ChannelRealization, path) -> None:
     """Write the realization as columnar text: k, ell, re, im.
 
-    ``k`` is the absolute sample index, so a windowed realization exports
-    only its window, [start, start + duration).
+    One block of rows per tap the realization holds, ``ell`` its delay
+    bin, so bins without power are not listed.  ``k`` is the absolute
+    sample index, so a windowed realization exports only its window,
+    [start, start + duration).
     """
     with open(path, "w") as fh:
         fh.write("k,ell,re,im\n")
-        for ell in range(real.n_taps):
-            row = real.taps[ell]
+        for ell, row in zip(real.delays, real.taps):
             for j in range(real.duration):
                 fh.write(f"{real.start + j},{ell},{float(row[j].real)!r},"
                          f"{float(row[j].imag)!r}\n")

@@ -216,9 +216,8 @@ def duplicated_tone_bem():
     params = OtfsParams(m=16, n=8, lcp=4)
     spec = PcpSpec(length=3, m_p=8, n_p=4)
     bem = build_bem(params, spec, k=2, nu_max=0.0, q=2)
-    bem.freqs = np.array([bem.freqs[0], bem.freqs[0]])
-    bem.basis = bem.evaluate(bem.pilot_idx.ravel().astype(float))
-    return params, spec, bem
+    return params, spec, dataclasses.replace(
+        bem, freqs=bem.freqs[[0, 0]], basis=bem.basis[:, [0, 0]])
 
 
 RANK_PREFIX = "projection: cond(G^H G)"

@@ -21,7 +21,8 @@ PARAMS = OtfsParams(m=128, n=32, lcp=32)
 def exact_taps(model, params, seed, start, duration):
     """The definitional form: sqrt(p/S) sum_s exp(j (phi + omega k)) with
     one exact exponential per sinusoid and sample, from the draws of
-    ``realize_channel`` (psi then phi, per tap, in tap order)."""
+    ``realize_channel`` (psi then phi, per tap, in tap order).  One row per
+    delay bin of the model, dead bins included (as zero rows)."""
     rng = np.random.default_rng(seed)
     k = np.arange(start, start + duration)
     taps = np.zeros((model.n_taps, duration), dtype=complex)
@@ -115,15 +116,23 @@ class TestRealizeChannel:
         self.params = OtfsParams(m=16, n=8, lcp=4, ts=1e-4)
 
     def test_shape_and_determinism(self):
-        """The realization is (taps, duration) and seed-reproducible."""
+        """The realization is (powered taps, duration) and
+        seed-reproducible."""
         model = eva_model(1.0 / 8.25e6, 21, 500.0)
         params = OtfsParams(m=16, n=8, lcp=4)
         one = realize_channel(model, params, 50, seed=42)
         two = realize_channel(model, params, 50, seed=42)
-        assert one.taps.shape == (21, 50)
+        assert one.taps.shape == (7, 50)
+        assert_array_equal(one.delays, [0, 1, 3, 6, 9, 14, 20])
         assert_array_equal(one.taps, two.taps)
         other = realize_channel(model, params, 50, seed=43)
         assert np.any(other.taps != one.taps)
+
+    def test_delays_are_required(self):
+        """A realization names the delay bin of every row; there is no
+        implied dense layout."""
+        with pytest.raises(TypeError):
+            ChannelRealization(taps=np.ones((1, 4), dtype=complex))
 
     def test_static_taps_are_constant(self):
         """A static spectrum freezes each tap at its initial value."""
@@ -154,12 +163,15 @@ class TestRealizeChannel:
         params = OtfsParams(m=128, n=32, lcp=32)
         model = eva_model(params.ts, 21, 1.36 / (params.mn * params.ts))
         real = realize_channel(model, params, duration, seed=7)
+        assert_array_equal(real.delays, np.flatnonzero(model.pdp))
         k = np.arange(duration)
-        for ell, (psi, phi) in enumerate(self._draws(model, 7)):
+        draws = self._draws(model, 7)
+        for ell, row in zip(real.delays, real.taps):
+            psi, phi = draws[ell]
             omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi)
             exact = np.sqrt(model.pdp[ell] / JAKES_SINUSOIDS) * np.exp(
                 1j * (phi[:, None] + omega[:, None] * k[None, :])).sum(axis=0)
-            assert_allclose(real.taps[ell], exact, rtol=0, atol=1e-12)
+            assert_allclose(row, exact, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("nu_t", [0.14, 1.36])
     @pytest.mark.parametrize("duration", [1, 2, 97, PARAMS.n_t + 21 - 1])
@@ -169,9 +181,10 @@ class TestRealizeChannel:
         model = eva_model(PARAMS.ts, 21, nu_t / (PARAMS.mn * PARAMS.ts))
         real = realize_channel(model, PARAMS, duration, seed=7, start=1523)
         assert (real.start, real.stop) == (1523, 1523 + duration)
-        assert_allclose(real.taps,
-                        exact_taps(model, PARAMS, 7, 1523, duration),
-                        rtol=0, atol=1e-12)
+        assert_array_equal(real.delays, np.flatnonzero(model.pdp))
+        exact = exact_taps(model, PARAMS, 7, 1523, duration)
+        for ell, row in zip(real.delays, real.taps):
+            assert_allclose(row, exact[ell], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spectrum", ["jakes", "static"])
     def test_window_is_slice_of_full_realization(self, spectrum):
@@ -195,35 +208,40 @@ class TestRealizeChannel:
            .filter(lambda p: sum(p) > 0.1))
     def test_window_property(self, start, duration, nu_t, powers):
         """Over random windows, Doppler values and PDPs (dead taps
-        included), the synthesis matches the exact sum within 1e-12."""
+        included), the synthesis holds exactly the powered taps and
+        matches the exact sum within 1e-12."""
         pdp = np.array(powers) / np.sum(powers)
         model = ChannelModel(pdp=pdp,
                              nu_max=nu_t / (PARAMS.mn * PARAMS.ts))
         real = realize_channel(model, PARAMS, duration, seed=start,
                                start=start)
-        assert_allclose(real.taps,
-                        exact_taps(model, PARAMS, start, start, duration),
-                        rtol=0, atol=1e-12)
+        assert_array_equal(real.delays, np.flatnonzero(pdp))
+        exact = exact_taps(model, PARAMS, start, start, duration)
+        for ell, row in zip(real.delays, real.taps):
+            assert_allclose(row, exact[ell], rtol=0, atol=1e-12)
 
-    def test_zero_power_rows_exactly_zero(self):
-        """Taps without PDP power are not synthesized and stay exactly 0."""
+    def test_only_powered_taps_have_rows(self):
+        """Taps without PDP power get no row: at EVA L = 21 the
+        realization holds the 7 powered bins, every row nonzero."""
         model = eva_model(1.0 / 8.25e6, 21, 500.0)
         real = realize_channel(model, OtfsParams(m=16, n=8, lcp=4), 300,
                                seed=3)
-        dead = model.pdp == 0.0
-        assert dead.sum() == 14
-        assert_array_equal(real.taps[dead], 0.0)
-        assert np.all(real.taps[~dead] != 0.0)
+        assert_array_equal(real.delays, np.flatnonzero(model.pdp))
+        assert real.delays.size == 7
+        assert np.all(real.taps != 0.0)
 
     def test_static_branch_matches_per_tap_form(self):
         """A static multi-tap profile holds each tap at its k = 0 value,
         amps * S^-1/2 * sum(exp(j phi)), bit for bit."""
         model = eva_model(1.0 / 8.25e6, 21, 0.0, doppler_spectrum="static")
         real = realize_channel(model, self.params, 25, seed=11)
+        assert_array_equal(real.delays, np.flatnonzero(model.pdp))
         scale = 1.0 / np.sqrt(JAKES_SINUSOIDS)
-        for ell, (_, phi) in enumerate(self._draws(model, 11)):
-            value = np.sqrt(model.pdp[ell]) * scale * np.exp(1j * phi).sum()
-            assert_array_equal(real.taps[ell], np.full(25, value))
+        draws = self._draws(model, 11)
+        for ell, row in zip(real.delays, real.taps):
+            value = np.sqrt(model.pdp[ell]) * scale \
+                * np.exp(1j * draws[ell][1]).sum()
+            assert_array_equal(row, np.full(25, value))
 
     def test_per_tap_power_matches_pdp(self):
         """Averaged over realizations, each tap's power follows the PDP."""
@@ -263,7 +281,8 @@ class TestApplyImpairments:
         self.stream = (np.arange(1, 11) + 1j * np.arange(10)).astype(complex)
 
     def _unit_channel(self, duration):
-        return ChannelRealization(taps=np.ones((1, duration), dtype=complex))
+        return ChannelRealization(taps=np.ones((1, duration), dtype=complex),
+                                  delays=np.array([0]))
 
     def test_pure_delay(self):
         """A unit tap with timing offset theta shifts the stream."""
@@ -283,11 +302,9 @@ class TestApplyImpairments:
         assert_array_equal(out[7:], np.zeros(13))
 
     def test_multipath_superposition(self):
-        """Each tap delays by its index and scales by its gain."""
-        taps = np.zeros((3, 16), dtype=complex)
-        taps[0, :] = 1.0
-        taps[2, :] = 0.5j
-        real = ChannelRealization(taps=taps)
+        """Each tap delays by its delay bin and scales by its gain."""
+        taps = np.array([np.full(16, 1.0), np.full(16, 0.5j)])
+        real = ChannelRealization(taps=taps, delays=np.array([0, 2]))
         out = apply_impairments(self.stream, real, Impairments(), self.params)
         expected = np.zeros(16, dtype=complex)
         expected[:10] += self.stream
@@ -330,10 +347,11 @@ class TestApplyImpairments:
     def test_taps_live_only_at_their_reach_edges(self, theta):
         """A tap nonzero only where the stream's first sample lands, and one
         nonzero only where its last sample lands, both contribute."""
-        taps = np.zeros((3, 20), dtype=complex)
+        taps = np.zeros((2, 20), dtype=complex)
         taps[0, max(0, theta)] = 1.0
-        taps[2, theta + 2 + self.stream.size - 1] = 2.0
-        out = apply_impairments(self.stream, ChannelRealization(taps=taps),
+        taps[1, theta + 2 + self.stream.size - 1] = 2.0
+        real = ChannelRealization(taps=taps, delays=np.array([0, 2]))
+        out = apply_impairments(self.stream, real,
                                 Impairments(theta=theta), self.params)
         expected = np.zeros(20, dtype=complex)
         expected[max(0, theta)] = self.stream[max(0, -theta)]
@@ -342,8 +360,9 @@ class TestApplyImpairments:
 
     @pytest.mark.parametrize("theta", [1960, -300, 0])
     def test_dead_taps_skipped_bit_identically(self, theta):
-        """On a seeded EVA trial at L = 21, where 14 rows are exactly zero,
-        the output equals the all-taps loop bit for bit."""
+        """On a seeded EVA trial at L = 21, where 14 bins carry no power,
+        the output equals the loop over all 21 taps of the dense layout
+        (dead rows exactly zero) bit for bit."""
         params = OtfsParams(m=128, n=32, lcp=32)
         nu_max = 1.36 / (params.mn * params.ts)
         model = eva_model(params.ts, 21, nu_max)
@@ -351,14 +370,16 @@ class TestApplyImpairments:
         stream = rng.standard_normal(params.n_t) \
             + 1j * rng.standard_normal(params.n_t)
         real = realize_channel(model, params, 2 * params.n_t, seed=12)
-        assert np.count_nonzero(np.any(real.taps, axis=1)) == 7
+        assert real.delays.size == 7
+        dense = np.zeros((model.n_taps, real.duration), dtype=complex)
+        dense[real.delays] = real.taps
         imp = Impairments(theta=theta, epsilon=0.37)
         out = apply_impairments(stream, real, imp, params)
         expected = np.zeros(real.duration, dtype=complex)
-        for ell in range(real.n_taps):
+        for ell in range(model.n_taps):
             shift = theta + ell
             lo, hi = max(0, shift), min(real.duration, stream.size + shift)
-            expected[lo:hi] += real.taps[ell, lo:hi] \
+            expected[lo:hi] += dense[ell, lo:hi] \
                 * stream[lo - shift:hi - shift]
         expected *= np.exp(2j * np.pi * imp.epsilon
                            * np.arange(real.duration) / params.mn)
@@ -383,7 +404,8 @@ class TestApplyImpairments:
         full = realize_channel(model, params, length, seed=12)
         imp = Impairments(theta=theta, epsilon=0.37)
         expected = apply_impairments(stream, full, imp, params)
-        sliced = ChannelRealization(taps=full.taps[:, lo:hi], start=lo)
+        sliced = ChannelRealization(taps=full.taps[:, lo:hi],
+                                    delays=full.delays, start=lo)
         out = apply_impairments(stream, sliced, imp, params, length=length)
         assert np.array_equal(out, expected)
         window = realize_channel(model, params, hi - lo, seed=12, start=lo)
@@ -394,7 +416,8 @@ class TestApplyImpairments:
     def test_window_missing_reach_raises(self, start, stop):
         """A realization that misses a sample of the reach is refused."""
         real = ChannelRealization(
-            taps=np.ones((1, stop - start), dtype=complex), start=start)
+            taps=np.ones((1, stop - start), dtype=complex),
+            delays=np.array([0]), start=start)
         assert stream_reach(5, self.stream.size, 1, 20) == (5, 15)
         with pytest.raises(ValueError, match="does not cover"):
             apply_impairments(self.stream, real, Impairments(theta=5),
@@ -412,24 +435,28 @@ class TestExportTaps:
     """Columnar tap-gain export."""
 
     def test_round_trip(self, tmp_path):
-        """The exported text reproduces every gain exactly."""
+        """The exported text reproduces every gain exactly, and lists
+        exactly the realization's delay bins as ``ell``."""
         taps = np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0 - 1.0j]])
-        real = ChannelRealization(taps=taps)
+        real = ChannelRealization(taps=taps, delays=np.array([1, 4]))
         path = tmp_path / "taps.csv"
         export_taps(real, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,ell,re,im"
-        parsed = np.zeros((2, 2), dtype=complex)
+        parsed = {}
         for line in lines[1:]:
             k, ell, re, im = line.split(",")
             parsed[int(ell), int(k)] = float(re) + 1j * float(im)
-        assert_array_equal(parsed, taps)
+        assert sorted({ell for ell, _ in parsed}) == [1, 4]
+        assert_array_equal([[parsed[ell, k] for k in range(2)]
+                            for ell in (1, 4)], taps)
 
     def test_round_trip_windowed(self, tmp_path):
         """A window exports absolute sample indices k = start + j and only
         the samples it covers."""
         taps = np.array([[1.0 + 2.0j, -0.5j, 7.0], [0.25, 3.0 - 1.0j, 0.0]])
-        real = ChannelRealization(taps=taps, start=40)
+        real = ChannelRealization(taps=taps, delays=np.array([0, 2]),
+                                  start=40)
         path = tmp_path / "taps.csv"
         export_taps(real, path)
         lines = path.read_text().strip().splitlines()
@@ -440,5 +467,6 @@ class TestExportTaps:
             k, ell, re, im = line.split(",")
             parsed[int(ell), int(k)] = float(re) + 1j * float(im)
         assert sorted({k for _, k in parsed}) == [40, 41, 42]
+        assert sorted({ell for ell, _ in parsed}) == [0, 2]
         assert_array_equal([[parsed[ell, 40 + j] for j in range(3)]
-                            for ell in range(2)], taps)
+                            for ell in (0, 2)], taps)

@@ -293,12 +293,19 @@ class TestRunTrial:
             received, clean + channel.noise_sigma(snr_db) * w)
 
     def test_point_context_is_frozen(self):
-        """Trials share the point context and its ML workspace read-only."""
+        """Trials share the point context and its ML workspace read-only,
+        down to the projector and BEM arrays."""
         ctx = build_point(TINY)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.advance = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.workspace.lam = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.workspace.bem.basis = None
+        bem = ctx.workspace.bem
+        for array in (ctx.workspace.p, bem.freqs, bem.pilot_idx, bem.basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestAggregate:
