@@ -11,8 +11,8 @@ and :func:`unit_noise` define the AWGN that the trial adds on top.
 
 from __future__ import annotations
 
+import functools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,13 @@ EVA_POWERS_DB = np.array(
 
 #: Sinusoids per tap in the sum-of-sinusoids Doppler synthesis.
 JAKES_SINUSOIDS = 64
+
+#: Widest synthesis block in samples (low Doppler would allow wider).
+MAX_BLOCK = 512
+
+#: Taylor terms of exp(j omega x) per block.  Blocks keep |omega x| <= 1/2,
+#: where the remainder is below 0.5^15 / 15! ~ 2.3e-17 < 2^-53.
+TAYLOR_TERMS = 15
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,24 @@ class ChannelModel:
     @property
     def n_taps(self) -> int:
         return int(self.pdp.size)
+
+    # Computed on first use, so building a point does not pay for them.
+    @functools.cached_property
+    def delays(self) -> np.ndarray:
+        """Read-only delay bins of the taps that carry power,
+        ``np.flatnonzero(pdp)``."""
+        delays = np.flatnonzero(self.pdp)
+        delays.flags.writeable = False
+        return delays
+
+    @functools.cached_property
+    def gains(self) -> np.ndarray:
+        """Read-only per-sinusoid amplitudes sqrt(p_ell) / sqrt(S) of the
+        taps at ``delays``, S = JAKES_SINUSOIDS."""
+        gains = np.sqrt(self.pdp[self.delays]) \
+            * (1.0 / np.sqrt(JAKES_SINUSOIDS))
+        gains.flags.writeable = False
+        return gains
 
 
 @dataclass
@@ -177,6 +202,19 @@ def _phasor_rows(base: np.ndarray, step: np.ndarray,
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _power_table(width: int, omega_max: float) -> np.ndarray:
+    """Read-only T[p, i] = (j omega_max x_i)^p / p! for p < TAYLOR_TERMS,
+    at the block offsets x_i = i - (width - 1) / 2, i = 0 .. width-1."""
+    step = 1j * omega_max * (np.arange(width) - (width - 1) / 2.0)
+    table = np.empty((TAYLOR_TERMS, width), dtype=complex)
+    table[0] = 1.0
+    for p in range(1, TAYLOR_TERMS):
+        table[p] = table[p - 1] * step / p
+    table.flags.writeable = False
+    return table
+
+
 def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
                     seed, start: int = 0) -> ChannelRealization:
     """Draw one channel realization over samples [start, start + duration).
@@ -186,46 +224,63 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
     [0, 2*pi),
 
         h[ell, k] = sqrt(p_ell / S) sum_s exp(j (phi_s + omega_s k)),
-        omega_s = 2 pi nu_max Ts cos(psi_s),
+        omega_s = omega_max cos(psi_s),  omega_max = 2 pi nu_max Ts,
 
     so the Doppler spectrum is the classical Jakes shape with maximum
     frequency ``model.nu_max`` (the random-angle model of Zheng & Xiao,
-    IEEE Trans. Commun. 2003).  A static spectrum freezes every tap at its
-    k = 0 value.
+    IEEE Trans. Commun. 2003).  A static spectrum, or an omega_max that is
+    zero, freezes every tap at its k = 0 value.
 
     The draws do not depend on the window: every tap draws its psi then
     phi, in tap order, whether or not it carries power, so a window
     matches the same samples of the start-0 realization of the same seed
     to rounding, and the draws of tap ell do not depend on which taps are
-    live.  Only the taps with nonzero power, ``np.flatnonzero(model.pdp)``,
-    are synthesized and returned, one row each; a dead bin gets no row.
-    The sum is a blocked product: with k = start + b R + r and
-    R = ceil(sqrt(duration)), row b of the (blocks x R) tap grid is
-    exp(j (phi + omega (start + b R))) @ exp(j omega r).  Both phasor
-    tables are built by doubling (:func:`_phasor_rows`), so a tap takes
-    S (ceil(log2 blocks) + ceil(log2 R) + 2) exponentials and each sample
-    is within a few ulps of the exact exp(j (phi + omega k)) sum.
+    live.  Only the taps with nonzero power, ``model.delays``, are
+    synthesized and returned, one row each; a dead bin gets no row.
+
+    The sum is a block Taylor expansion.  With blocks of width
+    W = min(MAX_BLOCK, floor(1 / omega_max) + 1), centres
+    c_b = start + b W + (W - 1) / 2 and k = c_b + x, |x| <= (W - 1) / 2,
+    every |omega_s x| <= 1/2, and
+
+        h[ell, c_b + x] = sum_p A[ell, b, p] (j omega_max x)^p / p!,
+        A[ell, b, p] = sum_s exp(j (phi_s + omega_s c_b)) g_ell cos^p(psi_s),
+
+    to TAYLOR_TERMS terms.  The (blocks x S) centre phasors are built by
+    doubling (:func:`_phasor_rows`), and the power table (TAYLOR_TERMS x
+    W) is cached per (W, omega_max), so a tap takes S (ceil(log2 blocks)
+    + 1) exponentials and TAYLOR_TERMS multiply-adds per sample, and each
+    sample is within a few ulps of the exact exp(j (phi + omega k)) sum.
     """
     if duration < 1:
         raise ValueError("duration must be >= 1")
     rng = np.random.default_rng(seed)
-    live = np.flatnonzero(model.pdp)
+    delays, gains = model.delays, model.gains
     draws = rng.uniform(0.0, 2.0 * np.pi,
-                        (model.n_taps, 2, JAKES_SINUSOIDS))[live]
+                        (model.n_taps, 2, JAKES_SINUSOIDS))[delays]
     psi, phi = draws[:, 0], draws[:, 1]
-    gains = np.sqrt(model.pdp[live, None]) * (1.0 / np.sqrt(JAKES_SINUSOIDS))
-    if model.doppler_spectrum == "static" or model.nu_max == 0.0:
+    omega_max = 2.0 * np.pi * model.nu_max * params.ts
+    if model.doppler_spectrum == "static" or omega_max == 0.0:
         initial = np.exp(1j * phi).sum(axis=1, keepdims=True)
-        taps = np.repeat(gains * initial, duration, axis=1)
-        return ChannelRealization(taps=taps, delays=live, start=start)
-    omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi)
-    width = math.isqrt(duration - 1) + 1
+        taps = np.repeat(gains[:, None] * initial, duration, axis=1)
+        return ChannelRealization(taps=taps, delays=delays, start=start)
+    cos_psi = np.cos(psi)
+    omega = omega_max * cos_psi
+    width = int(min(MAX_BLOCK - 1, 1.0 / omega_max)) + 1
     blocks = -(-duration // width)
-    outer = _phasor_rows(phi + omega * start, omega * width, blocks)
-    inner = _phasor_rows(np.zeros_like(omega), omega, width)
-    sums = np.matmul(outer, inner.swapaxes(-1, -2))
-    taps = gains * sums.reshape(live.size, blocks * width)[:, :duration]
-    return ChannelRealization(taps=taps, delays=live, start=start)
+    centres = _phasor_rows(phi + omega * (start + (width - 1) / 2.0),
+                           omega * width, blocks)
+    coeffs = np.empty(cos_psi.shape + (TAYLOR_TERMS,), dtype=complex)
+    coeffs[..., 0] = gains[:, None]
+    coeffs[..., 1:] = cos_psi[..., None]
+    np.cumprod(coeffs, axis=-1, out=coeffs)
+    # Both products stay same-dtype and the second stays 2-D, so each
+    # runs in BLAS; a broadcast or mixed-dtype stacked matmul does not.
+    expansion = np.matmul(centres, coeffs)
+    taps = (expansion.reshape(delays.size * blocks, TAYLOR_TERMS)
+            @ _power_table(width, omega_max))
+    taps = taps.reshape(delays.size, blocks * width)[:, :duration]
+    return ChannelRealization(taps=taps, delays=delays, start=start)
 
 
 def stream_reach(shift: int, n_samples: int, n_taps: int,

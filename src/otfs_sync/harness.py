@@ -212,10 +212,13 @@ def trial_streams(root_seed: int, trial_idx: int) -> list:
     so the same trial index reproduces the same randomness at every point.
     The data, channel and offset streams are generators; the noise stream
     is left as its ``SeedSequence``, which :func:`unit_noise` turns into a
-    generator only when a noisy point draws from it.
+    generator only when a noisy point draws from it.  The four are the
+    children ``SeedSequence([root_seed, trial_idx]).spawn(4)`` would make,
+    built directly.
     """
-    data, chan, noise, draw = np.random.SeedSequence(
-        [int(root_seed), int(trial_idx)]).spawn(4)
+    entropy = [int(root_seed), int(trial_idx)]
+    data, chan, noise, draw = (np.random.SeedSequence(entropy, spawn_key=(i,))
+                               for i in range(4))
     return [np.random.default_rng(data), np.random.default_rng(chan), noise,
             np.random.default_rng(draw)]
 
@@ -464,7 +467,8 @@ def context_key(config: ExperimentConfig) -> tuple:
     differ in nothing else share one :func:`build_point` result and, in
     one :func:`run_trial` call per trial index, its transmit half.
     """
-    return dataclasses.astuple(replace(config, snr_db=None))
+    return tuple(getattr(config, f.name) for f in dataclasses.fields(config)
+                 if f.name != "snr_db")
 
 
 def _run_table(filename: str, axis: str, points: list) -> list:

@@ -1,5 +1,7 @@
 """Tests for LTV channel synthesis and impairment injection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import j0
 
-from otfs_sync.channel import (JAKES_SINUSOIDS, ChannelModel,
-                               ChannelRealization, Impairments,
+from otfs_sync import channel
+from otfs_sync.channel import (JAKES_SINUSOIDS, MAX_BLOCK, TAYLOR_TERMS,
+                               ChannelModel, ChannelRealization, Impairments,
                                apply_impairments, eva_model, export_taps,
                                mean_delay, noise_sigma, realize_channel,
                                single_tap_model, stream_reach, unit_noise)
@@ -55,6 +58,19 @@ class TestChannelModel:
         assert model.n_taps == 1
         assert_allclose(model.pdp, [1.0])
         assert model.doppler_spectrum == "static"
+
+    def test_powered_taps_derived_once(self):
+        """The model carries its powered delay bins and their per-sinusoid
+        amplitudes sqrt(p / S), read-only, and a realization reuses them."""
+        model = eva_model(PARAMS.ts, 21, 500.0)
+        assert_array_equal(model.delays, np.flatnonzero(model.pdp))
+        assert_array_equal(model.gains, np.sqrt(model.pdp[model.delays])
+                           * (1.0 / np.sqrt(JAKES_SINUSOIDS)))
+        for derived in (model.delays, model.gains):
+            with pytest.raises(ValueError):
+                derived[0] = 0
+        assert realize_channel(model, PARAMS, 10, seed=1).delays \
+            is model.delays
 
 
 class TestEvaProfile:
@@ -147,6 +163,13 @@ class TestRealizeChannel:
         real = realize_channel(model, self.params, 40, seed=1)
         assert_array_equal(real.taps, np.tile(real.taps[:, :1], (1, 40)))
 
+    def test_underflowing_doppler_is_constant(self):
+        """A Doppler so small that omega_max = 2 pi nu_max Ts rounds to
+        zero freezes the taps instead of sizing blocks by 1 / 0."""
+        model = ChannelModel(pdp=np.array([1.0]), nu_max=1e-320)
+        real = realize_channel(model, self.params, 40, seed=1)
+        assert_array_equal(real.taps, np.tile(real.taps[:, :1], (1, 40)))
+
     @staticmethod
     def _draws(model, seed):
         """The (psi, phi) pairs of every tap, drawn in synthesis order."""
@@ -219,6 +242,53 @@ class TestRealizeChannel:
         exact = exact_taps(model, PARAMS, start, start, duration)
         for ell, row in zip(real.delays, real.taps):
             assert_allclose(row, exact[ell], rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _model_at(nu_t):
+        """EVA at nu*T on PARAMS, with its omega_max = 2 pi nu_max Ts."""
+        model = eva_model(PARAMS.ts, 21, nu_t / (PARAMS.mn * PARAMS.ts))
+        return model, 2.0 * np.pi * model.nu_max * PARAMS.ts
+
+    @pytest.mark.parametrize("nu_t, width, start, durations", [
+        (0.01, MAX_BLOCK, 0, [MAX_BLOCK - 1, MAX_BLOCK + 1, 3 * MAX_BLOCK]),
+        (1.36, 480, 0, [479, 480, 481, 9 * 480 + 3]),
+        (40.0, 17, 0, [1, 17, 18, 700]),
+        (1.36, 480, 20011, [1, 4148]),
+    ])
+    def test_blocks_match_exact_sum(self, nu_t, width, start, durations):
+        """At the MAX_BLOCK cap (low Doppler), at the 1/omega_max bound
+        (W = 480 at 128x32, nu*T = 1.36, durations around one and nine
+        blocks), with many small blocks (nu*T = 40, W = 17) and for
+        windows past sample 20000, every row matches the exact sum within
+        1e-12, and the realization uses blocks of the expected width."""
+        model, omega_max = self._model_at(nu_t)
+        assert width == min(MAX_BLOCK, int(1.0 / omega_max) + 1)
+        for duration in durations:
+            channel._power_table.cache_clear()
+            real = realize_channel(model, PARAMS, duration, seed=duration,
+                                   start=start)
+            channel._power_table(width, omega_max)
+            assert channel._power_table.cache_info().hits == 1
+            assert real.taps.shape == (7, duration)
+            exact = exact_taps(model, PARAMS, duration, start, duration)
+            for ell, row in zip(real.delays, real.taps):
+                assert_allclose(row, exact[ell], rtol=0, atol=1e-12)
+
+    def test_power_table_is_cached_and_read_only(self):
+        """The Taylor power table (j omega_max x)^p / p! over a block's
+        centred offsets is built once per (W, omega_max), refuses writes,
+        and matches its definition."""
+        _, omega_max = self._model_at(1.36)
+        table = channel._power_table(480, omega_max)
+        assert channel._power_table(480, omega_max) is table
+        assert table.shape == (TAYLOR_TERMS, 480)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        x = np.arange(480) - 239.5
+        assert np.max(np.abs(omega_max * x)) <= 0.5
+        for p in range(TAYLOR_TERMS):
+            assert_allclose(table[p], (1j * omega_max * x) ** p
+                            / math.factorial(p), rtol=1e-14, atol=0)
 
     def test_only_powered_taps_have_rows(self):
         """Taps without PDP power get no row: at EVA L = 21 the

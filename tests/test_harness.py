@@ -148,6 +148,16 @@ class TestTrialStreams:
         """Different trial indices draw from different streams."""
         assert self._draws(5, 3) != self._draws(5, 4)
 
+    def test_children_are_the_spawned_ones(self):
+        """The four streams are seeded by the children that
+        SeedSequence([root, trial]).spawn(4) makes: same states."""
+        spawned = np.random.SeedSequence([5, 3]).spawn(4)
+        for stream, child in zip(trial_streams(5, 3), spawned):
+            seq = stream if isinstance(stream, np.random.SeedSequence) \
+                else stream.bit_generator.seed_seq
+            assert_array_equal(seq.generate_state(8),
+                               child.generate_state(8))
+
     def test_noise_stream_left_unbuilt(self):
         """The noise stream stays a SeedSequence until a noisy point draws
         from it, and draws what a generator built from the spawned child
