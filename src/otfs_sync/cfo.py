@@ -50,6 +50,10 @@ logger = logging.getLogger(__name__)
 #: cond(G^H G) > 1e12.
 RANK_TOL = 1e-6
 
+#: Grid steps of ``fine_cfo``'s two stages, in Doppler bins.
+COARSE_STEP = 1e-2
+FINE_STEP = 1e-4
+
 
 class SingularModelError(Exception):
     """The BEM model matrix cannot be inverted for this geometry."""
@@ -122,6 +126,11 @@ def coarse_cfo(received: np.ndarray, to: ToEstimate, params: OtfsParams,
     return float(fold_offset(eps, n))
 
 
+#: BEM oversampling factor K of the experiments: the tone spacing is
+#: 1/(K M N) cycles per sample.
+BEM_K = 4
+
+
 def bem_order(k: int, nu_max: float, params: OtfsParams) -> int:
     """Model order Q = ceil(2 K nu_max M N Ts) + 1.
 
@@ -153,9 +162,7 @@ class BemModel:
     so the three arrays are made read-only.
     """
 
-    k: int
     q: int
-    nu_max: float
     params: OtfsParams
     freqs: np.ndarray
     pilot_idx: np.ndarray
@@ -204,8 +211,8 @@ def build_bem(params: OtfsParams, spec: PcpSpec, k: int, nu_max: float,
         raise ValueError("model order q must be >= 1")
     freqs = (np.arange(q) - q // 2) / (k * params.mn)
     idx = pilot_sample_indices(params, spec)
-    return BemModel(k=k, q=q, nu_max=nu_max, params=params, freqs=freqs,
-                    pilot_idx=idx, basis=_tones(idx.ravel(), freqs))
+    return BemModel(q=q, params=params, freqs=freqs, pilot_idx=idx,
+                    basis=_tones(idx.ravel(), freqs))
 
 
 def _require_slots(params: OtfsParams, spec: PcpSpec,
@@ -406,13 +413,12 @@ def _phase_table(n: int, step: float, steps: int) -> np.ndarray:
 
 
 def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
-             half_width: float = 0.5, coarse_step: float = 1e-2,
-             fine_step: float = 1e-4, use_fast: bool = True,
+             half_width: float = 0.5, use_fast: bool = True,
              counter: OpCounter | None = None) -> CfoEstimate:
     """Two-stage grid maximization of the ML cost around the coarse CFO.
 
-    Stage one scans eps_coarse +- half_width at coarse_step; stage two
-    rescans one coarse step around the stage-one peak at fine_step.  All
+    Stage one scans eps_coarse +- half_width at COARSE_STEP; stage two
+    rescans one coarse step around the stage-one peak at FINE_STEP.  All
     evaluated (eps, cost) pairs are kept in ``cost_trace`` in evaluation
     order.  A peak on the stage-one boundary logs a warning since the
     true CFO may sit outside the searched range.
@@ -447,16 +453,16 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
         table = _phase_table(n, step, steps)
         return grid, -beta[0].real + 2.0 * np.real(table @ rotated)
 
-    grid1, costs1 = evaluate(eps_coarse, coarse_step,
-                             int(round(half_width / coarse_step)))
+    grid1, costs1 = evaluate(eps_coarse, COARSE_STEP,
+                             int(round(half_width / COARSE_STEP)))
     best1 = int(np.argmax(costs1))
     if best1 == 0 or best1 == grid1.size - 1:
         logger.warning(
             "fine CFO: cost peak on the search boundary at %.4f; the true "
             "offset may lie outside +-%.2f of the coarse estimate",
             grid1[best1], half_width)
-    grid2, costs2 = evaluate(grid1[best1], fine_step,
-                             int(round(coarse_step / fine_step)))
+    grid2, costs2 = evaluate(grid1[best1], FINE_STEP,
+                             int(round(COARSE_STEP / FINE_STEP)))
     eps_fine = float(grid2[int(np.argmax(costs2))])
     trace = np.column_stack([
         np.concatenate([grid1, grid2]),
@@ -467,22 +473,15 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
 
 
 def estimate_channel_bem(r_p: np.ndarray, workspace: MlWorkspace,
-                         eps_hat: float,
-                         block_start: int = 0) -> np.ndarray:
+                         eps_hat: float) -> np.ndarray:
     """Least-squares BEM coefficients after CFO de-rotation.
 
     c_hat = (G^H G)^{-1} G^H Gamma^H(eps_hat) r_p, solved as least
-    squares on the workspace's G; nothing is written back.
-    ``block_start`` enters only as the absolute position of the block in
-    the observation buffer so the de-rotation phase matches the samples'
-    true indices; leaving it zero estimates the taps up to a constant
-    phase.
+    squares on the workspace's G; nothing is written back.  The phase is
+    referenced to the block's start, so the taps come out up to the
+    constant phase of the block's position in the buffer.
     """
-    bem = workspace.bem
-    rel = np.conj(_gamma_phases(bem, eps_hat)) * r_p
-    if block_start:
-        rel = rel * np.exp(-2j * np.pi * eps_hat * block_start
-                           / bem.params.mn)
+    rel = np.conj(_gamma_phases(workspace.bem, eps_hat)) * r_p
     return np.linalg.lstsq(workspace.g, rel, rcond=None)[0]
 
 

@@ -18,8 +18,8 @@ import dataclasses
 import logging
 import sys
 
-from .harness import (ExperimentConfig, _parse_value, load_config,
-                      run_single, run_snapshot, run_sweep)
+from .harness import (ExperimentConfig, load_config, run_single,
+                      run_snapshot, run_sweep, update_config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,17 +50,13 @@ PARSER = build_parser()
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig()
-    if args.config is not None:
-        config = load_config(args.config, base=config)
-    overrides = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        raw = getattr(args, f.name)
-        if raw is not None:
-            overrides[f.name] = _parse_value(f.name, raw)
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    """Defaults, then the --config file, then the flags: later ones win."""
+    config = ExperimentConfig() if args.config is None \
+        else load_config(args.config)
+    flags = ((f.name, getattr(args, f.name))
+             for f in dataclasses.fields(ExperimentConfig))
+    return update_config(config, [(key, text) for key, text in flags
+                                  if text is not None])
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cfo import (MlWorkspace, SingularModelError, build_bem,
+from .cfo import (BEM_K, MlWorkspace, SingularModelError, build_bem,
                   build_workspace, coarse_cfo, extract_pilot, fine_cfo)
 from .channel import (ChannelModel, Impairments, apply_impairments,
                       eva_model, export_taps, mean_delay, noise_sigma,
@@ -54,9 +54,11 @@ class ExperimentConfig:
     """Flat description of one experiment; every field is a config key.
 
     Geometry and pilot fields mirror :class:`OtfsParams` and
-    :class:`PcpSpec`; ``pilot_m_p``/``pilot_n_p`` of ``None`` place the
-    pilot at the grid center.  ``nu_max_t`` is the maximum Doppler
-    normalized by the block duration (nu_max * M * N * Ts).
+    :class:`PcpSpec`, whose defaults supply the sampling period, the
+    Zadoff-Chu root and the pilot power; ``pilot_m_p`` of ``None`` places
+    the pilot at the grid center, and the pilot's Doppler bin is always
+    N/2.  ``nu_max_t`` is the maximum Doppler normalized by the block
+    duration (nu_max * M * N * Ts).
 
     ``advance`` is the receiver's acquisition offset: the transmitted
     stream is shifted by ``theta + advance`` before the buffer is cut, and
@@ -69,11 +71,6 @@ class ExperimentConfig:
     [-MN/2, MN/2) integer, epsilon over +-(N - nu_max_t)/2); fixed values
     make every trial use that offset.
 
-    ``bias_correction_known_pdp`` subtracts floor(mu_h) computed from the
-    power delay profile inside the timing estimator; when off, the CP is
-    lengthened by floor(mu_h) instead and the estimator assumes zero mean
-    delay.
-
     Each trial transmits one block, and the fine-CFO search evaluates the
     trigonometric-polynomial ML cost.
     """
@@ -82,13 +79,9 @@ class ExperimentConfig:
     m: int = 128
     n: int = 32
     lcp: int = 32
-    ts: float = 1.0 / 8.25e6
     # pilot
     pilot_length: int = 21
     pilot_m_p: int | None = None
-    pilot_n_p: int | None = None
-    pilot_zc_root: int = 1
-    pilot_power_db: float = 40.0
     # channel
     channel: str = "eva"
     doppler_spectrum: str = "jakes"
@@ -99,11 +92,8 @@ class ExperimentConfig:
     epsilon: float | None = None
     advance: int | str = "centered"
     # estimator settings
-    bem_k: int = 4
     bem_q: int | None = None
     cfo_half_width: float = 0.5
-    # mode
-    bias_correction_known_pdp: bool = True
     # harness
     trials: int = 500
     seed: int = 1
@@ -157,12 +147,10 @@ class PointContext:
 
 
 def resolve_pilot(config: ExperimentConfig, params: OtfsParams) -> PcpSpec:
-    """Pilot spec from config, defaulting the anchors to the grid center."""
+    """Pilot spec from config: Doppler bin N/2, and the delay anchor at the
+    grid center unless ``pilot_m_p`` sets it."""
     m_p = params.m // 2 if config.pilot_m_p is None else config.pilot_m_p
-    n_p = params.n // 2 if config.pilot_n_p is None else config.pilot_n_p
-    spec = PcpSpec(length=config.pilot_length, m_p=m_p, n_p=n_p,
-                   zc_root=config.pilot_zc_root,
-                   power_db=config.pilot_power_db)
+    spec = PcpSpec(length=config.pilot_length, m_p=m_p, n_p=params.n // 2)
     spec.validate_fit(params)
     return spec
 
@@ -181,22 +169,17 @@ def resolve_channel(config: ExperimentConfig,
 
 def build_point(config: ExperimentConfig) -> PointContext:
     """Resolve one sweep point's geometry, channel, and ML workspace."""
-    params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp, ts=config.ts)
+    params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp)
     model = resolve_channel(config, params)
-    mu_model = mean_delay(model)
-    if config.bias_correction_known_pdp:
-        mu_est = mu_model
-    else:
-        params = replace(params, lcp=params.lcp + int(np.floor(mu_model)))
-        mu_est = 0.0
+    mu_est = mean_delay(model)
     spec = resolve_pilot(config, params)
     if config.advance == "centered":
         footprint = params.lcp + (spec.m_p - spec.length) \
-            + int(np.floor(mu_model))
+            + int(np.floor(mu_est))
         advance = params.mn // 2 - footprint
     else:
         advance = int(config.advance)
-    bem = build_bem(params, spec, k=config.bem_k, nu_max=model.nu_max,
+    bem = build_bem(params, spec, k=BEM_K, nu_max=model.nu_max,
                     q=config.bem_q)
     workspace = build_workspace(params, spec, bem)
     eps_span = params.n - 2.0 * model.nu_max * params.mn * params.ts
@@ -345,8 +328,8 @@ def summary_rows(summaries) -> list:
 
 #: How ``None`` is spelled for each optional key: the first word is the
 #: one written, every word is accepted on input.
-_NONE_WORDS = {"pilot_m_p": ("auto", "none"), "pilot_n_p": ("auto", "none"),
-               "bem_q": ("auto", "none"), "snr_db": ("none", "off"),
+_NONE_WORDS = {"pilot_m_p": ("auto", "none"), "bem_q": ("auto", "none"),
+               "snr_db": ("none", "off"),
                "theta": ("random",), "epsilon": ("random",)}
 
 
@@ -362,8 +345,6 @@ def config_items(config: ExperimentConfig) -> list:
                 text = ",".join(_format_cell(v) for v in value)
         elif value is None:
             text = _NONE_WORDS[f.name][0]
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         else:
             text = _format_cell(value)
         items.append((f.name, text))
@@ -376,10 +357,6 @@ def write_manifest(path, config: ExperimentConfig) -> None:
         fh.write(f"version={__version__}\n")
         for key, text in config_items(config):
             fh.write(f"{key}={text}\n")
-
-
-_BOOL_WORDS = {"true": True, "1": True, "yes": True,
-               "false": False, "0": False, "no": False}
 
 
 #: Annotation text of each config field, e.g. ``"int | None"``.
@@ -397,11 +374,6 @@ def _parse_value(name: str, text: str):
         return None
     if name == "advance":
         return "centered" if low == "centered" else int(text)
-    if kind == "bool":
-        if low not in _BOOL_WORDS:
-            raise ValueError(f"config key {name} expects a boolean, "
-                             f"got {text!r}")
-        return _BOOL_WORDS[low]
     if name == "sweep_values":
         return tuple(float(v) for v in text.split(",") if v.strip())
     if name == "geometries":
@@ -422,11 +394,17 @@ def _parse_value(name: str, text: str):
     return text
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None
-                 ) -> ExperimentConfig:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
-    config = base if base is not None else ExperimentConfig()
-    updates = {}
+def update_config(config: ExperimentConfig, items) -> ExperimentConfig:
+    """``config`` with each (key, text) pair parsed and set; of repeated
+    keys the last pair wins."""
+    return replace(config, **{key: _parse_value(key, text)
+                              for key, text in items})
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse flat ``key = value`` lines over the defaults; '#' starts a
+    comment."""
+    items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -435,15 +413,13 @@ def parse_config(text: str, base: ExperimentConfig | None = None
             raise ValueError(f"config line {lineno}: expected key=value, "
                              f"got {raw!r}")
         key, value = line.split("=", 1)
-        key = key.strip()
-        updates[key] = _parse_value(key, value)
-    return replace(config, **updates)
+        items.append((key.strip(), value))
+    return update_config(ExperimentConfig(), items)
 
 
-def load_config(path, base: ExperimentConfig | None = None
-                ) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        return parse_config(fh.read(), base=base)
+        return parse_config(fh.read())
 
 
 def sweep_axis_configs(config: ExperimentConfig):

@@ -510,8 +510,7 @@ class TestFineCfo:
     def test_trace_covers_both_stages(self):
         """The cost trace holds the full coarse grid then the fine grid."""
         ws, r_p = self._loopback(0.05, 0.0)
-        est = fine_cfo(r_p, ws, eps_coarse=0.0, half_width=0.5,
-                       coarse_step=1e-2, fine_step=1e-4)
+        est = fine_cfo(r_p, ws, eps_coarse=0.0, half_width=0.5)
         assert est.cost_trace.shape == (101 + 201, 2)
         assert_allclose(est.cost_trace[0, 0], -0.5)
         assert_allclose(est.cost_trace[100, 0], 0.5)

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -16,6 +17,14 @@ from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
                                load_config, parse_config, read_csv,
                                run_single, run_snapshot, run_sweep, run_trial,
                                trial_streams, write_csv, write_manifest)
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+#: Config keys deleted from ExperimentConfig; files and flags naming one
+#: must fail like a misspelling.
+REMOVED_KEYS = ("blocks", "bem_literal_exponent", "fast_cost", "ts",
+                "pilot_n_p", "pilot_zc_root", "pilot_power_db", "bem_k",
+                "bias_correction_known_pdp")
 
 #: Small, fast, noiseless link used across the harness tests.
 TINY = ExperimentConfig(m=32, n=8, lcp=16, pilot_length=2,
@@ -31,7 +40,7 @@ class TestConfigParsing:
         config = ExperimentConfig(m=64, n=16, lcp=20, pilot_m_p=21,
                                   snr_db=None, theta=7, epsilon=None,
                                   advance="centered", bem_q=None,
-                                  bias_correction_known_pdp=False,
+                                  cfo_half_width=1.0,
                                   sweep_values=(0.5, 1.5),
                                   geometries=((64, 64), (128, 32)))
         text = "\n".join(f"{k} = {v}" for k, v in config_items(config))
@@ -53,8 +62,6 @@ class TestConfigParsing:
         ("epsilon = random", "epsilon", None),
         ("advance = centered", "advance", "centered"),
         ("advance = 0", "advance", 0),
-        ("bias_correction_known_pdp = false", "bias_correction_known_pdp",
-         False),
         ("sweep_values = 0, 10, 20", "sweep_values", (0.0, 10.0, 20.0)),
         ("geometries = 64x64, 128x32", "geometries", ((64, 64), (128, 32))),
     ])
@@ -68,16 +75,11 @@ class TestConfigParsing:
             parse_config("trails = 100")
 
     def test_removed_keys_are_unknown(self):
-        """The deleted blocks, bem_literal_exponent and fast_cost keys are
-        refused like any misspelling, not silently ignored."""
-        for key in ("blocks", "bem_literal_exponent", "fast_cost"):
+        """The deleted keys are refused like any misspelling, not silently
+        ignored."""
+        for key in REMOVED_KEYS:
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config(f"{key} = 1")
-
-    def test_bad_boolean_raises(self):
-        """Mode flags only accept boolean spellings."""
-        with pytest.raises(ValueError, match="boolean"):
-            parse_config("bias_correction_known_pdp = maybe")
 
     def test_malformed_line_raises(self):
         """Lines without '=' are reported with their number."""
@@ -86,13 +88,22 @@ class TestConfigParsing:
 
     def test_shipped_configs_parse(self):
         """The checked-in experiment configs all load."""
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent.parent / "configs"
-        paths = sorted(root.glob("*.cfg"))
+        paths = sorted(CONFIG_DIR.glob("*.cfg"))
         assert paths, "no shipped configs found"
         for path in paths:
             config = load_config(path)
             assert config.trials >= 1
+
+    def test_every_key_varied_by_a_shipped_config(self):
+        """Each config key is set to a non-default value by at least one
+        file in configs/: a key that no shipped experiment varies is a
+        constant, not a setting."""
+        default = ExperimentConfig()
+        configs = [load_config(p) for p in sorted(CONFIG_DIR.glob("*.cfg"))]
+        unvaried = [f.name for f in dataclasses.fields(ExperimentConfig)
+                    if all(getattr(c, f.name) == getattr(default, f.name)
+                           for c in configs)]
+        assert unvaried == []
 
 
 class TestManifest:
@@ -424,11 +435,11 @@ class TestRunners:
 
     def test_context_key_ignores_only_snr(self):
         """Points differing only in SNR share a context; any other field,
-        such as bem_k or pilot_length, gets one of its own."""
+        such as lcp or cfo_half_width, gets one of its own."""
         key = context_key(TINY)
         assert context_key(dataclasses.replace(TINY, snr_db=5.0)) == key
-        for change in ({"bem_k": 2}, {"pilot_length": 3}, {"ts": 1e-6},
-                       {"bias_correction_known_pdp": False}):
+        for change in ({"lcp": 20}, {"pilot_length": 3}, {"pilot_m_p": 5},
+                       {"cfo_half_width": 1.0}):
             assert context_key(dataclasses.replace(TINY, **change)) != key
 
     def test_snr_sweep_builds_one_context(self, tmp_path, monkeypatch):
@@ -641,6 +652,15 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --no_such_key" in \
             capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_flag_exits_2(self, tmp_path, capsys, key):
+        """A deleted key has no flag: naming it is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--out", str(tmp_path), f"--{key}", "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
