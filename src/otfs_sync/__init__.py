@@ -13,32 +13,30 @@ The package splits along the processing chain:
 
 __version__ = "0.1.0"
 
-from .modem import OtfsParams, build_stream, measure_papr
-from .pilot import PcpSpec, default_pcp_spec, make_zc, build_frame
+from .modem import OtfsParams, build_stream
+from .pilot import PcpSpec, make_zc, build_frame
 from .channel import (ChannelModel, ChannelRealization, Impairments,
                       eva_model, single_tap_model, mean_delay,
                       realize_channel, apply_impairments)
 from .timing import (TimingMetrics, ToEstimate, estimate_to, fold_offset,
-                     metric_delay, metric_delay_iterative, metric_time,
-                     metric_time_iterative)
+                     metric_delay_iterative, metric_time_iterative)
 from .cfo import (BemModel, CfoEstimate, MlWorkspace, OpCounter,
                   SingularModelError, bem_order, build_bem, build_workspace,
-                  coarse_cfo, fine_cfo, extract_pilot, ml_cost, ml_cost_fast)
+                  coarse_cfo, fine_cfo, extract_pilot, ml_cost)
 from .harness import (ExperimentConfig, PointSummary, TrialResult,
                       build_point, load_config, parse_config, run_single,
                       run_snapshot, run_sweep, run_trial)
 
 __all__ = [
-    "OtfsParams", "build_stream", "measure_papr",
-    "PcpSpec", "default_pcp_spec", "make_zc", "build_frame",
+    "OtfsParams", "build_stream",
+    "PcpSpec", "make_zc", "build_frame",
     "ChannelModel", "ChannelRealization", "Impairments", "eva_model",
     "single_tap_model", "mean_delay", "realize_channel", "apply_impairments",
     "TimingMetrics", "ToEstimate", "estimate_to", "fold_offset",
-    "metric_delay", "metric_delay_iterative", "metric_time",
-    "metric_time_iterative",
+    "metric_delay_iterative", "metric_time_iterative",
     "BemModel", "CfoEstimate", "MlWorkspace", "OpCounter",
     "SingularModelError", "bem_order", "build_bem", "build_workspace",
-    "coarse_cfo", "fine_cfo", "extract_pilot", "ml_cost", "ml_cost_fast",
+    "coarse_cfo", "fine_cfo", "extract_pilot", "ml_cost",
     "ExperimentConfig", "PointSummary", "TrialResult", "build_point",
     "load_config", "parse_config", "run_single", "run_snapshot",
     "run_sweep", "run_trial",

@@ -144,12 +144,6 @@ def bem_order(k: int, nu_max: float, params: OtfsParams) -> int:
     return int(math.ceil(2.0 * k * nu_max * params.mn * params.ts)) + 1
 
 
-def _tones(indices: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """exp(j 2 pi f k) for every sample index k and tone f, shape (len, Q)."""
-    return np.exp(2j * np.pi * np.asarray(indices, dtype=float)[:, None]
-                  * freqs[None, :])
-
-
 @dataclass(frozen=True)
 class BemModel:
     """Complex-exponential basis over the pilot samples of one block.
@@ -171,10 +165,6 @@ class BemModel:
     def __post_init__(self) -> None:
         for array in (self.freqs, self.pilot_idx, self.basis):
             array.flags.writeable = False
-
-    def evaluate(self, indices: np.ndarray) -> np.ndarray:
-        """Tone matrix at arbitrary sample indices, shape (len, Q)."""
-        return _tones(indices, self.freqs)
 
 
 def pilot_sample_indices(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
@@ -211,8 +201,9 @@ def build_bem(params: OtfsParams, spec: PcpSpec, k: int, nu_max: float,
         raise ValueError("model order q must be >= 1")
     freqs = (np.arange(q) - q // 2) / (k * params.mn)
     idx = pilot_sample_indices(params, spec)
+    basis = np.exp(2j * np.pi * idx.reshape(-1, 1).astype(float) * freqs)
     return BemModel(q=q, params=params, freqs=freqs, pilot_idx=idx,
-                    basis=_tones(idx.ravel(), freqs))
+                    basis=basis)
 
 
 def _require_slots(params: OtfsParams, spec: PcpSpec,
@@ -222,25 +213,6 @@ def _require_slots(params: OtfsParams, spec: PcpSpec,
             f"model matrix is rank deficient: Q={bem.q} basis tones need at "
             f"least Q slots, got N={params.n} (L={spec.length})"
         )
-
-
-def build_g(params: OtfsParams, spec: PcpSpec, bem: BemModel) -> np.ndarray:
-    """Model matrix G mapping BEM coefficients to noiseless pilot rows.
-
-    G[l L + a, ell Q + q] = p_l[(a - ell) mod L] * B[k_{l,a}, q], where
-    p_l is the transmitted delay-time pilot of slot l and k_{l,a} the
-    stream index of pilot row a in slot l.  The cyclic shift reflects the
-    delay-domain prefix: within the protected rows the channel acts
-    circularly on the pilot.  Shape (N L, L Q).
-    """
-    n, length, q = params.n, spec.length, bem.q
-    _require_slots(params, spec, bem)
-    slots = pilot_dt_slots(spec, params)
-    shift = (np.arange(length)[:, None] - np.arange(length)[None, :]) % length
-    shifted = slots[:, shift]
-    basis = bem.basis.reshape(n, length, q)
-    g4 = shifted[:, :, :, None] * basis[:, :, None, :]
-    return g4.reshape(n * length, length * q)
 
 
 def projection(g: np.ndarray) -> np.ndarray:
@@ -271,8 +243,8 @@ class MlWorkspace:
 
     Built once per (params, spec, bem) and shared read-only by every
     trial of a point.  It stores only the N x N slot projector ``p``,
-    made read-only; ``lam`` and ``g`` are rebuilt on each access for the
-    definitional paths, so no NL x NL array is kept.
+    made read-only; ``lam`` is rebuilt on each access for the matrix
+    search, so no NL x NL array is kept.
     """
 
     params: OtfsParams
@@ -288,20 +260,19 @@ class MlWorkspace:
         """Projector onto col(G): P kron I_L, shape (N L, N L)."""
         return np.kron(self.p, np.eye(self.spec.length))
 
-    @property
-    def g(self) -> np.ndarray:
-        """Model matrix G (see ``build_g``)."""
-        return build_g(self.params, self.spec, self.bem)
-
     def beta(self, r_p: np.ndarray,
              counter: OpCounter | None = None) -> np.ndarray:
-        """``beta_coefficients`` from the slot projector, without Lambda.
+        """Banded reduction of the cost to N coefficients, without Lambda.
 
-        beta[m] = sum_l P[l + m, l] <R_{l+m}, R_l> with R = r_p as (N, L):
-        one (N x L) @ (L x N) product of slot rows, then the lag-m
+        Its definition is beta[m] = sum_k Lambda[k + m L, k]
+        conj(r_p[k + m L]) r_p[k], m = 0 .. N-1 (``beta_coefficients`` in
+        ``tests/reference.py``): Lambda is nonzero only on diagonals at
+        multiples of L.  From the slot projector it is beta[m] =
+        sum_l P[l + m, l] <R_{l+m}, R_l> with R = r_p as (N, L): one
+        (N x L) @ (L x N) product of slot rows, then the lag-m
         subdiagonal sums of P times it.  That is N^2 L + N (N + 1) / 2
-        complex multiplies; the counter keeps the banded-reduction
-        convention L N (N + 1) of ``beta_coefficients``.
+        complex multiplies; the counter keeps the definition's
+        convention L N (N + 1).
         """
         n = self.params.n
         rows = np.asarray(r_p).reshape(n, -1)
@@ -362,46 +333,6 @@ def ml_cost(r_p: np.ndarray, lam: np.ndarray, bem: BemModel,
     return float(np.real(np.vdot(v, lam @ v)))
 
 
-def beta_coefficients(r_p: np.ndarray, lam: np.ndarray, params: OtfsParams,
-                      counter: OpCounter | None = None) -> np.ndarray:
-    """Banded-projector reduction of the cost to N complex coefficients.
-
-    beta[m] = sum_k Lambda[k + m L, k] conj(r_p[k + m L]) r_p[k] for
-    m = 0 .. N-1.  Lambda is nonzero only on diagonals at multiples of L
-    (its slot-profile factor is an N x N projector, its delay factor the
-    identity), so these N numbers carry the whole quadratic form.
-    """
-    nl = r_p.size
-    length = nl // params.n
-    beta = np.empty(params.n, dtype=complex)
-    for m_lag in range(params.n):
-        off = m_lag * length
-        diag = np.diagonal(lam, offset=-off)
-        beta[m_lag] = np.sum(diag * np.conj(r_p[off:]) * r_p[:nl - off])
-        if counter is not None:
-            counter.add(2 * (nl - off))
-    return beta
-
-
-def ml_cost_fast(r_p: np.ndarray, lam: np.ndarray, bem: BemModel,
-                 eps_tilde: float, beta: np.ndarray | None = None,
-                 counter: OpCounter | None = None) -> float:
-    """Trigonometric-polynomial form of the ML cost.
-
-    g(eps) = -beta[0] + 2 Re sum_{m=0}^{N-1} beta[m] e^{j 2 pi m eps / N}.
-
-    With beta precomputed, each grid point costs N complex multiplies
-    regardless of L, versus (N L)^2 for the matrix form.
-    """
-    params = bem.params
-    if beta is None:
-        beta = beta_coefficients(r_p, lam, params, counter=counter)
-    phases = np.exp(2j * np.pi * np.arange(params.n) * eps_tilde / params.n)
-    if counter is not None:
-        counter.add(params.n)
-    return float(-beta[0].real + 2.0 * np.real(beta @ phases))
-
-
 @functools.lru_cache(maxsize=None)
 def _phase_table(n: int, step: float, steps: int) -> np.ndarray:
     """Read-only T[k, m] = e^{j 2 pi m (k - steps) step / N}: the phasors
@@ -430,10 +361,12 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
     (N, step, steps) (``_phase_table``).  A stage's costs are
     -beta[0] + 2 Re(T @ (beta * e^{j 2 pi m eps_c / N})): N exponentials
     per stage instead of N per grid point, with beta from the workspace's
-    slot projector.  They agree with ``ml_cost_fast`` to rounding, not
-    bit for bit.  The counter keeps the convention of N multiplies per
-    grid point, the cost of one phasor-weighted sum.  The matrix path
-    builds Lambda once per call.
+    slot projector.  They agree to rounding, not bit for bit, with the
+    cost evaluated one point at a time, -beta[0] + 2 Re sum_m beta[m]
+    e^{j 2 pi m eps / N} (``ml_cost_fast`` in ``tests/reference.py``).
+    The counter keeps the convention of N multiplies per grid point, the
+    cost of one phasor-weighted sum.  The matrix path (``use_fast`` off)
+    builds Lambda once per call and evaluates ``ml_cost`` at each point.
     """
     bem, n = workspace.bem, workspace.params.n
     if use_fast:
@@ -470,45 +403,3 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
     ])
     return CfoEstimate(eps_coarse=float(eps_coarse), eps_fine=eps_fine,
                        cost_trace=trace)
-
-
-def estimate_channel_bem(r_p: np.ndarray, workspace: MlWorkspace,
-                         eps_hat: float) -> np.ndarray:
-    """Least-squares BEM coefficients after CFO de-rotation.
-
-    c_hat = (G^H G)^{-1} G^H Gamma^H(eps_hat) r_p, solved as least
-    squares on the workspace's G; nothing is written back.  The phase is
-    referenced to the block's start, so the taps come out up to the
-    constant phase of the block's position in the buffer.
-    """
-    rel = np.conj(_gamma_phases(workspace.bem, eps_hat)) * r_p
-    return np.linalg.lstsq(workspace.g, rel, rcond=None)[0]
-
-
-def bem_reconstruct(c_hat: np.ndarray, bem: BemModel,
-                    indices: np.ndarray) -> np.ndarray:
-    """Tap gains implied by BEM coefficients at the given sample indices.
-
-    Returns shape (L, len(indices)): h[ell, j] = sum_q c[ell Q + q]
-    B[indices[j], q].
-    """
-    tones = bem.evaluate(np.asarray(indices, dtype=float))
-    length = c_hat.size // bem.q
-    return c_hat.reshape(length, bem.q) @ tones.T
-
-
-def bem_fit_nmse(taps: np.ndarray, bem: BemModel) -> float:
-    """NMSE of the best BEM fit to known tap gains over the pilot region.
-
-    ``taps`` has one row per tap and one column per sample from 0, such
-    as the rows of a start-0 ``ChannelRealization``; each tap's
-    trajectory at the pilot sample indices is least-squares fitted onto
-    the tone set, and the pooled residual power over signal power is
-    returned.  This measures the expressiveness of the basis, independent
-    of any estimator.
-    """
-    idx = bem.pilot_idx.ravel()
-    targets = taps[:, idx].T
-    coef, *_ = np.linalg.lstsq(bem.basis, targets, rcond=None)
-    resid = bem.basis @ coef - targets
-    return float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(targets) ** 2))

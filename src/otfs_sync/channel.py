@@ -48,15 +48,12 @@ class ChannelModel:
         Per-tap average powers, normalized to sum to one.  Length sets
         the channel length in taps.
     nu_max : float
-        Maximum Doppler frequency in Hz.
-    doppler_spectrum : str
-        ``"jakes"`` for time-varying taps, ``"static"`` to freeze each
-        tap at its initial value.
+        Maximum Doppler frequency in Hz; 0 freezes each tap at its
+        initial value.
     """
 
     pdp: np.ndarray
     nu_max: float = 0.0
-    doppler_spectrum: str = "jakes"
 
     def __post_init__(self) -> None:
         pdp = np.asarray(self.pdp, dtype=float)
@@ -69,11 +66,6 @@ class ChannelModel:
             raise ValueError(f"pdp must sum to 1, got {pdp.sum()!r}")
         if self.nu_max < 0:
             raise ValueError("nu_max must be >= 0")
-        if self.doppler_spectrum not in ("jakes", "static"):
-            raise ValueError(
-                f"doppler_spectrum must be 'jakes' or 'static', "
-                f"got {self.doppler_spectrum!r}"
-            )
 
     @property
     def n_taps(self) -> int:
@@ -134,15 +126,12 @@ class Impairments:
     epsilon: float = 0.0
 
 
-def single_tap_model(doppler_spectrum: str = "static",
-                     nu_max: float = 0.0) -> ChannelModel:
+def single_tap_model(nu_max: float = 0.0) -> ChannelModel:
     """Unit-power single tap at delay zero."""
-    return ChannelModel(pdp=np.array([1.0]), nu_max=nu_max,
-                        doppler_spectrum=doppler_spectrum)
+    return ChannelModel(pdp=np.array([1.0]), nu_max=nu_max)
 
 
-def eva_model(ts: float, length: int, nu_max: float,
-              doppler_spectrum: str = "jakes") -> ChannelModel:
+def eva_model(ts: float, length: int, nu_max: float) -> ChannelModel:
     """EVA profile resampled to the sampling period ``ts`` over ``length`` taps.
 
     Each standard tap is mapped to the nearest sample bin (clipped to the
@@ -165,8 +154,7 @@ def eva_model(ts: float, length: int, nu_max: float,
             "EVA tap rounding to bin %d folded into the last bin", length)
     pdp = np.zeros(length)
     np.add.at(pdp, clipped, 10.0 ** (EVA_POWERS_DB / 10.0))
-    return ChannelModel(pdp=pdp / pdp.sum(), nu_max=nu_max,
-                        doppler_spectrum=doppler_spectrum)
+    return ChannelModel(pdp=pdp / pdp.sum(), nu_max=nu_max)
 
 
 def mean_delay(model: ChannelModel) -> float:
@@ -228,8 +216,9 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
 
     so the Doppler spectrum is the classical Jakes shape with maximum
     frequency ``model.nu_max`` (the random-angle model of Zheng & Xiao,
-    IEEE Trans. Commun. 2003).  A static spectrum, or an omega_max that is
-    zero, freezes every tap at its k = 0 value.
+    IEEE Trans. Commun. 2003).  An omega_max of zero (nu_max = 0, or a
+    Doppler so small that omega_max underflows) freezes every tap at its
+    k = 0 value.
 
     The draws do not depend on the window: every tap draws its psi then
     phi, in tap order, whether or not it carries power, so a window
@@ -260,7 +249,7 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
                         (model.n_taps, 2, JAKES_SINUSOIDS))[delays]
     psi, phi = draws[:, 0], draws[:, 1]
     omega_max = 2.0 * np.pi * model.nu_max * params.ts
-    if model.doppler_spectrum == "static" or omega_max == 0.0:
+    if omega_max == 0.0:
         initial = np.exp(1j * phi).sum(axis=1, keepdims=True)
         taps = np.repeat(gains[:, None] * initial, duration, axis=1)
         return ChannelRealization(taps=taps, delays=delays, start=start)

@@ -27,6 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otfs-sync",
         description="OTFS timing/CFO synchronization experiments",
+        # A flag names its key in full, as a config file line does.
+        allow_abbrev=False,
     )
     parser.add_argument("verb", choices=("run", "sweep", "snapshot"),
                         help="run: single sweep point; sweep: full sweep "

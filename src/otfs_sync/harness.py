@@ -58,7 +58,7 @@ class ExperimentConfig:
     Zadoff-Chu root and the pilot power; ``pilot_m_p`` of ``None`` places
     the pilot at the grid center, and the pilot's Doppler bin is always
     N/2.  ``nu_max_t`` is the maximum Doppler normalized by the block
-    duration (nu_max * M * N * Ts).
+    duration (nu_max * M * N * Ts); 0 makes the channel static.
 
     ``advance`` is the receiver's acquisition offset: the transmitted
     stream is shifted by ``theta + advance`` before the buffer is cut, and
@@ -84,7 +84,6 @@ class ExperimentConfig:
     pilot_m_p: int | None = None
     # channel
     channel: str = "eva"
-    doppler_spectrum: str = "jakes"
     nu_max_t: float = 1.36
     snr_db: float | None = 20.0
     # impairment draws
@@ -159,11 +158,9 @@ def resolve_channel(config: ExperimentConfig,
                     params: OtfsParams) -> ChannelModel:
     nu_max = config.nu_max_t / (params.mn * params.ts)
     if config.channel == "eva":
-        return eva_model(params.ts, config.pilot_length, nu_max,
-                         doppler_spectrum=config.doppler_spectrum)
+        return eva_model(params.ts, config.pilot_length, nu_max)
     if config.channel == "single_tap":
-        return single_tap_model(doppler_spectrum=config.doppler_spectrum,
-                                nu_max=nu_max)
+        return single_tap_model(nu_max=nu_max)
     raise ValueError(f"unknown channel kind {config.channel!r}")
 
 
@@ -313,14 +310,6 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
 
 
-def read_csv(path) -> tuple:
-    """Inverse of :func:`write_csv`: (header tuple, list of string rows)."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = tuple(lines[0].split(","))
-    return header, [tuple(line.split(",")) for line in lines[1:]]
-
-
 def summary_rows(summaries) -> list:
     return [(s.sweep_value, s.to_err_mean, s.to_err_var, s.cfo_mse_coarse,
              s.cfo_mse_fine, s.trials, s.failures) for s in summaries]
@@ -385,7 +374,7 @@ def _parse_value(name: str, text: str):
             m_txt, n_txt = part.lower().split("x")
             pairs.append((int(m_txt), int(n_txt)))
         return tuple(pairs)
-    if name in ("channel", "doppler_spectrum", "sweep"):
+    if name in ("channel", "sweep"):
         return low
     if kind.startswith("int"):
         return int(text)

@@ -1,19 +1,17 @@
 """Delay-Doppler modem core: OTFS grid transforms, serialization, CP framing.
 
-The transmit chain is ``DdGrid -> dd_to_dt -> serialize -> add_cp``; every
-step has an exact inverse so receiver-side tests can loop back losslessly.
-All transforms use the unitary 1/sqrt(N) convention so downstream phase
-relations (pilot slot phase, CFO rotation) hold exactly as derived.
+The transmit chain is ``DdGrid -> dd_to_dt -> serialize_dt -> add_cp``,
+assembled by :func:`build_stream`.  The receiver never inverts it: it
+reads the pilot rows straight from the received samples.  All transforms
+use the unitary 1/sqrt(N) convention so downstream phase relations (pilot
+slot phase, CFO rotation) hold exactly as derived.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # 16-QAM per-axis levels, scaled for unit average symbol power.
 QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
@@ -99,24 +97,10 @@ def dd_to_dt(grid: np.ndarray, params: OtfsParams) -> np.ndarray:
     return np.fft.ifft(grid, axis=1) * np.sqrt(params.n)
 
 
-def dt_to_dd(frame: np.ndarray, params: OtfsParams) -> np.ndarray:
-    """Exact inverse of :func:`dd_to_dt` (forward DFT across time slots)."""
-    frame = _check_grid(frame, params)
-    return np.fft.fft(frame, axis=1) / np.sqrt(params.n)
-
-
 def serialize_dt(frame: np.ndarray, params: OtfsParams) -> np.ndarray:
     """Serialize a delay-time frame to the stream order x[l*M + m] = X[m, l]."""
     frame = _check_grid(frame, params)
     return frame.reshape(-1, order="F")
-
-
-def deserialize_dt(samples: np.ndarray, params: OtfsParams) -> np.ndarray:
-    """Inverse of :func:`serialize_dt`."""
-    samples = np.asarray(samples)
-    if samples.shape != (params.mn,):
-        raise ValueError(f"expected {params.mn} samples, got {samples.shape}")
-    return samples.reshape(params.m, params.n, order="F")
 
 
 def add_cp(samples: np.ndarray, params: OtfsParams) -> np.ndarray:
@@ -129,29 +113,7 @@ def add_cp(samples: np.ndarray, params: OtfsParams) -> np.ndarray:
     return np.concatenate([samples[-params.lcp:], samples])
 
 
-def remove_cp(block: np.ndarray, params: OtfsParams) -> np.ndarray:
-    """Strip the CP from one aligned block and reshape to a delay-time frame."""
-    block = np.asarray(block)
-    if block.shape[0] < params.n_t:
-        raise ValueError(
-            f"need at least N_T = {params.n_t} samples, got {block.shape[0]}"
-        )
-    return deserialize_dt(block[params.lcp:params.n_t], params)
-
-
 def build_stream(grids, params: OtfsParams) -> np.ndarray:
     """Concatenate CP-prefixed blocks into the transmitted sample stream."""
     blocks = [add_cp(serialize_dt(dd_to_dt(g, params), params), params) for g in grids]
     return np.concatenate(blocks)
-
-
-def measure_papr(stream: np.ndarray) -> float:
-    """Peak-to-average power ratio of a sample stream, in dB."""
-    stream = np.asarray(stream)
-    if stream.size == 0:
-        raise ValueError("empty stream")
-    power = np.abs(stream) ** 2
-    mean = power.mean()
-    if mean == 0:
-        raise ValueError("all-zero stream has no defined PAPR")
-    return 10.0 * np.log10(power.max() / mean)

@@ -12,15 +12,12 @@ circularly over the protected rows m_p .. m_p+L-1.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .modem import OtfsParams, qam16_symbols
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -75,15 +72,6 @@ class PcpSpec:
     def guard_rows(self) -> np.ndarray:
         """Delay rows reserved for the pilot: m_p-L .. m_p+L-1."""
         return np.arange(self.m_p - self.length, self.m_p + self.length)
-
-
-def default_pcp_spec(params: OtfsParams, length: int, power_db: float = 40.0,
-                     zc_root: int = 1) -> PcpSpec:
-    """Pilot centered on the grid: anchor at M/2, Doppler bin N/2."""
-    spec = PcpSpec(length=length, m_p=params.m // 2, n_p=params.n // 2,
-                   zc_root=zc_root, power_db=power_db)
-    spec.validate_fit(params)
-    return spec
 
 
 def make_zc(length: int, root: int) -> np.ndarray:
@@ -161,21 +149,6 @@ def build_frame(params: OtfsParams, spec: PcpSpec,
     pilot_grid, data_rows = _frame_layout(params, spec)
     grid = pilot_grid.copy()
     grid[data_rows, :] = qam16_symbols(rng, (data_rows.size, params.n))
-    return grid
-
-
-def build_impulse_frame(params: OtfsParams, spec: PcpSpec,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Same data layout but a single-bin impulse pilot of equal total energy.
-
-    Reference frame for PAPR comparisons: all pilot energy P*(2L-1) is
-    concentrated in the one bin (m_p, n_p).
-    """
-    data_rows = _frame_layout(params, spec)[1]
-    grid = np.zeros((params.m, params.n), dtype=complex)
-    grid[data_rows, :] = qam16_symbols(rng, (data_rows.size, params.n))
-    total_energy = spec.amplitude ** 2 * (2 * spec.length - 1)
-    grid[spec.m_p, spec.n_p] = np.sqrt(total_energy)
     return grid
 
 

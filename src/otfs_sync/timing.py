@@ -4,18 +4,19 @@ The pilot repeats with period L along delay (within its 2L-row region)
 and steps by a fixed phase per M-sample slot along time.  Two correlation
 metrics exploit this:
 
-* ``metric_delay`` slides an L-lag correlation window over the delay axis
+* the delay metric slides an L-lag correlation window over the delay axis
   and locates the pilot region modulo M;
-* ``metric_time`` slides an M-lag correlation window over the slot axis,
+* the slot metric slides an M-lag correlation window over the slot axis,
   restricted to the located pilot rows, and resolves the remaining
   multiple of M.
 
 The block-start estimate relative to the observation buffer is
 ``theta_d_hat + M * theta_t_hat``; callers interpret it modulo the
-N_T-sample block length.  Both metrics have iterative forms that update
-each output point from the previous one with 2N new products instead of
-recomputing the full window, which is the cheap streaming implementation;
-the direct forms are the definitional ground truth.
+N_T-sample block length.  Both metrics are computed in iterative form,
+updating each output point from the previous one with a few new products
+instead of recomputing the full window.  The direct sums that define
+them, ``metric_delay`` and ``metric_time``, live in
+``tests/reference.py``, where the tests compare the two.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .modem import OtfsParams
 from .pilot import PcpSpec
@@ -78,20 +78,6 @@ def _delay_products(received: np.ndarray, params: OtfsParams,
     return np.conj(received[:-length]) * received[length:]
 
 
-def metric_delay(received: np.ndarray, params: OtfsParams,
-                 spec: PcpSpec) -> np.ndarray:
-    """Delay-domain correlation metric, direct form.
-
-    P_d[m] = sum_{i=0}^{N-1} sum_{u=0}^{L-2}
-             conj(r[iM + m + u]) r[iM + m + u + L],   m = 0 .. M-1.
-    """
-    m, n, length = params.m, params.n, spec.length
-    prods = _delay_products(received, params, spec)
-    windows = sliding_window_view(prods, length - 1).sum(axis=-1)
-    idx = np.arange(n)[:, None] * m + np.arange(m)[None, :]
-    return windows[idx].sum(axis=0)
-
-
 def metric_delay_iterative(received: np.ndarray, params: OtfsParams,
                            spec: PcpSpec) -> np.ndarray:
     """Delay-domain metric via the sliding update.
@@ -102,7 +88,12 @@ def metric_delay_iterative(received: np.ndarray, params: OtfsParams,
     Each step exchanges the oldest lag product of every window for the
     newest one: 2N multiplies per output point instead of the direct
     form's N(L-1).  The trace is the first window followed by the running
-    sum of these exchanges.
+    sum of these exchanges.  The direct form that defines it,
+
+        P_d[m] = sum_{i=0}^{N-1} sum_{u=0}^{L-2}
+                 conj(r[iM + m + u]) r[iM + m + u + L],   m = 0 .. M-1,
+
+    is ``metric_delay`` in ``tests/reference.py``.
     """
     m, n, length = params.m, params.n, spec.length
     prods = _delay_products(received, params, spec)
@@ -158,21 +149,6 @@ def _slot_row_sums(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
     return prods[idx].sum(axis=1)
 
 
-def metric_time(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
-                mprime_p: int) -> np.ndarray:
-    """Slot-domain correlation metric, direct form.
-
-    P_t[l] = sum_{i=m'_p-L}^{m'_p+L-1} sum_{v=0}^{N-2}
-             conj(r[(l+v)M + i]) r[(l+v+1)M + i],   l = 0 .. N-1.
-
-    All N-1 slot-lag terms are summed for every candidate l, including
-    windows that straddle the following block.
-    """
-    rowsums = _slot_row_sums(received, params, spec, mprime_p)
-    n = params.n
-    return sliding_window_view(rowsums, n - 1).sum(axis=-1)
-
-
 def metric_time_iterative(received: np.ndarray, params: OtfsParams,
                           spec: PcpSpec, mprime_p: int) -> np.ndarray:
     """Slot-domain metric via the sliding update.
@@ -182,7 +158,14 @@ def metric_time_iterative(received: np.ndarray, params: OtfsParams,
 
     2 * 2L new products per output point instead of the direct form's
     (N-1) * 2L.  The trace is the first window followed by the running
-    sum of these exchanges.
+    sum of these exchanges.  The direct form that defines it,
+
+        P_t[l] = sum_{i=m'_p-L}^{m'_p+L-1} sum_{v=0}^{N-2}
+                 conj(r[(l+v)M + i]) r[(l+v+1)M + i],   l = 0 .. N-1,
+
+    summing all N-1 slot-lag terms for every candidate l, including
+    windows that straddle the following block, is ``metric_time`` in
+    ``tests/reference.py``.
     """
     rowsums = _slot_row_sums(received, params, spec, mprime_p)
     n = params.n
@@ -201,8 +184,9 @@ def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
                 mu_h: float) -> tuple[ToEstimate, TimingMetrics]:
     """Run the full dual-domain timing estimate on one buffer.
 
-    Both metrics use their iterative forms; the direct forms stay as
-    their definitional check.  The slot-domain window is anchored at the
+    Both metrics use their iterative forms; the direct forms that define
+    them are ``metric_delay`` and ``metric_time`` in
+    ``tests/reference.py``.  The slot-domain window is anchored at the
     measured delay peak (mprime_p - L = argmax |P_d|), which by
     construction equals theta_d_hat + (m_p - L) + Lcp + floor(mu_h).
     """
@@ -217,22 +201,3 @@ def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
                    theta_hat=theta_hat, mprime_p=mprime_p),
         TimingMetrics(p_d=p_d, p_t=p_t),
     )
-
-
-def delay_metric_multiplies(params: OtfsParams, spec: PcpSpec,
-                            iterative: bool) -> int:
-    """Complex multiply count for one full delay-metric trace."""
-    m, n, length = params.m, params.n, spec.length
-    if iterative:
-        return n * (length - 1) + (m - 1) * 2 * n
-    return m * n * (length - 1)
-
-
-def time_metric_multiplies(params: OtfsParams, spec: PcpSpec,
-                           iterative: bool) -> int:
-    """Complex multiply count for one full slot-metric trace."""
-    n, length = params.n, spec.length
-    per_rowsum = 2 * length
-    if iterative:
-        return (n - 1) * per_rowsum + (n - 1) * 2 * per_rowsum
-    return n * (n - 1) * per_rowsum

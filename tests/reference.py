@@ -1,0 +1,204 @@
+"""Definitional forms the trial path is checked against.
+
+The library computes each quantity one fast way; the tests compare it
+with the form that defines it, kept here so that ``src/`` holds only the
+trial path:
+
+* ``metric_delay`` and ``metric_time`` are the direct sums behind
+  ``timing.metric_delay_iterative`` and ``timing.metric_time_iterative``
+  (criterion 1); the ``*_multiplies`` functions count both forms' work;
+* ``build_g`` is the dense model matrix whose projector
+  ``cfo.build_workspace`` factors as P kron I_L (criterion 4 and every
+  ``TestFactoredWorkspace`` comparison);
+* ``beta_coefficients`` is the banded reduction that
+  ``cfo.MlWorkspace.beta`` computes from P, and ``ml_cost_fast`` the
+  per-point cost that ``cfo.fine_cfo`` evaluates a stage at a time
+  (criteria 2 and 9);
+* ``bem_fit_nmse`` measures how well a tone set fits known taps
+  (criterion 8b);
+* ``measure_papr``, ``build_impulse_frame`` and ``read_csv`` are the
+  yardsticks of the PAPR comparison and of the CSV round trip.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from otfs_sync.cfo import BemModel, OpCounter, _require_slots
+from otfs_sync.modem import OtfsParams, qam16_symbols
+from otfs_sync.pilot import PcpSpec, _frame_layout, pilot_dt_slots
+from otfs_sync.timing import _delay_products, _slot_row_sums
+
+
+# Timing metrics (otfs_sync.timing): the direct forms and the multiply
+# counts of both forms.
+
+
+def metric_delay(received: np.ndarray, params: OtfsParams,
+                 spec: PcpSpec) -> np.ndarray:
+    """Delay-domain correlation metric, direct form.
+
+    P_d[m] = sum_{i=0}^{N-1} sum_{u=0}^{L-2}
+             conj(r[iM + m + u]) r[iM + m + u + L],   m = 0 .. M-1.
+    """
+    m, n, length = params.m, params.n, spec.length
+    prods = _delay_products(received, params, spec)
+    windows = sliding_window_view(prods, length - 1).sum(axis=-1)
+    idx = np.arange(n)[:, None] * m + np.arange(m)[None, :]
+    return windows[idx].sum(axis=0)
+
+
+def metric_time(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
+                mprime_p: int) -> np.ndarray:
+    """Slot-domain correlation metric, direct form.
+
+    P_t[l] = sum_{i=m'_p-L}^{m'_p+L-1} sum_{v=0}^{N-2}
+             conj(r[(l+v)M + i]) r[(l+v+1)M + i],   l = 0 .. N-1.
+
+    All N-1 slot-lag terms are summed for every candidate l, including
+    windows that straddle the following block.
+    """
+    rowsums = _slot_row_sums(received, params, spec, mprime_p)
+    n = params.n
+    return sliding_window_view(rowsums, n - 1).sum(axis=-1)
+
+
+def delay_metric_multiplies(params: OtfsParams, spec: PcpSpec,
+                            iterative: bool) -> int:
+    """Complex multiply count for one full delay-metric trace."""
+    m, n, length = params.m, params.n, spec.length
+    if iterative:
+        return n * (length - 1) + (m - 1) * 2 * n
+    return m * n * (length - 1)
+
+
+def time_metric_multiplies(params: OtfsParams, spec: PcpSpec,
+                           iterative: bool) -> int:
+    """Complex multiply count for one full slot-metric trace."""
+    n, length = params.n, spec.length
+    per_rowsum = 2 * length
+    if iterative:
+        return (n - 1) * per_rowsum + (n - 1) * 2 * per_rowsum
+    return n * (n - 1) * per_rowsum
+
+# ML cost (otfs_sync.cfo): the dense model matrix, the banded reduction
+# of the NL x NL projector, the per-point trigonometric cost, and the
+# least-squares fit that measures the basis.
+
+
+def build_g(params: OtfsParams, spec: PcpSpec, bem: BemModel) -> np.ndarray:
+    """Model matrix G mapping BEM coefficients to noiseless pilot rows.
+
+    G[l L + a, ell Q + q] = p_l[(a - ell) mod L] * B[k_{l,a}, q], where
+    p_l is the transmitted delay-time pilot of slot l and k_{l,a} the
+    stream index of pilot row a in slot l.  The cyclic shift reflects the
+    delay-domain prefix: within the protected rows the channel acts
+    circularly on the pilot.  Shape (N L, L Q).
+    """
+    n, length, q = params.n, spec.length, bem.q
+    _require_slots(params, spec, bem)
+    slots = pilot_dt_slots(spec, params)
+    shift = (np.arange(length)[:, None] - np.arange(length)[None, :]) % length
+    shifted = slots[:, shift]
+    basis = bem.basis.reshape(n, length, q)
+    g4 = shifted[:, :, :, None] * basis[:, :, None, :]
+    return g4.reshape(n * length, length * q)
+
+
+def beta_coefficients(r_p: np.ndarray, lam: np.ndarray, params: OtfsParams,
+                      counter: OpCounter | None = None) -> np.ndarray:
+    """Banded-projector reduction of the cost to N complex coefficients.
+
+    beta[m] = sum_k Lambda[k + m L, k] conj(r_p[k + m L]) r_p[k] for
+    m = 0 .. N-1.  Lambda is nonzero only on diagonals at multiples of L
+    (its slot-profile factor is an N x N projector, its delay factor the
+    identity), so these N numbers carry the whole quadratic form.
+    """
+    nl = r_p.size
+    length = nl // params.n
+    beta = np.empty(params.n, dtype=complex)
+    for m_lag in range(params.n):
+        off = m_lag * length
+        diag = np.diagonal(lam, offset=-off)
+        beta[m_lag] = np.sum(diag * np.conj(r_p[off:]) * r_p[:nl - off])
+        if counter is not None:
+            counter.add(2 * (nl - off))
+    return beta
+
+
+def ml_cost_fast(r_p: np.ndarray, lam: np.ndarray, bem: BemModel,
+                 eps_tilde: float, beta: np.ndarray | None = None,
+                 counter: OpCounter | None = None) -> float:
+    """Trigonometric-polynomial form of the ML cost.
+
+    g(eps) = -beta[0] + 2 Re sum_{m=0}^{N-1} beta[m] e^{j 2 pi m eps / N}.
+
+    With beta precomputed, each grid point costs N complex multiplies
+    regardless of L, versus (N L)^2 for the matrix form.
+    """
+    params = bem.params
+    if beta is None:
+        beta = beta_coefficients(r_p, lam, params, counter=counter)
+    phases = np.exp(2j * np.pi * np.arange(params.n) * eps_tilde / params.n)
+    if counter is not None:
+        counter.add(params.n)
+    return float(-beta[0].real + 2.0 * np.real(beta @ phases))
+
+
+def bem_fit_nmse(taps: np.ndarray, bem: BemModel) -> float:
+    """NMSE of the best BEM fit to known tap gains over the pilot region.
+
+    ``taps`` has one row per tap and one column per sample from 0, such
+    as the rows of a start-0 ``ChannelRealization``; each tap's
+    trajectory at the pilot sample indices is least-squares fitted onto
+    the tone set, and the pooled residual power over signal power is
+    returned.  This measures the expressiveness of the basis, independent
+    of any estimator.
+    """
+    idx = bem.pilot_idx.ravel()
+    targets = taps[:, idx].T
+    coef, *_ = np.linalg.lstsq(bem.basis, targets, rcond=None)
+    resid = bem.basis @ coef - targets
+    return float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(targets) ** 2))
+
+# Stream statistics (otfs_sync.modem).
+
+
+def measure_papr(stream: np.ndarray) -> float:
+    """Peak-to-average power ratio of a sample stream, in dB."""
+    stream = np.asarray(stream)
+    if stream.size == 0:
+        raise ValueError("empty stream")
+    power = np.abs(stream) ** 2
+    mean = power.mean()
+    if mean == 0:
+        raise ValueError("all-zero stream has no defined PAPR")
+    return 10.0 * np.log10(power.max() / mean)
+
+# Pilot reference frame (otfs_sync.pilot).
+
+
+def build_impulse_frame(params: OtfsParams, spec: PcpSpec,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Same data layout but a single-bin impulse pilot of equal total energy.
+
+    Reference frame for PAPR comparisons: all pilot energy P*(2L-1) is
+    concentrated in the one bin (m_p, n_p).
+    """
+    data_rows = _frame_layout(params, spec)[1]
+    grid = np.zeros((params.m, params.n), dtype=complex)
+    grid[data_rows, :] = qam16_symbols(rng, (data_rows.size, params.n))
+    total_energy = spec.amplitude ** 2 * (2 * spec.length - 1)
+    grid[spec.m_p, spec.n_p] = np.sqrt(total_energy)
+    return grid
+
+# Output files (otfs_sync.harness).
+
+
+def read_csv(path) -> tuple:
+    """Inverse of :func:`write_csv`: (header tuple, list of string rows)."""
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    header = tuple(lines[0].split(","))
+    return header, [tuple(line.split(",")) for line in lines[1:]]

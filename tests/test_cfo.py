@@ -12,13 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfs_sync.cfo import (BemModel, OpCounter, SingularModelError,
-                           _phase_table, bem_fit_nmse, bem_order,
-                           bem_reconstruct, beta_coefficients, build_bem,
-                           build_g, build_workspace, coarse_cfo,
-                           estimate_channel_bem, extract_pilot, fine_cfo,
-                           ml_cost, ml_cost_fast, pilot_sample_indices,
-                           projection)
+from otfs_sync.cfo import (OpCounter, SingularModelError, _phase_table,
+                           bem_order, build_bem, build_workspace, coarse_cfo,
+                           extract_pilot, fine_cfo, ml_cost,
+                           pilot_sample_indices, projection)
 from otfs_sync.channel import (Impairments, apply_impairments, mean_delay,
                                noise_sigma, realize_channel, single_tap_model,
                                unit_noise)
@@ -26,6 +23,7 @@ from otfs_sync.harness import build_point, load_config
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
 from otfs_sync.timing import estimate_to, fold_offset
+from reference import bem_fit_nmse, beta_coefficients, build_g, ml_cost_fast
 
 
 def chain_setup(seed=0):
@@ -361,7 +359,7 @@ class TestFactoredWorkspace:
         with rank_messages() as factored:
             ws = shipped_workspace(geometry, 1.36, bem_q=bem_q)
         with rank_messages() as dense:
-            lam = projection(ws.g)
+            lam = projection(build_g(ws.params, ws.spec, ws.bem))
         length, q = ws.spec.length, ws.bem.q
         expected = [(10, q)] if q >= 11 else []
         assert logged_ranks(factored) == expected
@@ -424,7 +422,7 @@ class TestMlCost:
         eps = 1.37
         gamma = np.exp(2j * np.pi * eps * ws.bem.pilot_idx.ravel()
                        / ws.params.mn)
-        r_p = gamma * (ws.g @ c)
+        r_p = gamma * (build_g(ws.params, ws.spec, ws.bem) @ c)
         full = float(np.sum(np.abs(r_p) ** 2))
         at_truth = ml_cost(r_p, ws.lam, ws.bem, eps)
         assert abs(at_truth - full) < 1e-9 * full
@@ -490,7 +488,7 @@ class TestFineCfo:
         rng = np.random.default_rng(2)
         c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         gamma = np.exp(2j * np.pi * eps * bem.pilot_idx.ravel() / params.mn)
-        return ws, gamma * (ws.g @ c)
+        return ws, gamma * (build_g(params, spec, bem) @ c)
 
     def test_recovers_on_grid_offset(self):
         """An offset on the refinement grid is recovered exactly."""
@@ -552,7 +550,7 @@ class TestFineCfo:
         gamma = np.exp(2j * np.pi * eps * bem.pilot_idx.ravel() / params.mn)
         noise = rng.standard_normal(n * length) + 1j * rng.standard_normal(
             n * length)
-        return ws, gamma * (ws.g @ c) + 0.3 * noise, eps
+        return ws, gamma * (build_g(params, spec, bem) @ c) + 0.3 * noise, eps
 
     def test_grid_matches_per_point_costs(self):
         """Each traced cost equals ml_cost_fast at that point within 1e-12
@@ -598,7 +596,7 @@ class TestFineCfo:
                        / params.mn)
         noise = rng.standard_normal(n * length) + 1j * rng.standard_normal(
             n * length)
-        r_p = gamma * (ws.g @ c) + 0.3 * noise
+        r_p = gamma * (build_g(params, spec, ws.bem) @ c) + 0.3 * noise
         counter = OpCounter()
         est = fine_cfo(r_p, ws, eps_coarse=eps + 0.3, half_width=1.0,
                        counter=counter)
@@ -625,34 +623,7 @@ class TestFineCfo:
 
 
 class TestChannelEstimation:
-    """BEM coefficient recovery and reconstruction."""
-
-    def test_coefficients_round_trip(self):
-        """A BEM-representable observation returns its own coefficients."""
-        params = OtfsParams(m=16, n=8, lcp=4)
-        spec = PcpSpec(length=4, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=3)
-        ws = build_workspace(params, spec, bem)
-        rng = np.random.default_rng(12)
-        c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        eps = 0.4
-        gamma = np.exp(2j * np.pi * eps * bem.pilot_idx.ravel() / params.mn)
-        r_p = gamma * (ws.g @ c)
-        c_hat = estimate_channel_bem(r_p, ws, eps_hat=eps)
-        assert_allclose(c_hat, c, atol=1e-9)
-
-    def test_reconstruct_evaluates_tones(self):
-        """Reconstruction expands h[ell, j] = sum_q c[ell Q + q] B[j, q]."""
-        params = OtfsParams(m=16, n=4, lcp=4)
-        spec = PcpSpec(length=2, m_p=8, n_p=2)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=2)
-        c = np.array([1.0, 2.0j, -1.0, 0.5], dtype=complex)
-        idx = np.array([0, 7, 20])
-        taps = bem_reconstruct(c, bem, idx)
-        tones = bem.evaluate(idx.astype(float))
-        assert taps.shape == (2, 3)
-        assert_allclose(taps[0], tones @ np.array([1.0, 2.0j]), atol=1e-12)
-        assert_allclose(taps[1], tones @ np.array([-1.0, 0.5]), atol=1e-12)
+    """Least-squares fit of the BEM tone set to known taps."""
 
     def test_fit_nmse_zero_for_basis_signals(self):
         """Trajectories drawn from the tone set fit with zero residual."""
@@ -662,7 +633,7 @@ class TestChannelEstimation:
         rng = np.random.default_rng(8)
         coef = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         duration = params.n_t
-        tones = bem.evaluate(np.arange(duration, dtype=float))
+        tones = np.exp(2j * np.pi * np.arange(duration)[:, None] * bem.freqs)
         taps = coef @ tones.T
         assert bem_fit_nmse(taps, bem) < 1e-20
 
@@ -673,7 +644,7 @@ class TestChannelEstimation:
         spec = PcpSpec(length=8, m_p=32, n_p=8)
         nu_max = 1.0 / (params.mn * params.ts)
         bem = build_bem(params, spec, k=4, nu_max=nu_max)
-        model = single_tap_model(doppler_spectrum="jakes", nu_max=nu_max)
+        model = single_tap_model(nu_max=nu_max)
         real = realize_channel(model, params, params.n_t, seed=3)
         assert bem_fit_nmse(real.taps, bem) < 1e-2
 

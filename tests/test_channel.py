@@ -49,15 +49,14 @@ class TestChannelModel:
             ChannelModel(pdp=np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             ChannelModel(pdp=np.array([1.0]), nu_max=-1.0)
-        with pytest.raises(ValueError):
-            ChannelModel(pdp=np.array([1.0]), doppler_spectrum="flat")
 
     def test_single_tap_model(self):
-        """The single-tap helper is a unit-power tap at delay zero."""
+        """The single-tap helper is a unit-power tap at delay zero, static
+        by default."""
         model = single_tap_model()
         assert model.n_taps == 1
         assert_allclose(model.pdp, [1.0])
-        assert model.doppler_spectrum == "static"
+        assert model.nu_max == 0.0
 
     def test_powered_taps_derived_once(self):
         """The model carries its powered delay bins and their per-sinusoid
@@ -151,15 +150,14 @@ class TestRealizeChannel:
             ChannelRealization(taps=np.ones((1, 4), dtype=complex))
 
     def test_static_taps_are_constant(self):
-        """A static spectrum freezes each tap at its initial value."""
+        """The static single tap (nu_max = 0) holds its initial value."""
         model = single_tap_model()
         real = realize_channel(model, self.params, 40, seed=1)
         assert_array_equal(real.taps, np.tile(real.taps[:, :1], (1, 40)))
 
     def test_zero_doppler_is_constant(self):
-        """nu_max = 0 with a Jakes spectrum also freezes the taps."""
-        model = ChannelModel(pdp=np.array([1.0]), nu_max=0.0,
-                             doppler_spectrum="jakes")
+        """A model built with nu_max = 0 freezes the taps."""
+        model = ChannelModel(pdp=np.array([1.0]), nu_max=0.0)
         real = realize_channel(model, self.params, 40, seed=1)
         assert_array_equal(real.taps, np.tile(real.taps[:, :1], (1, 40)))
 
@@ -209,12 +207,12 @@ class TestRealizeChannel:
         for ell, row in zip(real.delays, real.taps):
             assert_allclose(row, exact[ell], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("spectrum", ["jakes", "static"])
-    def test_window_is_slice_of_full_realization(self, spectrum):
+    @pytest.mark.parametrize("nu_t", [pytest.param(1.36, id="jakes"),
+                                      pytest.param(0.0, id="static")])
+    def test_window_is_slice_of_full_realization(self, nu_t):
         """A window reproduces the matching slice of the start-0
         realization of the same seed, within 1e-14 (static: exactly)."""
-        model = eva_model(PARAMS.ts, 21, 1.36 / (PARAMS.mn * PARAMS.ts),
-                          doppler_spectrum=spectrum)
+        model = eva_model(PARAMS.ts, 21, nu_t / (PARAMS.mn * PARAMS.ts))
         full = realize_channel(model, PARAMS, 2 * PARAMS.n_t, seed=5)
         for start, duration in [(0, 1), (1500, 4148), (6000, 2256),
                                 (8255, 1)]:
@@ -303,7 +301,7 @@ class TestRealizeChannel:
     def test_static_branch_matches_per_tap_form(self):
         """A static multi-tap profile holds each tap at its k = 0 value,
         amps * S^-1/2 * sum(exp(j phi)), bit for bit."""
-        model = eva_model(1.0 / 8.25e6, 21, 0.0, doppler_spectrum="static")
+        model = eva_model(1.0 / 8.25e6, 21, 0.0)
         real = realize_channel(model, self.params, 25, seed=11)
         assert_array_equal(real.delays, np.flatnonzero(model.pdp))
         scale = 1.0 / np.sqrt(JAKES_SINUSOIDS)

@@ -14,9 +14,10 @@ from otfs_sync.cli import main
 from otfs_sync import channel, harness
 from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
                                build_point, config_items, context_key,
-                               load_config, parse_config, read_csv,
-                               run_single, run_snapshot, run_sweep, run_trial,
+                               load_config, parse_config, run_single,
+                               run_snapshot, run_sweep, run_trial,
                                trial_streams, write_csv, write_manifest)
+from reference import read_csv
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -24,12 +25,12 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 #: must fail like a misspelling.
 REMOVED_KEYS = ("blocks", "bem_literal_exponent", "fast_cost", "ts",
                 "pilot_n_p", "pilot_zc_root", "pilot_power_db", "bem_k",
-                "bias_correction_known_pdp")
+                "bias_correction_known_pdp", "doppler_spectrum")
 
 #: Small, fast, noiseless link used across the harness tests.
 TINY = ExperimentConfig(m=32, n=8, lcp=16, pilot_length=2,
-                        channel="single_tap", doppler_spectrum="static",
-                        nu_max_t=0.0, snr_db=None, bem_q=1, trials=3, seed=9)
+                        channel="single_tap", nu_max_t=0.0, snr_db=None,
+                        bem_q=1, trials=3, seed=9)
 
 
 class TestConfigParsing:
@@ -271,8 +272,7 @@ class TestRunTrial:
         for name in stages:
             monkeypatch.setattr(harness, name,
                                 counting(name, getattr(harness, name)))
-        fading = dataclasses.replace(TINY, doppler_spectrum="jakes",
-                                     nu_max_t=0.5, snr_db=20.0)
+        fading = dataclasses.replace(TINY, nu_max_t=0.5, snr_db=20.0)
         [r] = run_trial([fading], build_point(fading), 0)
         assert r.failure is None
         assert calls == dict.fromkeys(stages, 1)
@@ -505,8 +505,7 @@ class TestSharedLink:
     index, which makes the trial's transmit half once for all of them."""
 
     #: time-varying single tap, so the shared realization matters
-    FADING = dataclasses.replace(TINY, doppler_spectrum="jakes",
-                                 nu_max_t=0.5, trials=4)
+    FADING = dataclasses.replace(TINY, nu_max_t=0.5, trials=4)
 
     @pytest.mark.parametrize("values", [(None, 0.0, 20.0),
                                         (20.0, None, 0.0), (20.0,),
@@ -603,7 +602,7 @@ class TestCli:
     def _flags(self):
         return ["--m", "32", "--n", "8", "--lcp", "16",
                 "--pilot_length", "2", "--channel", "single_tap",
-                "--doppler_spectrum", "static", "--nu_max_t", "0",
+                "--nu_max_t", "0",
                 "--snr_db", "off", "--bem_q", "1", "--trials", "2",
                 "--seed", "9"]
 
@@ -646,13 +645,16 @@ class TestCli:
                             r"\d+\.\d{3} s \(2 trials each\)", line)
 
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
-        """An unknown flag is a usage error: exit status 2, nothing run."""
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--out", str(tmp_path), "--no_such_key", "1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --no_such_key" in \
-            capsys.readouterr().err
-        assert not (tmp_path / "results.csv").exists()
+        """An unknown flag is a usage error: exit status 2, nothing run.
+        A prefix of a key (``--tri`` of ``trials``, ``--pilot_m`` of
+        ``pilot_m_p``) is unknown too, as it is in a config file."""
+        for flag in ("--no_such_key", "--tri", "--pilot_m"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--out", str(tmp_path), flag, "7"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in \
+                capsys.readouterr().err
+            assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_flag_exits_2(self, tmp_path, capsys, key):
@@ -668,7 +670,7 @@ class TestCli:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("m = 32\nn = 8\nlcp = 16\n"
                        "pilot_length = 2\nchannel = single_tap\n"
-                       "doppler_spectrum = static\nnu_max_t = 0\n"
+                       "nu_max_t = 0\n"
                        "snr_db = off\nbem_q = 1\ntrials = 5\nseed = 9\n")
         out_dir = tmp_path / "out"
         code = main(["run", "--config", str(cfg), "--out", str(out_dir),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfs_sync.modem import (OtfsParams, build_stream, dd_to_dt,
-                             measure_papr, qam16_symbols)
-from otfs_sync.pilot import (PcpSpec, _frame_layout, build_frame,
-                             build_impulse_frame, default_pcp_spec,
-                             embed_pcp, make_zc, pilot_dt_slots)
+from otfs_sync.harness import ExperimentConfig, resolve_pilot
+from otfs_sync.modem import OtfsParams, build_stream, dd_to_dt, qam16_symbols
+from otfs_sync.pilot import (PcpSpec, _frame_layout, build_frame, embed_pcp,
+                             make_zc, pilot_dt_slots)
+from reference import build_impulse_frame, measure_papr
 
 
 class TestZadoffChu:
@@ -51,9 +51,10 @@ class TestPcpSpec:
         assert_array_equal(spec.guard_rows(), np.arange(4, 12))
 
     def test_default_spec_centered(self):
-        """The default pilot anchors at the center of both axes."""
+        """The pilot a config resolves to without ``pilot_m_p`` anchors at
+        the center of both axes: m_p = M/2, n_p = N/2."""
         params = OtfsParams(m=128, n=32, lcp=32)
-        spec = default_pcp_spec(params, 21)
+        spec = resolve_pilot(ExperimentConfig(pilot_length=21), params)
         assert spec.m_p == 64
         assert spec.n_p == 16
 
@@ -177,7 +178,7 @@ class TestFrames:
         """Spreading the pilot over 2L-1 rows lowers the stream PAPR
         against an equal-energy single-bin impulse."""
         params = OtfsParams(m=128, n=32, lcp=32)
-        spec = default_pcp_spec(params, 21)
+        spec = PcpSpec(length=21, m_p=64, n_p=16)
         rng = np.random.default_rng(4)
         pcp_stream = build_stream([build_frame(params, spec, rng)], params)
         rng = np.random.default_rng(4)

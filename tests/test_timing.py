@@ -8,11 +8,11 @@ from otfs_sync.channel import (Impairments, apply_impairments, mean_delay,
                                realize_channel, single_tap_model)
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame
-from otfs_sync.timing import (delay_metric_multiplies, estimate_theta_d,
-                              estimate_theta_t, estimate_to, fold_offset,
-                              metric_delay, metric_delay_iterative,
-                              metric_time, metric_time_iterative,
-                              time_metric_multiplies)
+from otfs_sync.timing import (estimate_theta_d, estimate_theta_t,
+                              estimate_to, fold_offset,
+                              metric_delay_iterative, metric_time_iterative)
+from reference import (delay_metric_multiplies, metric_delay, metric_time,
+                       time_metric_multiplies)
 
 
 def random_buffer(rng, size):
