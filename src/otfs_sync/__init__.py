@@ -21,8 +21,8 @@ from .channel import (ChannelModel, ChannelRealization, Impairments,
 from .timing import (TimingMetrics, ToEstimate, estimate_to, fold_offset,
                      metric_delay_iterative, metric_time_iterative)
 from .cfo import (BemModel, CfoEstimate, MlWorkspace, OpCounter,
-                  SingularModelError, bem_order, build_bem, build_workspace,
-                  coarse_cfo, fine_cfo, extract_pilot, ml_cost)
+                  SingularModelError, build_bem, build_workspace, coarse_cfo,
+                  fine_cfo, extract_pilot, matched_order, ml_cost)
 from .harness import (ExperimentConfig, PointSummary, TrialResult,
                       build_point, load_config, parse_config, run_single,
                       run_snapshot, run_sweep, run_trial)
@@ -35,8 +35,8 @@ __all__ = [
     "TimingMetrics", "ToEstimate", "estimate_to", "fold_offset",
     "metric_delay_iterative", "metric_time_iterative",
     "BemModel", "CfoEstimate", "MlWorkspace", "OpCounter",
-    "SingularModelError", "bem_order", "build_bem", "build_workspace",
-    "coarse_cfo", "fine_cfo", "extract_pilot", "ml_cost",
+    "SingularModelError", "build_bem", "build_workspace", "coarse_cfo",
+    "fine_cfo", "extract_pilot", "matched_order", "ml_cost",
     "ExperimentConfig", "PointSummary", "TrialResult", "build_point",
     "load_config", "parse_config", "run_single", "run_snapshot",
     "run_sweep", "run_trial",

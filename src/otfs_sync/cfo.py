@@ -131,17 +131,20 @@ def coarse_cfo(received: np.ndarray, to: ToEstimate, params: OtfsParams,
 BEM_K = 4
 
 
-def bem_order(k: int, nu_max: float, params: OtfsParams) -> int:
-    """Model order Q = ceil(2 K nu_max M N Ts) + 1.
+def matched_order(nu_max_t: float) -> int:
+    """Fine-CFO model order Q = 2 floor(K nu_max_t / 2 + 1/2) + 1, K = BEM_K.
 
-    One basis tone per resolvable Doppler bin of the K-times oversampled
-    block, covering the band +-nu_max, plus the DC tone.
+    ``nu_max_t`` is the maximum Doppler normalized by the block duration
+    (nu_max M N Ts).  Adjacent tones sit 1/K cycles per block apart, so
+    the Q tones form the symmetric set nearest +-nu_max_t / 2, half the
+    Doppler band.  A wider set also fits a CFO shift of its own size and
+    flattens the ML cost (README, "Operating-point notes").  floor(x +
+    1/2) rounds half up: nu_max_t = 0.25 gives Q = 3 where ``round``
+    would give 1.
     """
-    if k < 1:
-        raise ValueError("oversampling factor k must be >= 1")
-    if nu_max < 0:
-        raise ValueError("nu_max must be >= 0")
-    return int(math.ceil(2.0 * k * nu_max * params.mn * params.ts)) + 1
+    if nu_max_t < 0:
+        raise ValueError("nu_max_t must be >= 0")
+    return 2 * math.floor(BEM_K * nu_max_t / 2.0 + 0.5) + 1
 
 
 @dataclass(frozen=True)
@@ -192,11 +195,8 @@ def extract_pilot(received: np.ndarray, block_start: int,
     return received[idx].ravel()
 
 
-def build_bem(params: OtfsParams, spec: PcpSpec, k: int, nu_max: float,
-              q: int | None = None) -> BemModel:
+def build_bem(params: OtfsParams, spec: PcpSpec, k: int, q: int) -> BemModel:
     """Construct the GCE-BEM tone set for one block's pilot region."""
-    if q is None:
-        q = bem_order(k, nu_max, params)
     if q < 1:
         raise ValueError("model order q must be >= 1")
     freqs = (np.arange(q) - q // 2) / (k * params.mn)

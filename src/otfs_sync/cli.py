@@ -3,7 +3,8 @@
 Verbs:
 
 * ``run``      one sweep point at the config's scalar settings;
-* ``sweep``    a full sweep along --sweep (snr_db, nu_max_t, geometry);
+* ``sweep``    a full sweep along --sweep (snr_db or nu_max_t), once per
+               grid shape when --geometries is set;
 * ``snapshot`` one trial with raw metric/cost/channel traces written out.
 
 Settings resolve in order: built-in defaults, then --config file, then

@@ -1,16 +1,17 @@
 """Monte-Carlo experiment harness: configs, trials, aggregation, file IO.
 
-An experiment is a sweep along one axis (data SNR, normalized Doppler, or
-grid geometry); each sweep point runs independent trials through the full
-chain: frame build -> channel -> impairments -> timing sync -> coarse CFO
--> fine CFO.  Per-trial random seeds are derived from the root seed by
-trial index alone, so a trial reuses the same data, channel, offsets, and
-unit-variance noise shape at every sweep point; sweep points then differ
-only through the swept quantity (common-random-numbers pairing), which
-makes trend comparisons across points far less noisy than independent
-draws would.  One :func:`run_trial` call makes a trial's draws once and
-runs the receive chain at every point that shares them (one
-:func:`context_key`: the points of an SNR sweep).
+An experiment is a sweep along one axis (data SNR or normalized
+Doppler), optionally repeated per grid geometry; each sweep point runs
+independent trials through the full chain: frame build -> channel ->
+impairments -> timing sync -> coarse CFO -> fine CFO.  Per-trial random
+seeds are derived from the root seed by trial index alone, so a trial
+reuses the same data, channel, offsets, and unit-variance noise shape at
+every sweep point; sweep points then differ only through the swept
+quantity (common-random-numbers pairing), which makes trend comparisons
+across points far less noisy than independent draws would.  One
+:func:`run_trial` call makes a trial's draws once and runs the receive
+chain at every point that shares them (one :func:`context_key`: the
+points of an SNR sweep).
 
 Outputs are flat text: a results CSV with one row per sweep point, a
 manifest echoing every resolved config key, and (for snapshots) the raw
@@ -29,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cfo import (BEM_K, MlWorkspace, SingularModelError, build_bem,
-                  build_workspace, coarse_cfo, extract_pilot, fine_cfo)
+from .cfo import (BEM_K, MlWorkspace, build_bem, build_workspace,
+                  coarse_cfo, extract_pilot, fine_cfo, matched_order)
 from .channel import (ChannelModel, Impairments, apply_impairments,
                       eva_model, export_taps, mean_delay, noise_sigma,
                       realize_channel, single_tap_model, stream_reach,
@@ -46,7 +47,8 @@ RESULT_COLUMNS = ("sweep_value", "to_err_mean", "to_err_var",
 
 #: Errors the estimators raise on inputs they cannot handle; a trial that
 #: hits one is counted as failed.  Anything else is a bug and propagates.
-ESTIMATOR_ERRORS = (ValueError, SingularModelError, np.linalg.LinAlgError)
+#: A singular BEM model fails in :func:`build_point`, before any trial.
+ESTIMATOR_ERRORS = (ValueError,)
 
 
 @dataclass
@@ -72,7 +74,8 @@ class ExperimentConfig:
     make every trial use that offset.
 
     Each trial transmits one block, and the fine-CFO search evaluates the
-    trigonometric-polynomial ML cost.
+    trigonometric-polynomial ML cost over a BEM of order
+    ``cfo.matched_order(nu_max_t)``.
     """
 
     # grid geometry and framing
@@ -91,7 +94,6 @@ class ExperimentConfig:
     epsilon: float | None = None
     advance: int | str = "centered"
     # estimator settings
-    bem_q: int | None = None
     cfo_half_width: float = 0.5
     # harness
     trials: int = 500
@@ -176,8 +178,7 @@ def build_point(config: ExperimentConfig) -> PointContext:
         advance = params.mn // 2 - footprint
     else:
         advance = int(config.advance)
-    bem = build_bem(params, spec, k=BEM_K, nu_max=model.nu_max,
-                    q=config.bem_q)
+    bem = build_bem(params, spec, k=BEM_K, q=matched_order(config.nu_max_t))
     workspace = build_workspace(params, spec, bem)
     eps_span = params.n - 2.0 * model.nu_max * params.mn * params.ts
     return PointContext(params=params, spec=spec, model=model,
@@ -317,8 +318,7 @@ def summary_rows(summaries) -> list:
 
 #: How ``None`` is spelled for each optional key: the first word is the
 #: one written, every word is accepted on input.
-_NONE_WORDS = {"pilot_m_p": ("auto", "none"), "bem_q": ("auto", "none"),
-               "snr_db": ("none", "off"),
+_NONE_WORDS = {"pilot_m_p": ("auto", "none"), "snr_db": ("none", "off"),
                "theta": ("random",), "epsilon": ("random",)}
 
 
@@ -413,16 +413,10 @@ def load_config(path) -> ExperimentConfig:
 
 def sweep_axis_configs(config: ExperimentConfig):
     """Yield (sweep_value, point config) pairs along the configured axis."""
-    if config.sweep in ("snr_db", "nu_max_t"):
-        for value in config.sweep_values:
-            yield value, replace(config, **{config.sweep: value})
-    elif config.sweep == "geometry":
-        if not config.geometries:
-            raise ValueError("sweep=geometry needs the geometries key")
-        for m, n in config.geometries:
-            yield f"{m}x{n}", replace(config, m=m, n=n)
-    else:
+    if config.sweep not in ("snr_db", "nu_max_t"):
         raise ValueError(f"unknown sweep axis {config.sweep!r}")
+    for value in config.sweep_values:
+        yield value, replace(config, **{config.sweep: value})
 
 
 def context_key(config: ExperimentConfig) -> tuple:
@@ -476,14 +470,13 @@ def _run_table(filename: str, axis: str, points: list) -> list:
 def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     """Full sweep; returns {csv filename: [PointSummary, ...]}.
 
-    With a non-geometry axis and several ``geometries``, the whole axis is
-    swept once per geometry and written to ``results_{M}x{N}.csv`` each;
-    otherwise everything lands in ``results.csv``.  Each file's points
-    run as one :func:`_run_table`.
+    With ``geometries`` set, the whole axis is swept once per geometry and
+    written to ``results_{M}x{N}.csv`` each; otherwise everything lands in
+    ``results.csv``.  Each file's points run as one :func:`_run_table`.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.sweep != "geometry" and config.geometries:
+    if config.geometries:
         variants = [(f"results_{m}x{n}.csv", replace(config, m=m, n=n))
                     for m, n in config.geometries]
     else:

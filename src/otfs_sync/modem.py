@@ -59,16 +59,6 @@ class OtfsParams:
         """Samples per block including the CP (N_T = M*N + Lcp)."""
         return self.mn + self.lcp
 
-    @property
-    def block_duration(self) -> float:
-        """Block duration T = M*N*Ts in seconds, excluding the CP."""
-        return self.mn * self.ts
-
-    @property
-    def doppler_resolution(self) -> float:
-        """Doppler bin spacing 1/(M*N*Ts) in Hz."""
-        return 1.0 / self.block_duration
-
 
 def qam16_symbols(rng: np.random.Generator, size) -> np.ndarray:
     """Draw unit-average-power 16-QAM symbols."""

@@ -14,13 +14,17 @@ trial path:
   ``cfo.MlWorkspace.beta`` computes from P, and ``ml_cost_fast`` the
   per-point cost that ``cfo.fine_cfo`` evaluates a stage at a time
   (criteria 2 and 9);
-* ``bem_fit_nmse`` measures how well a tone set fits known taps
+* ``bem_order`` is the paper's model-order rule, which
+  ``cfo.matched_order`` replaces on the trial path (criteria 8a and 8b),
+  and ``bem_fit_nmse`` measures how well a tone set fits known taps
   (criterion 8b);
 * ``measure_papr``, ``build_impulse_frame`` and ``read_csv`` are the
   yardsticks of the PAPR comparison and of the CSV round trip.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,9 +86,22 @@ def time_metric_multiplies(params: OtfsParams, spec: PcpSpec,
         return (n - 1) * per_rowsum + (n - 1) * 2 * per_rowsum
     return n * (n - 1) * per_rowsum
 
-# ML cost (otfs_sync.cfo): the dense model matrix, the banded reduction
-# of the NL x NL projector, the per-point trigonometric cost, and the
-# least-squares fit that measures the basis.
+# ML cost (otfs_sync.cfo): the paper's model-order rule, the dense model
+# matrix, the banded reduction of the NL x NL projector, the per-point
+# trigonometric cost, and the least-squares fit that measures the basis.
+
+
+def bem_order(k: int, nu_max: float, params: OtfsParams) -> int:
+    """Model order Q = ceil(2 K nu_max M N Ts) + 1.
+
+    One basis tone per resolvable Doppler bin of the K-times oversampled
+    block, covering the band +-nu_max, plus the DC tone.
+    """
+    if k < 1:
+        raise ValueError("oversampling factor k must be >= 1")
+    if nu_max < 0:
+        raise ValueError("nu_max must be >= 0")
+    return int(math.ceil(2.0 * k * nu_max * params.mn * params.ts)) + 1
 
 
 def build_g(params: OtfsParams, spec: PcpSpec, bem: BemModel) -> np.ndarray:

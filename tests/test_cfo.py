@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfs_sync.cfo import (OpCounter, SingularModelError, _phase_table,
-                           bem_order, build_bem, build_workspace, coarse_cfo,
-                           extract_pilot, fine_cfo, ml_cost,
-                           pilot_sample_indices, projection)
+from otfs_sync.cfo import (BEM_K, OpCounter, SingularModelError,
+                           _phase_table, build_bem, build_workspace,
+                           coarse_cfo, extract_pilot, fine_cfo,
+                           matched_order, ml_cost, pilot_sample_indices,
+                           projection)
 from otfs_sync.channel import (Impairments, apply_impairments, mean_delay,
                                noise_sigma, realize_channel, single_tap_model,
                                unit_noise)
@@ -23,7 +24,8 @@ from otfs_sync.harness import build_point, load_config
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
 from otfs_sync.timing import estimate_to, fold_offset
-from reference import bem_fit_nmse, beta_coefficients, build_g, ml_cost_fast
+from reference import (bem_fit_nmse, bem_order, beta_coefficients, build_g,
+                       ml_cost_fast)
 
 
 def chain_setup(seed=0):
@@ -86,7 +88,8 @@ class TestCoarseCfo:
 
 
 class TestBemOrder:
-    """Model-order rule."""
+    """Model-order rules: the paper's, kept in ``tests/reference.py``,
+    and the one the trial path runs."""
 
     def test_zero_doppler_needs_one_tone(self):
         """A static band collapses the basis to the DC tone."""
@@ -107,6 +110,15 @@ class TestBemOrder:
         with pytest.raises(ValueError):
             bem_order(4, -1.0, params)
 
+    def test_matched_order_values(self):
+        """Q = 2 floor(K nu T / 2 + 1/2) + 1 at K = 4 over the shipped and
+        tabulated Doppler points; nu T = 0.25 rounds half up to Q = 3.
+        Negative bands are refused."""
+        nus = (0.0, 0.14, 0.25, 0.5, 0.8, 1.36)
+        assert [matched_order(nu) for nu in nus] == [1, 1, 3, 3, 5, 7]
+        with pytest.raises(ValueError):
+            matched_order(-0.1)
+
 
 class TestBemModel:
     """Tone-set construction."""
@@ -115,7 +127,7 @@ class TestBemModel:
         """Tones sit at (q - floor(Q/2)) / (K M N) cycles per sample."""
         params = OtfsParams(m=16, n=8, lcp=4)
         spec = PcpSpec(length=3, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=3)
+        bem = build_bem(params, spec, k=2, q=3)
         assert_allclose(bem.freqs, np.array([-1, 0, 1]) / (2 * 128))
 
     def test_pilot_indices(self):
@@ -136,7 +148,7 @@ class TestModelMatrix:
         """Each column is a cyclically shifted pilot profile times a tone."""
         params = OtfsParams(m=16, n=4, lcp=4)
         spec = PcpSpec(length=3, m_p=8, n_p=2)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=2)
+        bem = build_bem(params, spec, k=2, q=2)
         g = build_g(params, spec, bem)
         assert g.shape == (12, 6)
         slots = pilot_dt_slots(spec, params)
@@ -153,7 +165,7 @@ class TestModelMatrix:
         """More tones than slots leave the model rank deficient."""
         params = OtfsParams(m=16, n=4, lcp=4)
         spec = PcpSpec(length=3, m_p=8, n_p=2)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=5)
+        bem = build_bem(params, spec, k=2, q=5)
         with pytest.raises(SingularModelError):
             build_g(params, spec, bem)
 
@@ -161,7 +173,7 @@ class TestModelMatrix:
         """Within the slot budget the model matrix has full column rank."""
         params = OtfsParams(m=16, n=8, lcp=4)
         spec = PcpSpec(length=3, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=4)
+        bem = build_bem(params, spec, k=2, q=4)
         g = build_g(params, spec, bem)
         assert np.linalg.matrix_rank(g) == 12
 
@@ -173,7 +185,7 @@ class TestProjection:
         """Lambda^H = Lambda and Lambda^2 = Lambda within 1e-9 * ||Lambda||."""
         params = OtfsParams(m=16, n=8, lcp=4)
         spec = PcpSpec(length=3, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=4)
+        bem = build_bem(params, spec, k=2, q=4)
         lam = projection(build_g(params, spec, bem))
         scale = np.linalg.norm(lam)
         assert np.linalg.norm(lam - lam.conj().T) < 1e-9 * scale
@@ -183,7 +195,7 @@ class TestProjection:
         """Vectors already in the column space pass through unchanged."""
         params = OtfsParams(m=16, n=8, lcp=4)
         spec = PcpSpec(length=3, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=3)
+        bem = build_bem(params, spec, k=2, q=3)
         g = build_g(params, spec, bem)
         lam = projection(g)
         rng = np.random.default_rng(6)
@@ -213,7 +225,7 @@ def duplicated_tone_bem():
     """A two-tone BEM at (16, 8), L = 3, whose tones coincide."""
     params = OtfsParams(m=16, n=8, lcp=4)
     spec = PcpSpec(length=3, m_p=8, n_p=4)
-    bem = build_bem(params, spec, k=2, nu_max=0.0, q=2)
+    bem = build_bem(params, spec, k=2, q=2)
     return params, spec, dataclasses.replace(
         bem, freqs=bem.freqs[[0, 0]], basis=bem.basis[:, [0, 0]])
 
@@ -257,11 +269,14 @@ def stored_arrays(ws):
                 yield f.name, value
 
 
-def shipped_workspace(geometry, nu_max_t, bem_q=7):
+def shipped_workspace(geometry, q):
+    """The ML workspace of a Q-tone model on the pilot of
+    sweep_doppler_geometries.cfg at ``geometry``."""
     m, n = geometry
-    config = dataclasses.replace(load_config(GEOMETRY_CONFIG), m=m, n=n,
-                                 nu_max_t=nu_max_t, bem_q=bem_q)
-    return build_point(config).workspace
+    ctx = build_point(dataclasses.replace(load_config(GEOMETRY_CONFIG),
+                                          m=m, n=n))
+    bem = build_bem(ctx.params, ctx.spec, k=BEM_K, q=q)
+    return build_workspace(ctx.params, ctx.spec, bem)
 
 
 def check_factored(ws, r_p):
@@ -303,8 +318,9 @@ class TestFactoredWorkspace:
     @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
     @pytest.mark.parametrize("nu_max_t", [0.14, 1.36])
     def test_shipped_geometries(self, geometry, nu_max_t):
-        """The three geometries of sweep_doppler_geometries.cfg."""
-        ws = shipped_workspace(geometry, nu_max_t)
+        """The three geometries of sweep_doppler_geometries.cfg, at the
+        model order each of its Doppler points runs."""
+        ws = shipped_workspace(geometry, matched_order(nu_max_t))
         rng = np.random.default_rng(geometry[1])
         nl = ws.params.n * ws.spec.length
         r_p = rng.standard_normal(nl) + 1j * rng.standard_normal(nl)
@@ -326,7 +342,7 @@ class TestFactoredWorkspace:
                        m_p=length + int(mp_frac * (m - 2 * length)),
                        n_p=int(np_frac * (n - 1)))
         spec.validate_fit(params)
-        bem = build_bem(params, spec, k=k, nu_max=0.0, q=q)
+        bem = build_bem(params, spec, k=k, q=q)
         ws = build_workspace(params, spec, bem)
         rng = np.random.default_rng(seed)
         nl = n * length
@@ -335,7 +351,7 @@ class TestFactoredWorkspace:
 
     def test_matrix_path_builds_lambda_once(self, monkeypatch):
         """The use_fast = False search fetches Lambda once per call."""
-        ws = shipped_workspace((256, 16), 1.36)
+        ws = shipped_workspace((256, 16), 7)
         calls = []
         kron = np.kron
 
@@ -349,18 +365,18 @@ class TestFactoredWorkspace:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
-    @pytest.mark.parametrize("bem_q", [None, 7, 11])
-    def test_ridge_engages_on_the_dense_cases(self, geometry, bem_q):
+    @pytest.mark.parametrize("q", [12, 7, 11])
+    def test_ridge_engages_on_the_dense_cases(self, geometry, q):
         """Rank truncation happens exactly where the dense build
-        truncates: at Q = 11 and at the order rule's Q = 12 (nu T =
+        truncates: at Q = 11 and at Q = 12 (the paper's rule at nu T =
         1.36), both kept at rank 10, and not at Q = 7; the two
         projectors agree.  The name follows the benchmark counter
         ``cfo.projection.ridge_fallbacks``, which counts truncations."""
         with rank_messages() as factored:
-            ws = shipped_workspace(geometry, 1.36, bem_q=bem_q)
+            ws = shipped_workspace(geometry, q)
         with rank_messages() as dense:
             lam = projection(build_g(ws.params, ws.spec, ws.bem))
-        length, q = ws.spec.length, ws.bem.q
+        length = ws.spec.length
         expected = [(10, q)] if q >= 11 else []
         assert logged_ranks(factored) == expected
         assert logged_ranks(dense) == [(length * r, length * c)
@@ -368,11 +384,11 @@ class TestFactoredWorkspace:
         assert np.linalg.norm(ws.lam - lam) <= 1e-10 * np.linalg.norm(lam)
 
     @pytest.mark.parametrize("geometry", [(64, 64), (128, 32), (256, 16)])
-    @pytest.mark.parametrize("bem_q", [11, 12])
-    def test_truncated_projector_is_exact(self, geometry, bem_q):
-        """Where the rank is truncated (nu T = 1.36, Q = 11 and 12), P is
-        still Hermitian and idempotent to 1e-12 relative."""
-        p = shipped_workspace(geometry, 1.36, bem_q=bem_q).p
+    @pytest.mark.parametrize("q", [11, 12])
+    def test_truncated_projector_is_exact(self, geometry, q):
+        """Where the rank is truncated (Q = 11 and 12), P is still
+        Hermitian and idempotent to 1e-12 relative."""
+        p = shipped_workspace(geometry, q).p
         scale = np.linalg.norm(p)
         assert np.linalg.norm(p - p.conj().T) <= 1e-12 * scale
         assert np.linalg.norm(p @ p - p) <= 1e-12 * scale
@@ -395,7 +411,7 @@ class TestFactoredWorkspace:
         """More tones than slots are refused before any projector is built."""
         params = OtfsParams(m=16, n=4, lcp=4)
         spec = PcpSpec(length=3, m_p=8, n_p=2)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=5)
+        bem = build_bem(params, spec, k=2, q=5)
         with pytest.raises(SingularModelError):
             build_workspace(params, spec, bem)
 
@@ -406,7 +422,7 @@ class TestMlCost:
     def _workspace(self, n=8, length=4, q=3, m=16, seed=3):
         params = OtfsParams(m=m, n=n, lcp=4)
         spec = PcpSpec(length=length, m_p=m // 2, n_p=n // 2)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=q)
+        bem = build_bem(params, spec, k=2, q=q)
         ws = build_workspace(params, spec, bem)
         rng = np.random.default_rng(seed)
         nl = n * length
@@ -483,7 +499,7 @@ class TestFineCfo:
     def _loopback(self, eps, eps_coarse):
         params = OtfsParams(m=16, n=8, lcp=4)
         spec = PcpSpec(length=4, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=3)
+        bem = build_bem(params, spec, k=2, q=3)
         ws = build_workspace(params, spec, bem)
         rng = np.random.default_rng(2)
         c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -542,7 +558,7 @@ class TestFineCfo:
         n, length, q = (8, 16, 32)[seed % 3], 1 + seed % 4, 1 + seed % 3
         params = OtfsParams(m=16, n=n, lcp=4)
         spec = PcpSpec(length=length, m_p=8, n_p=n // 2)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=q)
+        bem = build_bem(params, spec, k=2, q=q)
         ws = build_workspace(params, spec, bem)
         c = rng.standard_normal(length * q) + 1j * rng.standard_normal(
             length * q)
@@ -588,7 +604,7 @@ class TestFineCfo:
         params = OtfsParams(m=16, n=n, lcp=4)
         spec = PcpSpec(length=length, m_p=8, n_p=n // 2)
         ws = build_workspace(params, spec,
-                             build_bem(params, spec, k=2, nu_max=0.0, q=q))
+                             build_bem(params, spec, k=2, q=q))
         c = rng.standard_normal(length * q) + 1j * rng.standard_normal(
             length * q)
         eps = rng.uniform(-n / 2, n / 2)
@@ -629,7 +645,7 @@ class TestChannelEstimation:
         """Trajectories drawn from the tone set fit with zero residual."""
         params = OtfsParams(m=16, n=8, lcp=4)
         spec = PcpSpec(length=3, m_p=8, n_p=4)
-        bem = build_bem(params, spec, k=2, nu_max=0.0, q=3)
+        bem = build_bem(params, spec, k=2, q=3)
         rng = np.random.default_rng(8)
         coef = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         duration = params.n_t
@@ -643,7 +659,7 @@ class TestChannelEstimation:
         params = OtfsParams(m=64, n=16, lcp=16)
         spec = PcpSpec(length=8, m_p=32, n_p=8)
         nu_max = 1.0 / (params.mn * params.ts)
-        bem = build_bem(params, spec, k=4, nu_max=nu_max)
+        bem = build_bem(params, spec, k=4, q=bem_order(4, nu_max, params))
         model = single_tap_model(nu_max=nu_max)
         real = realize_channel(model, params, params.n_t, seed=3)
         assert bem_fit_nmse(real.taps, bem) < 1e-2

@@ -25,12 +25,12 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 #: must fail like a misspelling.
 REMOVED_KEYS = ("blocks", "bem_literal_exponent", "fast_cost", "ts",
                 "pilot_n_p", "pilot_zc_root", "pilot_power_db", "bem_k",
-                "bias_correction_known_pdp", "doppler_spectrum")
+                "bias_correction_known_pdp", "doppler_spectrum", "bem_q")
 
 #: Small, fast, noiseless link used across the harness tests.
 TINY = ExperimentConfig(m=32, n=8, lcp=16, pilot_length=2,
                         channel="single_tap", nu_max_t=0.0, snr_db=None,
-                        bem_q=1, trials=3, seed=9)
+                        trials=3, seed=9)
 
 
 class TestConfigParsing:
@@ -40,8 +40,7 @@ class TestConfigParsing:
         """Every field survives rendering to text and parsing back."""
         config = ExperimentConfig(m=64, n=16, lcp=20, pilot_m_p=21,
                                   snr_db=None, theta=7, epsilon=None,
-                                  advance="centered", bem_q=None,
-                                  cfo_half_width=1.0,
+                                  advance="centered", cfo_half_width=1.0,
                                   sweep_values=(0.5, 1.5),
                                   geometries=((64, 64), (128, 32)))
         text = "\n".join(f"{k} = {v}" for k, v in config_items(config))
@@ -55,7 +54,6 @@ class TestConfigParsing:
     @pytest.mark.parametrize("text,field,expected", [
         ("pilot_m_p = auto", "pilot_m_p", None),
         ("pilot_m_p = 21", "pilot_m_p", 21),
-        ("bem_q = none", "bem_q", None),
         ("snr_db = off", "snr_db", None),
         ("snr_db = 12.5", "snr_db", 12.5),
         ("theta = random", "theta", None),
@@ -415,12 +413,14 @@ class TestRunners:
             assert len(rows) == 1
 
     def test_run_sweep_geometry_axis(self, tmp_path):
-        """sweep=geometry labels rows by the MxN pair."""
+        """Geometry is not an axis: ``geometries`` repeats an SNR or
+        Doppler axis per shape, and sweep=geometry is refused before
+        anything is written."""
         config = dataclasses.replace(TINY, sweep="geometry",
                                      geometries=((32, 8), (16, 16)), trials=2)
-        emitted = run_sweep(config, tmp_path)
-        _, rows = read_csv(tmp_path / "results.csv")
-        assert [r[0] for r in rows] == ["32x8", "16x16"]
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            run_sweep(config, tmp_path)
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_run_sweep_deterministic_files(self, tmp_path):
         """Re-running the same config reproduces byte-identical outputs."""
@@ -603,7 +603,7 @@ class TestCli:
         return ["--m", "32", "--n", "8", "--lcp", "16",
                 "--pilot_length", "2", "--channel", "single_tap",
                 "--nu_max_t", "0",
-                "--snr_db", "off", "--bem_q", "1", "--trials", "2",
+                "--snr_db", "off", "--trials", "2",
                 "--seed", "9"]
 
     def test_run_verb(self, tmp_path, capsys):
@@ -671,7 +671,7 @@ class TestCli:
         cfg.write_text("m = 32\nn = 8\nlcp = 16\n"
                        "pilot_length = 2\nchannel = single_tap\n"
                        "nu_max_t = 0\n"
-                       "snr_db = off\nbem_q = 1\ntrials = 5\nseed = 9\n")
+                       "snr_db = off\ntrials = 5\nseed = 9\n")
         out_dir = tmp_path / "out"
         code = main(["run", "--config", str(cfg), "--out", str(out_dir),
                      "--trials", "2"])

@@ -18,12 +18,6 @@ class TestOtfsParams:
         assert params.mn == 4096
         assert params.n_t == 4128
 
-    def test_doppler_resolution(self):
-        """Doppler bins are spaced by the reciprocal block duration."""
-        params = OtfsParams(m=128, n=32, lcp=32, ts=1.0 / 8.25e6)
-        assert_allclose(params.doppler_resolution, 8.25e6 / 4096)
-        assert_allclose(params.block_duration * params.doppler_resolution, 1.0)
-
     @pytest.mark.parametrize("bad", [
         dict(m=0, n=8, lcp=0),
         dict(m=8, n=0, lcp=0),
