@@ -84,7 +84,7 @@ def coarse_cfo(received: np.ndarray, to: ToEstimate, params: OtfsParams,
 
     Averages, over the 2L-1 energy-bearing pilot rows located by the
     timing stage, the angle of the lag-M correlation after removing the
-    pilot's designed per-slot phase step 2*pi*n_p/N.  The per-row angles
+    pilot's designed per-slot phase step 2*pi*(N//2)/N.  The per-row angles
     are taken on the branch centered at the angle of the summed row
     correlations: that magnitude-weighted consensus sits within the
     cluster of row angles, so recentering keeps every row away from the
@@ -110,7 +110,7 @@ def coarse_cfo(received: np.ndarray, to: ToEstimate, params: OtfsParams,
             "timing offset"
         )
     corr = (np.conj(received[idx]) * received[idx + m]).sum(axis=0)
-    corr = corr * np.exp(-2j * np.pi * spec.n_p / n)
+    corr = corr * np.exp(-2j * np.pi * (n // 2) / n)
     mags = np.abs(corr)
     keep = mags > 1e-12 * max(mags.max(), 1e-300)
     if not np.all(keep):

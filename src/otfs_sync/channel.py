@@ -27,6 +27,10 @@ EVA_DELAYS_NS = np.array(
 EVA_POWERS_DB = np.array(
     [0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9])
 
+#: Sampling period (s) that maps the EVA delays onto sample bins.  Every
+#: other quantity is normalized, so this is the only place it is needed.
+EVA_TS = 1.0 / 8.25e6
+
 #: Sinusoids per tap in the sum-of-sinusoids Doppler synthesis.
 JAKES_SINUSOIDS = 64
 
@@ -47,13 +51,13 @@ class ChannelModel:
     pdp : ndarray
         Per-tap average powers, normalized to sum to one.  Length sets
         the channel length in taps.
-    nu_max : float
-        Maximum Doppler frequency in Hz; 0 freezes each tap at its
-        initial value.
+    nu_max_t : float
+        Maximum Doppler frequency times the block duration, nu_max M N Ts;
+        0 freezes each tap at its initial value.
     """
 
     pdp: np.ndarray
-    nu_max: float = 0.0
+    nu_max_t: float = 0.0
 
     def __post_init__(self) -> None:
         pdp = np.asarray(self.pdp, dtype=float)
@@ -64,8 +68,8 @@ class ChannelModel:
             raise ValueError("pdp powers must be nonnegative")
         if abs(pdp.sum() - 1.0) > 1e-12:
             raise ValueError(f"pdp must sum to 1, got {pdp.sum()!r}")
-        if self.nu_max < 0:
-            raise ValueError("nu_max must be >= 0")
+        if self.nu_max_t < 0:
+            raise ValueError("nu_max_t must be >= 0")
 
     @property
     def n_taps(self) -> int:
@@ -126,13 +130,14 @@ class Impairments:
     epsilon: float = 0.0
 
 
-def single_tap_model(nu_max: float = 0.0) -> ChannelModel:
+def single_tap_model(nu_max_t: float = 0.0) -> ChannelModel:
     """Unit-power single tap at delay zero."""
-    return ChannelModel(pdp=np.array([1.0]), nu_max=nu_max)
+    return ChannelModel(pdp=np.array([1.0]), nu_max_t=nu_max_t)
 
 
-def eva_model(ts: float, length: int, nu_max: float) -> ChannelModel:
-    """EVA profile resampled to the sampling period ``ts`` over ``length`` taps.
+def eva_model(length: int, nu_max_t: float) -> ChannelModel:
+    """EVA profile resampled to the sampling period ``EVA_TS`` over
+    ``length`` taps.
 
     Each standard tap is mapped to the nearest sample bin (clipped to the
     last bin when a delay exceeds the span); powers landing in the same
@@ -144,7 +149,7 @@ def eva_model(ts: float, length: int, nu_max: float) -> ChannelModel:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    bins = np.rint(EVA_DELAYS_NS * 1e-9 / ts).astype(int)
+    bins = np.rint(EVA_DELAYS_NS * 1e-9 / EVA_TS).astype(int)
     clipped = np.minimum(bins, length - 1)
     if np.any(bins > length):
         logger.warning(
@@ -154,7 +159,7 @@ def eva_model(ts: float, length: int, nu_max: float) -> ChannelModel:
             "EVA tap rounding to bin %d folded into the last bin", length)
     pdp = np.zeros(length)
     np.add.at(pdp, clipped, 10.0 ** (EVA_POWERS_DB / 10.0))
-    return ChannelModel(pdp=pdp / pdp.sum(), nu_max=nu_max)
+    return ChannelModel(pdp=pdp / pdp.sum(), nu_max_t=nu_max_t)
 
 
 def mean_delay(model: ChannelModel) -> float:
@@ -212,13 +217,13 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
     [0, 2*pi),
 
         h[ell, k] = sqrt(p_ell / S) sum_s exp(j (phi_s + omega_s k)),
-        omega_s = omega_max cos(psi_s),  omega_max = 2 pi nu_max Ts,
+        omega_s = omega_max cos(psi_s),  omega_max = 2 pi nu_max_t / (M N),
 
     so the Doppler spectrum is the classical Jakes shape with maximum
-    frequency ``model.nu_max`` (the random-angle model of Zheng & Xiao,
-    IEEE Trans. Commun. 2003).  An omega_max of zero (nu_max = 0, or a
-    Doppler so small that omega_max underflows) freezes every tap at its
-    k = 0 value.
+    frequency ``model.nu_max_t`` cycles per block (the random-angle model
+    of Zheng & Xiao, IEEE Trans. Commun. 2003).  An omega_max of zero
+    (nu_max_t = 0, or a Doppler so small that omega_max underflows)
+    freezes every tap at its k = 0 value.
 
     The draws do not depend on the window: every tap draws its psi then
     phi, in tap order, whether or not it carries power, so a window
@@ -248,7 +253,7 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
     draws = rng.uniform(0.0, 2.0 * np.pi,
                         (model.n_taps, 2, JAKES_SINUSOIDS))[delays]
     psi, phi = draws[:, 0], draws[:, 1]
-    omega_max = 2.0 * np.pi * model.nu_max * params.ts
+    omega_max = 2.0 * np.pi * model.nu_max_t / params.mn
     if omega_max == 0.0:
         initial = np.exp(1j * phi).sum(axis=1, keepdims=True)
         taps = np.repeat(gains[:, None] * initial, duration, axis=1)

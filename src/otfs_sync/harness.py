@@ -56,11 +56,10 @@ class ExperimentConfig:
     """Flat description of one experiment; every field is a config key.
 
     Geometry and pilot fields mirror :class:`OtfsParams` and
-    :class:`PcpSpec`, whose defaults supply the sampling period, the
-    Zadoff-Chu root and the pilot power; ``pilot_m_p`` of ``None`` places
-    the pilot at the grid center, and the pilot's Doppler bin is always
-    N/2.  ``nu_max_t`` is the maximum Doppler normalized by the block
-    duration (nu_max * M * N * Ts); 0 makes the channel static.
+    :class:`PcpSpec`; ``pilot_m_p`` of ``None`` places the pilot at the
+    grid center.  ``nu_max_t`` is the maximum Doppler times the block
+    duration (nu_max * M * N * Ts), passed to the channel model as is; 0
+    makes the channel static.
 
     ``advance`` is the receiver's acquisition offset: the transmitted
     stream is shifted by ``theta + advance`` before the buffer is cut, and
@@ -70,7 +69,7 @@ class ExperimentConfig:
     footprint inside the buffer for every theta in the draw range.
 
     ``theta``/``epsilon`` of ``None`` draw uniformly per trial (theta over
-    [-MN/2, MN/2) integer, epsilon over +-(N - nu_max_t)/2); fixed values
+    [-MN/2, MN/2) integer, epsilon over +-(N/2 - nu_max_t)); fixed values
     make every trial use that offset.
 
     Each trial transmits one block, and the fine-CFO search evaluates the
@@ -148,28 +147,26 @@ class PointContext:
 
 
 def resolve_pilot(config: ExperimentConfig, params: OtfsParams) -> PcpSpec:
-    """Pilot spec from config: Doppler bin N/2, and the delay anchor at the
-    grid center unless ``pilot_m_p`` sets it."""
+    """Pilot spec from config: the delay anchor at the grid center unless
+    ``pilot_m_p`` sets it."""
     m_p = params.m // 2 if config.pilot_m_p is None else config.pilot_m_p
-    spec = PcpSpec(length=config.pilot_length, m_p=m_p, n_p=params.n // 2)
+    spec = PcpSpec(length=config.pilot_length, m_p=m_p)
     spec.validate_fit(params)
     return spec
 
 
-def resolve_channel(config: ExperimentConfig,
-                    params: OtfsParams) -> ChannelModel:
-    nu_max = config.nu_max_t / (params.mn * params.ts)
+def resolve_channel(config: ExperimentConfig) -> ChannelModel:
     if config.channel == "eva":
-        return eva_model(params.ts, config.pilot_length, nu_max)
+        return eva_model(config.pilot_length, config.nu_max_t)
     if config.channel == "single_tap":
-        return single_tap_model(nu_max=nu_max)
+        return single_tap_model(config.nu_max_t)
     raise ValueError(f"unknown channel kind {config.channel!r}")
 
 
 def build_point(config: ExperimentConfig) -> PointContext:
     """Resolve one sweep point's geometry, channel, and ML workspace."""
     params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp)
-    model = resolve_channel(config, params)
+    model = resolve_channel(config)
     mu_est = mean_delay(model)
     spec = resolve_pilot(config, params)
     if config.advance == "centered":
@@ -180,7 +177,7 @@ def build_point(config: ExperimentConfig) -> PointContext:
         advance = int(config.advance)
     bem = build_bem(params, spec, k=BEM_K, q=matched_order(config.nu_max_t))
     workspace = build_workspace(params, spec, bem)
-    eps_span = params.n - 2.0 * model.nu_max * params.mn * params.ts
+    eps_span = params.n - 2.0 * config.nu_max_t
     return PointContext(params=params, spec=spec, model=model,
                         mu_est=mu_est, workspace=workspace,
                         advance=advance, eps_span=eps_span)
@@ -235,7 +232,7 @@ def run_trial(configs: list, ctx: PointContext, trial_idx: int,
     eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
         else float(config.epsilon)
 
-    stream = build_stream([build_frame(params, spec, r_data)], params)
+    stream = build_stream(build_frame(params, spec, r_data), params)
     shift, length = theta + ctx.advance, 2 * params.n_t
     lo, hi = stream_reach(shift, stream.size, ctx.model.n_taps, length)
     # A stream that misses the buffer reads no taps; one sample keeps the
@@ -411,12 +408,19 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def sweep_axis_configs(config: ExperimentConfig):
-    """Yield (sweep_value, point config) pairs along the configured axis."""
+def sweep_axis(config: ExperimentConfig) -> str:
+    """The configured sweep axis, ``snr_db`` or ``nu_max_t``; any other
+    value raises ``ValueError``."""
     if config.sweep not in ("snr_db", "nu_max_t"):
         raise ValueError(f"unknown sweep axis {config.sweep!r}")
+    return config.sweep
+
+
+def sweep_axis_configs(config: ExperimentConfig):
+    """Yield (sweep_value, point config) pairs along the configured axis."""
+    axis = sweep_axis(config)
     for value in config.sweep_values:
-        yield value, replace(config, **{config.sweep: value})
+        yield value, replace(config, **{axis: value})
 
 
 def context_key(config: ExperimentConfig) -> tuple:
@@ -494,10 +498,10 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
 def run_single(config: ExperimentConfig, out_dir) -> PointSummary:
     """One sweep point at the config's scalar settings: a one-point table
-    whose sweep value is ``snr_db`` on an SNR axis, else ``nu_max_t``."""
+    whose sweep value is the config's value of the :func:`sweep_axis`."""
+    axis = sweep_axis(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    axis = "snr_db" if config.sweep == "snr_db" else "nu_max_t"
     [summary] = _run_table("results.csv", axis,
                            [(getattr(config, axis), config)])
     write_csv(out / "results.csv", RESULT_COLUMNS, summary_rows([summary]))

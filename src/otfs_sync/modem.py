@@ -19,10 +19,11 @@ QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 
 @dataclass(frozen=True)
 class OtfsParams:
-    """Grid geometry and framing constants of one OTFS block.
+    """Grid geometry and framing of one OTFS block.
 
-    The number of blocks in a stream is not a parameter: it is the number
-    of grids handed to :func:`build_stream`.
+    Offsets are in normalized units, so no sampling period is needed:
+    delay in samples, Doppler and CFO in units of 1/(M N) cycles per
+    sample.
 
     Attributes
     ----------
@@ -32,22 +33,17 @@ class OtfsParams:
         Doppler bins, equal to the number of time slots per block.
     lcp : int
         Cyclic-prefix length in samples; one CP per block.
-    ts : float
-        Sampling period in seconds (also the delay resolution).
     """
 
     m: int
     n: int
     lcp: int
-    ts: float = 1.0 / 8.25e6
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.m}x{self.n}")
         if not 0 <= self.lcp <= self.m * self.n:
             raise ValueError(f"lcp must lie in [0, M*N], got {self.lcp}")
-        if self.ts <= 0:
-            raise ValueError(f"sampling period must be positive, got {self.ts}")
 
     @property
     def mn(self) -> int:
@@ -103,7 +99,7 @@ def add_cp(samples: np.ndarray, params: OtfsParams) -> np.ndarray:
     return np.concatenate([samples[-params.lcp:], samples])
 
 
-def build_stream(grids, params: OtfsParams) -> np.ndarray:
-    """Concatenate CP-prefixed blocks into the transmitted sample stream."""
-    blocks = [add_cp(serialize_dt(dd_to_dt(g, params), params), params) for g in grids]
-    return np.concatenate(blocks)
+def build_stream(grid: np.ndarray, params: OtfsParams) -> np.ndarray:
+    """The transmitted samples of one block: the CP-prefixed serialized
+    delay-time frame of ``grid``."""
+    return add_cp(serialize_dt(dd_to_dt(grid, params), params), params)

@@ -1,28 +1,33 @@
 """Cyclic-prefixed pilot construction and embedding on the delay-Doppler grid.
 
-The pilot is a Zadoff-Chu sequence of length L placed in a single Doppler
-bin n_p across delay bins m_p .. m_p+L-1, with its last L-1 samples repeated
-as a delay-domain cyclic prefix in bins m_p-L+1 .. m_p-1.  Bin m_p-L is
-reserved but left zero, so the occupied region spans 2L delay rows of which
-2L-1 carry energy.  The repetition is what the delay-dimension timing metric
-correlates on, and the delay-domain CP is what makes the channel act
-circularly over the protected rows m_p .. m_p+L-1.
+The pilot is a Zadoff-Chu sequence of length L placed in Doppler bin
+N // 2 across delay bins m_p .. m_p+L-1, with its last L-1 samples
+repeated as a delay-domain cyclic prefix in bins m_p-L+1 .. m_p-1.  Bin
+m_p-L is reserved but left zero, so the occupied region spans 2L delay
+rows of which 2L-1 carry energy.  The repetition is what the
+delay-dimension timing metric correlates on, and the delay-domain CP is
+what makes the channel act circularly over the protected rows
+m_p .. m_p+L-1.  Doppler bin N/2 gives adjacent time slots a phase step
+of pi, the conventional placement.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .modem import OtfsParams, qam16_symbols
 
+#: Per-sample pilot amplitude sqrt(P): P is 40 dB above unit data-symbol
+#: power, 10^(40/20) = 100.
+PILOT_AMPLITUDE = 100.0
+
 
 @dataclass(frozen=True)
 class PcpSpec:
-    """Pilot geometry and sequence parameters.
+    """Pilot geometry.
 
     Attributes
     ----------
@@ -31,33 +36,14 @@ class PcpSpec:
         is designed for (the delay-domain CP protects L taps).
     m_p : int
         Anchor delay bin: the pilot proper occupies rows m_p .. m_p+L-1.
-    n_p : int
-        Pilot Doppler bin.  N/2 gives adjacent time slots a phase step
-        of pi, which is the conventional placement.
-    zc_root : int
-        Zadoff-Chu root, coprime with ``length``.
-    power_db : float
-        Per-sample pilot power above unit data-symbol power, in dB.
     """
 
     length: int
     m_p: int
-    n_p: int
-    zc_root: int = 1
-    power_db: float = 40.0
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError(f"pilot length must be >= 1, got {self.length}")
-        if math.gcd(self.zc_root, self.length) != 1:
-            raise ValueError(
-                f"zc_root {self.zc_root} is not coprime with length {self.length}"
-            )
-
-    @property
-    def amplitude(self) -> float:
-        """Per-sample pilot amplitude sqrt(P)."""
-        return float(10.0 ** (self.power_db / 20.0))
 
     def validate_fit(self, params: OtfsParams) -> None:
         """Check the pilot plus its delay-domain CP fit the grid."""
@@ -66,73 +52,56 @@ class PcpSpec:
                 f"pilot region [{self.m_p - self.length}, {self.m_p + self.length - 1}]"
                 f" does not fit delay axis of size {params.m}"
             )
-        if not 0 <= self.n_p <= params.n - 1:
-            raise ValueError(f"pilot Doppler bin {self.n_p} outside [0, {params.n - 1}]")
 
     def guard_rows(self) -> np.ndarray:
         """Delay rows reserved for the pilot: m_p-L .. m_p+L-1."""
         return np.arange(self.m_p - self.length, self.m_p + self.length)
 
 
-def make_zc(length: int, root: int) -> np.ndarray:
-    """Generate a Zadoff-Chu sequence.
+def make_zc(length: int) -> np.ndarray:
+    """Generate the root-1 Zadoff-Chu sequence.
 
-    z[n] = exp(-j*pi*root*n*(n+1)/L) for odd L,
-    z[n] = exp(-j*pi*root*n^2/L)     for even L.
+    z[n] = exp(-j*pi*n*(n+1)/L) for odd L,
+    z[n] = exp(-j*pi*n^2/L)     for even L.
 
     Constant modulus with zero periodic autocorrelation at all nonzero
-    lags whenever gcd(root, L) = 1.
+    lags (root 1 is coprime with every L).
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    if math.gcd(root, length) != 1:
-        raise ValueError(f"root {root} is not coprime with length {length}")
     n = np.arange(length)
     if length % 2:
-        phase = -np.pi * root * n * (n + 1) / length
+        phase = -np.pi * n * (n + 1) / length
     else:
-        phase = -np.pi * root * n * n / length
+        phase = -np.pi * n * n / length
     return np.exp(1j * phase)
 
 
-def embed_pcp(data: np.ndarray, spec: PcpSpec, params: OtfsParams) -> np.ndarray:
-    """Embed the pilot with its delay-domain CP and guard zeros.
+def embed_pcp(spec: PcpSpec, params: OtfsParams) -> np.ndarray:
+    """The pilot grid: the pilot with its delay-domain CP on an all-zero
+    grid.
 
-    Writes sqrt(P)*z[i] into rows m_p+i (i = 0..L-1) of Doppler column n_p,
-    and the CP copies into rows m_p-k via D[m_p-k, n_p] = D[m_p+L-k, n_p]
-    for k = 1..L-1.  Every other entry of rows m_p-L .. m_p+L-1 (all
-    Doppler columns) is zero; the data grid must already be clear there.
+    Writes sqrt(P)*z[i] into rows m_p+i (i = 0..L-1) of Doppler column
+    c = N // 2, and the CP copies into rows m_p-k via
+    D[m_p-k, c] = D[m_p+L-k, c] for k = 1..L-1.  Every other entry is zero.
     """
-    data = np.asarray(data)
-    if data.shape != (params.m, params.n):
-        raise ValueError(
-            f"grid shape {data.shape} does not match ({params.m}, {params.n})"
-        )
     spec.validate_fit(params)
-    rows = spec.guard_rows()
-    if np.any(data[rows, :] != 0):
-        raise ValueError(
-            "data grid carries energy inside the reserved pilot rows "
-            f"[{rows[0]}, {rows[-1]}]"
-        )
-    z = spec.amplitude * make_zc(spec.length, spec.zc_root)
-    out = data.copy().astype(complex)
-    out[rows, :] = 0.0
-    out[spec.m_p - spec.length + 1:spec.m_p + spec.length, spec.n_p] = \
+    z = PILOT_AMPLITUDE * make_zc(spec.length)
+    out = np.zeros((params.m, params.n), dtype=complex)
+    out[spec.m_p - spec.length + 1:spec.m_p + spec.length, params.n // 2] = \
         np.concatenate((z[1:], z))
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _frame_layout(params: OtfsParams, spec: PcpSpec) -> tuple:
-    """Read-only pilot grid (the pilot embedded in an all-zero grid) and
-    data rows (every delay row outside ``guard_rows``) of one geometry.
+    """Read-only pilot grid (:func:`embed_pcp`) and data rows (every
+    delay row outside ``guard_rows``) of one geometry.
 
     Every frame of a sweep point shares them; a spec that does not fit
     raises here on every call, since a raising call is not cached.
     """
-    pilot_grid = embed_pcp(np.zeros((params.m, params.n), dtype=complex),
-                           spec, params)
+    pilot_grid = embed_pcp(spec, params)
     data_rows = np.setdiff1d(np.arange(params.m), spec.guard_rows())
     pilot_grid.flags.writeable = data_rows.flags.writeable = False
     return pilot_grid, data_rows
@@ -158,10 +127,11 @@ def pilot_dt_slots(spec: PcpSpec, params: OtfsParams) -> np.ndarray:
     Returns an (N, L) array whose row l is the delay-time content of rows
     m_p .. m_p+L-1 in slot l:
 
-        s_l[i] = sqrt(P/N) * z[i] * exp(j*2*pi*l*n_p/N)
+        s_l[i] = sqrt(P/N) * z[i] * exp(j*2*pi*l*(N // 2)/N)
 
     Matches dd_to_dt of the embedded grid exactly (single-tone IDFT).
     """
-    z = spec.amplitude * make_zc(spec.length, spec.zc_root) / np.sqrt(params.n)
-    slot_phase = np.exp(2j * np.pi * spec.n_p * np.arange(params.n) / params.n)
+    z = PILOT_AMPLITUDE * make_zc(spec.length) / np.sqrt(params.n)
+    slot_phase = np.exp(2j * np.pi * (params.n // 2) * np.arange(params.n)
+                        / params.n)
     return slot_phase[:, None] * z[None, :]

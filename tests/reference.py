@@ -31,7 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from otfs_sync.cfo import BemModel, OpCounter, _require_slots
 from otfs_sync.modem import OtfsParams, qam16_symbols
-from otfs_sync.pilot import PcpSpec, _frame_layout, pilot_dt_slots
+from otfs_sync.pilot import (PILOT_AMPLITUDE, PcpSpec, _frame_layout,
+                             pilot_dt_slots)
 from otfs_sync.timing import _delay_products, _slot_row_sums
 
 
@@ -91,17 +92,17 @@ def time_metric_multiplies(params: OtfsParams, spec: PcpSpec,
 # trigonometric cost, and the least-squares fit that measures the basis.
 
 
-def bem_order(k: int, nu_max: float, params: OtfsParams) -> int:
-    """Model order Q = ceil(2 K nu_max M N Ts) + 1.
+def bem_order(k: int, nu_max_t: float) -> int:
+    """Model order Q = ceil(2 K nu_max_t) + 1, nu_max_t = nu_max M N Ts.
 
     One basis tone per resolvable Doppler bin of the K-times oversampled
     block, covering the band +-nu_max, plus the DC tone.
     """
     if k < 1:
         raise ValueError("oversampling factor k must be >= 1")
-    if nu_max < 0:
-        raise ValueError("nu_max must be >= 0")
-    return int(math.ceil(2.0 * k * nu_max * params.mn * params.ts)) + 1
+    if nu_max_t < 0:
+        raise ValueError("nu_max_t must be >= 0")
+    return int(math.ceil(2.0 * k * nu_max_t)) + 1
 
 
 def build_g(params: OtfsParams, spec: PcpSpec, bem: BemModel) -> np.ndarray:
@@ -201,13 +202,13 @@ def build_impulse_frame(params: OtfsParams, spec: PcpSpec,
     """Same data layout but a single-bin impulse pilot of equal total energy.
 
     Reference frame for PAPR comparisons: all pilot energy P*(2L-1) is
-    concentrated in the one bin (m_p, n_p).
+    concentrated in the one bin (m_p, N // 2).
     """
     data_rows = _frame_layout(params, spec)[1]
     grid = np.zeros((params.m, params.n), dtype=complex)
     grid[data_rows, :] = qam16_symbols(rng, (data_rows.size, params.n))
-    total_energy = spec.amplitude ** 2 * (2 * spec.length - 1)
-    grid[spec.m_p, spec.n_p] = np.sqrt(total_energy)
+    total_energy = PILOT_AMPLITUDE ** 2 * (2 * spec.length - 1)
+    grid[spec.m_p, params.n // 2] = np.sqrt(total_energy)
     return grid
 
 # Output files (otfs_sync.harness).

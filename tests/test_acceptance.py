@@ -21,7 +21,7 @@ import pytest
 
 from otfs_sync.cfo import (OpCounter, build_bem, build_workspace, fine_cfo,
                            ml_cost, projection)
-from otfs_sync.channel import eva_model, realize_channel
+from otfs_sync.channel import EVA_TS, eva_model, realize_channel
 from otfs_sync.harness import build_point, load_config, run_sweep, run_trial
 from otfs_sync.modem import OtfsParams
 from otfs_sync.pilot import PcpSpec
@@ -50,7 +50,7 @@ class TestCriterion1:
         within 1e-9 relative over 100 random buffers at (M,N,L)=(64,16,8)."""
         tic = time.perf_counter()
         params = OtfsParams(m=64, n=16, lcp=16)
-        spec = PcpSpec(length=8, m_p=32, n_p=8)
+        spec = PcpSpec(length=8, m_p=32)
         worst_d = worst_t = 0.0
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -84,7 +84,7 @@ class TestCriterion2:
         cases = 0
         for n, length, q in ((8, 4, 3), (16, 8, 5)):
             params = OtfsParams(m=4 * length, n=n, lcp=length)
-            spec = PcpSpec(length=length, m_p=2 * length, n_p=n // 2)
+            spec = PcpSpec(length=length, m_p=2 * length)
             bem = build_bem(params, spec, k=2, q=q)
             ws = build_workspace(params, spec, bem)
             rng = np.random.default_rng(1000 + n)
@@ -156,7 +156,7 @@ class TestCriterion4:
             m = 2 * length + 2 * int(rng.integers(1, 5))
             k = int(rng.integers(1, 5))
             params = OtfsParams(m=m, n=n, lcp=int(rng.integers(0, 9)))
-            spec = PcpSpec(length=length, m_p=m // 2, n_p=n // 2)
+            spec = PcpSpec(length=length, m_p=m // 2)
             bem = build_bem(params, spec, k=k, q=q)
             g = build_g(params, spec, bem)
             lam = projection(g)
@@ -216,16 +216,21 @@ class TestCriterion5:
 
 class TestCriterion8:
     """The paper's model-order rule: its values and the expressiveness
-    of the basis it selects."""
+    of the basis it selects.  The published bands {0, 660, 1640, 2730}
+    Hz at 128x32 are converted once to nu_max M N Ts at the EVA sampling
+    period (``BANDS_NU_T``)."""
+
+    BANDS_NU_T = [hz * 128 * 32 * EVA_TS for hz in (0.0, 660.0, 1640.0,
+                                                     2730.0)]
 
     def test_jakes_fit_quality(self, capsys):
         """The tone set the paper's rule selects at K = 4 fits a generated
         vehicular fading channel over the pilot region to NMSE <= 1e-2."""
-        params = OtfsParams(m=128, n=32, lcp=32)
-        spec = PcpSpec(length=21, m_p=64, n_p=16)
-        model = eva_model(params.ts, 21, nu_max=2730.0)
+        params, nu_t = OtfsParams(m=128, n=32, lcp=32), self.BANDS_NU_T[-1]
+        spec = PcpSpec(length=21, m_p=64)
+        model = eva_model(21, nu_t)
         real = realize_channel(model, params, params.n_t, seed=11)
-        bem = build_bem(params, spec, k=4, q=bem_order(4, 2730.0, params))
+        bem = build_bem(params, spec, k=4, q=bem_order(4, nu_t))
         nmse = bem_fit_nmse(real.taps, bem)
         ok = nmse <= 1e-2
         report(capsys, "8b", ok,
@@ -239,9 +244,7 @@ class TestCriterion8:
         pinned ceiling rule yields {1,4,8,12} at K = 4, the mismatch is
         recorded as an inconsistency in the published numbers, and this
         test fails by design rather than restating the rule to fit."""
-        params = OtfsParams(m=128, n=32, lcp=32)
-        orders = [bem_order(4, nu, params)
-                  for nu in (0.0, 660.0, 1640.0, 2730.0)]
+        orders = [bem_order(4, nu_t) for nu_t in self.BANDS_NU_T]
         ok = orders == [1, 3, 6, 8]
         report(capsys, "8a", ok,
                f"rule orders {orders} vs published [1, 3, 6, 8] "
@@ -260,7 +263,7 @@ class TestCriterion9:
         params = OtfsParams(m=128, n=32, lcp=32)
         per_point = []
         for length in (21, 11):
-            spec = PcpSpec(length=length, m_p=64, n_p=16)
+            spec = PcpSpec(length=length, m_p=64)
             bem = build_bem(params, spec, k=4, q=7)
             ws = build_workspace(params, spec, bem)
             rng = np.random.default_rng(length)
@@ -269,7 +272,7 @@ class TestCriterion9:
             counter = OpCounter()
             ml_cost_fast(r_p, ws.lam, bem, 0.123, beta=beta, counter=counter)
             per_point.append(counter.multiplies)
-        spec = PcpSpec(length=21, m_p=64, n_p=16)
+        spec = PcpSpec(length=21, m_p=64)
         bem = build_bem(params, spec, k=4, q=7)
         ws = build_workspace(params, spec, bem)
         rng = np.random.default_rng(5)

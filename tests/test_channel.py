@@ -32,7 +32,7 @@ def exact_taps(model, params, seed, start, duration):
     for ell in range(model.n_taps):
         psi = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
         phi = rng.uniform(0.0, 2.0 * np.pi, JAKES_SINUSOIDS)
-        omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi)
+        omega = 2.0 * np.pi * model.nu_max_t / params.mn * np.cos(psi)
         taps[ell] = np.sqrt(model.pdp[ell] / JAKES_SINUSOIDS) * np.exp(
             1j * (phi[:, None] + omega[:, None] * k[None, :])).sum(axis=0)
     return taps
@@ -48,7 +48,7 @@ class TestChannelModel:
         with pytest.raises(ValueError):
             ChannelModel(pdp=np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
-            ChannelModel(pdp=np.array([1.0]), nu_max=-1.0)
+            ChannelModel(pdp=np.array([1.0]), nu_max_t=-1.0)
 
     def test_single_tap_model(self):
         """The single-tap helper is a unit-power tap at delay zero, static
@@ -56,12 +56,12 @@ class TestChannelModel:
         model = single_tap_model()
         assert model.n_taps == 1
         assert_allclose(model.pdp, [1.0])
-        assert model.nu_max == 0.0
+        assert model.nu_max_t == 0.0
 
     def test_powered_taps_derived_once(self):
         """The model carries its powered delay bins and their per-sinusoid
         amplitudes sqrt(p / S), read-only, and a realization reuses them."""
-        model = eva_model(PARAMS.ts, 21, 500.0)
+        model = eva_model(21, 0.25)
         assert_array_equal(model.delays, np.flatnonzero(model.pdp))
         assert_array_equal(model.gains, np.sqrt(model.pdp[model.delays])
                            * (1.0 / np.sqrt(JAKES_SINUSOIDS)))
@@ -78,7 +78,8 @@ class TestEvaProfile:
     def test_bin_mapping_at_design_rate(self):
         """At Ts = 1/8.25 MHz the nine standard taps land on seven bins,
         with the last clipped into bin 20."""
-        model = eva_model(1.0 / 8.25e6, 21, 0.0)
+        assert channel.EVA_TS == 1.0 / 8.25e6
+        model = eva_model(21, 0.0)
         assert model.n_taps == 21
         assert_array_equal(np.nonzero(model.pdp)[0], [0, 1, 3, 6, 9, 14, 20])
         assert_allclose(model.pdp.sum(), 1.0, rtol=1e-12)
@@ -86,26 +87,26 @@ class TestEvaProfile:
     def test_first_bin_merges_two_taps(self):
         """The 0 ns and 30 ns taps share bin 0, so its power exceeds the
         strongest single tap's normalized share."""
-        model = eva_model(1.0 / 8.25e6, 21, 0.0)
+        model = eva_model(21, 0.0)
         assert model.pdp[0] > 0.41
 
     def test_mean_delay_value(self):
         """The PDP-weighted mean delay of the 21-tap profile is fixed."""
-        model = eva_model(1.0 / 8.25e6, 21, 0.0)
+        model = eva_model(21, 0.0)
         assert_allclose(mean_delay(model), 3.043561946127299, rtol=1e-12)
 
     def test_clipping_warns(self, caplog):
         """Taps beyond the modeled span are folded into the last bin with
         a logged warning."""
         with caplog.at_level("WARNING", logger="otfs_sync.channel"):
-            eva_model(1.0 / 8.25e6, 10, 0.0)
+            eva_model(10, 0.0)
         assert any("clipped" in rec.message for rec in caplog.records)
 
     def test_one_bin_rounding_fold_is_quiet(self, caplog):
         """At the design rate and L = 21 the 2510 ns tap rounds to bin 21,
         one past the span; that expected fold is logged at DEBUG only."""
         with caplog.at_level("DEBUG", logger="otfs_sync.channel"):
-            eva_model(1.0 / 8.25e6, 21, 0.0)
+            eva_model(21, 0.0)
         assert not [rec for rec in caplog.records
                     if rec.levelname == "WARNING"]
         assert any("folded" in rec.message for rec in caplog.records)
@@ -128,12 +129,12 @@ class TestRealizeChannel:
     """Sum-of-sinusoids tap processes."""
 
     def setup_method(self):
-        self.params = OtfsParams(m=16, n=8, lcp=4, ts=1e-4)
+        self.params = OtfsParams(m=16, n=8, lcp=4)
 
     def test_shape_and_determinism(self):
         """The realization is (powered taps, duration) and
         seed-reproducible."""
-        model = eva_model(1.0 / 8.25e6, 21, 500.0)
+        model = eva_model(21, 0.01)
         params = OtfsParams(m=16, n=8, lcp=4)
         one = realize_channel(model, params, 50, seed=42)
         two = realize_channel(model, params, 50, seed=42)
@@ -150,21 +151,23 @@ class TestRealizeChannel:
             ChannelRealization(taps=np.ones((1, 4), dtype=complex))
 
     def test_static_taps_are_constant(self):
-        """The static single tap (nu_max = 0) holds its initial value."""
+        """The static single tap (nu_max_t = 0) holds its initial value."""
         model = single_tap_model()
         real = realize_channel(model, self.params, 40, seed=1)
         assert_array_equal(real.taps, np.tile(real.taps[:, :1], (1, 40)))
 
     def test_zero_doppler_is_constant(self):
-        """A model built with nu_max = 0 freezes the taps."""
-        model = ChannelModel(pdp=np.array([1.0]), nu_max=0.0)
+        """A model built with nu_max_t = 0 freezes the taps."""
+        model = ChannelModel(pdp=np.array([1.0]), nu_max_t=0.0)
         real = realize_channel(model, self.params, 40, seed=1)
         assert_array_equal(real.taps, np.tile(real.taps[:, :1], (1, 40)))
 
     def test_underflowing_doppler_is_constant(self):
-        """A Doppler so small that omega_max = 2 pi nu_max Ts rounds to
-        zero freezes the taps instead of sizing blocks by 1 / 0."""
-        model = ChannelModel(pdp=np.array([1.0]), nu_max=1e-320)
+        """A Doppler so small that omega_max = 2 pi nu_max_t / (M N)
+        rounds to zero freezes the taps instead of sizing blocks by 1 / 0:
+        at M N = 128 the smallest subnormal nu_max_t does."""
+        assert 2.0 * np.pi * 5e-324 / self.params.mn == 0.0
+        model = ChannelModel(pdp=np.array([1.0]), nu_max_t=5e-324)
         real = realize_channel(model, self.params, 40, seed=1)
         assert_array_equal(real.taps, np.tile(real.taps[:, :1], (1, 40)))
 
@@ -182,14 +185,14 @@ class TestRealizeChannel:
         """Every sample equals sqrt(p/S) sum_s exp(j (phi + omega k)) with
         exact exponentials, from the same draws, within 1e-12."""
         params = OtfsParams(m=128, n=32, lcp=32)
-        model = eva_model(params.ts, 21, 1.36 / (params.mn * params.ts))
+        model = eva_model(21, 1.36)
         real = realize_channel(model, params, duration, seed=7)
         assert_array_equal(real.delays, np.flatnonzero(model.pdp))
         k = np.arange(duration)
         draws = self._draws(model, 7)
         for ell, row in zip(real.delays, real.taps):
             psi, phi = draws[ell]
-            omega = 2.0 * np.pi * model.nu_max * params.ts * np.cos(psi)
+            omega = 2.0 * np.pi * model.nu_max_t / params.mn * np.cos(psi)
             exact = np.sqrt(model.pdp[ell] / JAKES_SINUSOIDS) * np.exp(
                 1j * (phi[:, None] + omega[:, None] * k[None, :])).sum(axis=0)
             assert_allclose(row, exact, rtol=0, atol=1e-12)
@@ -199,7 +202,7 @@ class TestRealizeChannel:
     def test_window_matches_exact_sum(self, duration, nu_t):
         """A window at start > 0 equals the exact per-tap sum over absolute
         samples [start, start + duration), within 1e-12."""
-        model = eva_model(PARAMS.ts, 21, nu_t / (PARAMS.mn * PARAMS.ts))
+        model = eva_model(21, nu_t)
         real = realize_channel(model, PARAMS, duration, seed=7, start=1523)
         assert (real.start, real.stop) == (1523, 1523 + duration)
         assert_array_equal(real.delays, np.flatnonzero(model.pdp))
@@ -212,7 +215,7 @@ class TestRealizeChannel:
     def test_window_is_slice_of_full_realization(self, nu_t):
         """A window reproduces the matching slice of the start-0
         realization of the same seed, within 1e-14 (static: exactly)."""
-        model = eva_model(PARAMS.ts, 21, nu_t / (PARAMS.mn * PARAMS.ts))
+        model = eva_model(21, nu_t)
         full = realize_channel(model, PARAMS, 2 * PARAMS.n_t, seed=5)
         for start, duration in [(0, 1), (1500, 4148), (6000, 2256),
                                 (8255, 1)]:
@@ -232,8 +235,7 @@ class TestRealizeChannel:
         included), the synthesis holds exactly the powered taps and
         matches the exact sum within 1e-12."""
         pdp = np.array(powers) / np.sum(powers)
-        model = ChannelModel(pdp=pdp,
-                             nu_max=nu_t / (PARAMS.mn * PARAMS.ts))
+        model = ChannelModel(pdp=pdp, nu_max_t=nu_t)
         real = realize_channel(model, PARAMS, duration, seed=start,
                                start=start)
         assert_array_equal(real.delays, np.flatnonzero(pdp))
@@ -243,9 +245,8 @@ class TestRealizeChannel:
 
     @staticmethod
     def _model_at(nu_t):
-        """EVA at nu*T on PARAMS, with its omega_max = 2 pi nu_max Ts."""
-        model = eva_model(PARAMS.ts, 21, nu_t / (PARAMS.mn * PARAMS.ts))
-        return model, 2.0 * np.pi * model.nu_max * PARAMS.ts
+        """EVA at nu*T on PARAMS, with its omega_max = 2 pi nu*T / (M N)."""
+        return eva_model(21, nu_t), 2.0 * np.pi * nu_t / PARAMS.mn
 
     @pytest.mark.parametrize("nu_t, width, start, durations", [
         (0.01, MAX_BLOCK, 0, [MAX_BLOCK - 1, MAX_BLOCK + 1, 3 * MAX_BLOCK]),
@@ -291,7 +292,7 @@ class TestRealizeChannel:
     def test_only_powered_taps_have_rows(self):
         """Taps without PDP power get no row: at EVA L = 21 the
         realization holds the 7 powered bins, every row nonzero."""
-        model = eva_model(1.0 / 8.25e6, 21, 500.0)
+        model = eva_model(21, 0.01)
         real = realize_channel(model, OtfsParams(m=16, n=8, lcp=4), 300,
                                seed=3)
         assert_array_equal(real.delays, np.flatnonzero(model.pdp))
@@ -301,7 +302,7 @@ class TestRealizeChannel:
     def test_static_branch_matches_per_tap_form(self):
         """A static multi-tap profile holds each tap at its k = 0 value,
         amps * S^-1/2 * sum(exp(j phi)), bit for bit."""
-        model = eva_model(1.0 / 8.25e6, 21, 0.0)
+        model = eva_model(21, 0.0)
         real = realize_channel(model, self.params, 25, seed=11)
         assert_array_equal(real.delays, np.flatnonzero(model.pdp))
         scale = 1.0 / np.sqrt(JAKES_SINUSOIDS)
@@ -313,7 +314,7 @@ class TestRealizeChannel:
 
     def test_per_tap_power_matches_pdp(self):
         """Averaged over realizations, each tap's power follows the PDP."""
-        model = ChannelModel(pdp=np.array([0.6, 0.3, 0.1]), nu_max=200.0)
+        model = ChannelModel(pdp=np.array([0.6, 0.3, 0.1]), nu_max_t=2.56)
         powers = np.zeros(3)
         n_draws = 400
         for seed in range(n_draws):
@@ -323,9 +324,10 @@ class TestRealizeChannel:
 
     def test_jakes_autocorrelation(self):
         """The tap autocorrelation follows the zeroth-order Bessel curve
-        of isotropic scattering, E[h(t+tau) h*(t)] = J0(2 pi nu tau Ts)."""
-        nu = 100.0
-        model = ChannelModel(pdp=np.array([1.0]), nu_max=nu)
+        of isotropic scattering, E[h(k+tau) h*(k)] = J0(2 pi nu*T tau / (M N))
+        at a lag of tau samples."""
+        nu_t = 1.28
+        model = ChannelModel(pdp=np.array([1.0]), nu_max_t=nu_t)
         duration, lags = 200, [0, 20, 50]
         acc = np.zeros(len(lags), dtype=complex)
         n_draws = 300
@@ -335,7 +337,7 @@ class TestRealizeChannel:
                 span = duration - lag
                 acc[i] += np.mean(h[lag:] * np.conj(h[:span]))
         estimate = acc / n_draws
-        expected = j0(2 * np.pi * nu * self.params.ts * np.array(lags))
+        expected = j0(2 * np.pi * nu_t * np.array(lags) / self.params.mn)
         assert_allclose(estimate.real, expected, atol=0.05)
         assert_allclose(estimate.imag, np.zeros(len(lags)), atol=0.05)
 
@@ -432,8 +434,7 @@ class TestApplyImpairments:
         the output equals the loop over all 21 taps of the dense layout
         (dead rows exactly zero) bit for bit."""
         params = OtfsParams(m=128, n=32, lcp=32)
-        nu_max = 1.36 / (params.mn * params.ts)
-        model = eva_model(params.ts, 21, nu_max)
+        model = eva_model(21, 1.36)
         rng = np.random.default_rng(11)
         stream = rng.standard_normal(params.n_t) \
             + 1j * rng.standard_normal(params.n_t)
@@ -462,7 +463,7 @@ class TestApplyImpairments:
         the middle."""
         params = PARAMS
         length = 2 * params.n_t
-        model = eva_model(params.ts, 21, 1.36 / (params.mn * params.ts))
+        model = eva_model(21, 1.36)
         rng = np.random.default_rng(11)
         stream = rng.standard_normal(params.n_t) \
             + 1j * rng.standard_normal(params.n_t)

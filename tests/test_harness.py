@@ -224,6 +224,16 @@ class TestRunTrial:
         assert r.theta_true == 11
         assert r.eps_true == 0.375
 
+    def test_epsilon_draw_range(self):
+        """A random epsilon is drawn over [-(N/2 - nu*T), N/2 - nu*T): at
+        N = 8 and nu*T = 1.5 all 200 draws lie in [-2.5, 2.5), and the
+        extremes come within 0.1 of both ends."""
+        fading = dataclasses.replace(TINY, nu_max_t=1.5)
+        ctx = build_point(fading)
+        eps = [run_trial([fading], ctx, t)[0].eps_true for t in range(200)]
+        assert all(-2.5 <= e < 2.5 for e in eps)
+        assert min(eps) < -2.4 and max(eps) > 2.4
+
 
     @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
                                        "fine_cfo"])
@@ -664,6 +674,14 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
+
+    def test_run_unknown_sweep_axis_raises(self, tmp_path):
+        """`run` refuses a sweep axis that `sweep` refuses, before writing
+        anything."""
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            main(["run", "--out", str(tmp_path), "--sweep", "bogus"]
+                 + self._flags())
+        assert not (tmp_path / "manifest.txt").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         """Flags override file values, which override the defaults."""

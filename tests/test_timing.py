@@ -36,7 +36,7 @@ class TestDelayMetric:
 
     def setup_method(self):
         self.params = OtfsParams(m=8, n=4, lcp=2)
-        self.spec = PcpSpec(length=3, m_p=4, n_p=2)
+        self.spec = PcpSpec(length=3, m_p=4)
         rng = np.random.default_rng(17)
         self.buffer = random_buffer(rng, 64)
 
@@ -72,7 +72,7 @@ class TestDelayMetric:
 
     def test_unit_pilot_rejected(self):
         """A length-1 pilot has no L-lag repetition to correlate on."""
-        spec = PcpSpec(length=1, m_p=4, n_p=2)
+        spec = PcpSpec(length=1, m_p=4)
         with pytest.raises(ValueError, match="length >= 2"):
             metric_delay(self.buffer, self.params, spec)
 
@@ -82,7 +82,7 @@ class TestSlotMetric:
 
     def setup_method(self):
         self.params = OtfsParams(m=8, n=4, lcp=2)
-        self.spec = PcpSpec(length=2, m_p=4, n_p=2)
+        self.spec = PcpSpec(length=2, m_p=4)
         rng = np.random.default_rng(23)
         self.buffer = random_buffer(rng, 80)
 
@@ -124,7 +124,7 @@ class TestPeakBookkeeping:
         """The delay estimate subtracts the pilot anchor, CP, and the
         integer mean delay from the peak row."""
         params = OtfsParams(m=16, n=4, lcp=5)
-        spec = PcpSpec(length=3, m_p=8, n_p=2)
+        spec = PcpSpec(length=3, m_p=8)
         p_d = np.zeros(16)
         p_d[11] = 2.0
         assert estimate_theta_d(p_d, spec, params, mu_h=1.0) == \
@@ -133,7 +133,7 @@ class TestPeakBookkeeping:
     def test_theta_d_tie_takes_smallest(self):
         """Equal peaks resolve toward the smaller row index."""
         params = OtfsParams(m=16, n=4, lcp=0)
-        spec = PcpSpec(length=3, m_p=8, n_p=2)
+        spec = PcpSpec(length=3, m_p=8)
         p_d = np.ones(16)
         assert estimate_theta_d(p_d, spec, params, mu_h=0.0) == -5
 
@@ -148,9 +148,9 @@ class TestNoiselessRecovery:
 
     def setup_method(self):
         self.params = OtfsParams(m=32, n=8, lcp=16)
-        self.spec = PcpSpec(length=2, m_p=16, n_p=4)
+        self.spec = PcpSpec(length=2, m_p=16)
         rng = np.random.default_rng(0)
-        self.stream = build_stream([build_frame(self.params, self.spec, rng)],
+        self.stream = build_stream(build_frame(self.params, self.spec, rng),
                                    self.params)
         self.model = single_tap_model()
         self.real = realize_channel(self.model, self.params,
@@ -200,7 +200,7 @@ class TestMultiplyCounts:
         """Direct costs M*N*(L-1); iterative seeds one window then pays
         2N per step."""
         params = OtfsParams(m=64, n=16, lcp=8)
-        spec = PcpSpec(length=8, m_p=32, n_p=8)
+        spec = PcpSpec(length=8, m_p=32)
         assert delay_metric_multiplies(params, spec, iterative=False) == \
             64 * 16 * 7
         assert delay_metric_multiplies(params, spec, iterative=True) == \
@@ -210,7 +210,7 @@ class TestMultiplyCounts:
         """Direct costs N*(N-1)*2L; iterative seeds one window then pays
         two row sums per step."""
         params = OtfsParams(m=64, n=16, lcp=8)
-        spec = PcpSpec(length=8, m_p=32, n_p=8)
+        spec = PcpSpec(length=8, m_p=32)
         assert time_metric_multiplies(params, spec, iterative=False) == \
             16 * 15 * 16
         assert time_metric_multiplies(params, spec, iterative=True) == \
@@ -219,7 +219,7 @@ class TestMultiplyCounts:
     def test_iterative_is_cheaper(self):
         """The sliding forms undercut the direct forms at scale."""
         params = OtfsParams(m=128, n=32, lcp=32)
-        spec = PcpSpec(length=21, m_p=64, n_p=16)
+        spec = PcpSpec(length=21, m_p=64)
         assert delay_metric_multiplies(params, spec, True) < \
             delay_metric_multiplies(params, spec, False)
         assert time_metric_multiplies(params, spec, True) < \
