@@ -21,13 +21,16 @@ the span of an N x Q slot factor S.  Two pilot properties give this:
 * Z has full rank: a ZC sequence is CAZAC, so its DFT, the circulant's
   eigenvalues, has constant nonzero modulus.
 
-So col(G) = span(S) kron C^L exactly, and ``build_workspace`` keeps only
-the N x N projector P, never the NL x NL Lambda.  With L = 21 and
-Q = 7, P takes 4.1 / 16 / 66 kB at 256x16 / 128x32 / 64x64, against
-2.6 / 8.8 / 32.1 MB for G and Lambda.  Lambda is exactly banded with
-nonzero diagonals only at multiples of L, which yields an equivalent
-trigonometric-polynomial form of the cost whose per-grid-point work is
-independent of L.
+So col(G) = span(S) kron C^L exactly.  ``build_workspace`` forms S
+straight from the Q tones and keeps only the N x N projector P; G is
+never formed, and the NL x NL Lambda only for the matrix search.  G,
+and the GCE-BEM tone matrix it is made of, live in
+``tests/reference.py``, where the tests check the factoring against
+them.  With L = 21 and Q = 7, P takes 4.1 / 16 / 66 kB at 256x16 /
+128x32 / 64x64, against 2.6 / 8.8 / 32.1 MB for G and Lambda.  Lambda
+is exactly banded with nonzero diagonals only at multiples of L, which
+yields an equivalent trigonometric-polynomial form of the cost whose
+per-grid-point work is independent of L.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ COARSE_STEP = 1e-2
 FINE_STEP = 1e-4
 
 
-class SingularModelError(Exception):
-    """The BEM model matrix cannot be inverted for this geometry."""
-
-
 @dataclass
 class OpCounter:
     """Running complex-multiply count for cost evaluations."""
@@ -71,9 +70,8 @@ class OpCounter:
 
 @dataclass
 class CfoEstimate:
-    """Coarse and fine CFO estimates plus the evaluated cost samples."""
+    """Fine CFO estimate plus the evaluated cost samples."""
 
-    eps_coarse: float
     eps_fine: float
     cost_trace: np.ndarray
 
@@ -147,29 +145,6 @@ def matched_order(nu_max_t: float) -> int:
     return 2 * math.floor(BEM_K * nu_max_t / 2.0 + 0.5) + 1
 
 
-@dataclass(frozen=True)
-class BemModel:
-    """Complex-exponential basis over the pilot samples of one block.
-
-    ``freqs`` are the tone frequencies in cycles per sample,
-    (q - floor(Q/2)) / (K M N) for q = 0 .. Q-1; ``pilot_idx`` holds the
-    block-relative stream index of every pilot sample, shape (N, L); and
-    ``basis`` is the (N L, Q) evaluation of the tones at those samples in
-    pilot-vector order.  The model is shared by every trial of a point,
-    so the three arrays are made read-only.
-    """
-
-    q: int
-    params: OtfsParams
-    freqs: np.ndarray
-    pilot_idx: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        for array in (self.freqs, self.pilot_idx, self.basis):
-            array.flags.writeable = False
-
-
 def pilot_sample_indices(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
     """Block-relative stream indices of the protected pilot rows.
 
@@ -193,26 +168,6 @@ def extract_pilot(received: np.ndarray, block_start: int,
             f"buffer of {received.size} samples"
         )
     return received[idx].ravel()
-
-
-def build_bem(params: OtfsParams, spec: PcpSpec, k: int, q: int) -> BemModel:
-    """Construct the GCE-BEM tone set for one block's pilot region."""
-    if q < 1:
-        raise ValueError("model order q must be >= 1")
-    freqs = (np.arange(q) - q // 2) / (k * params.mn)
-    idx = pilot_sample_indices(params, spec)
-    basis = np.exp(2j * np.pi * idx.reshape(-1, 1).astype(float) * freqs)
-    return BemModel(q=q, params=params, freqs=freqs, pilot_idx=idx,
-                    basis=basis)
-
-
-def _require_slots(params: OtfsParams, spec: PcpSpec,
-                   bem: BemModel) -> None:
-    if params.n < bem.q:
-        raise SingularModelError(
-            f"model matrix is rank deficient: Q={bem.q} basis tones need at "
-            f"least Q slots, got N={params.n} (L={spec.length})"
-        )
 
 
 def projection(g: np.ndarray) -> np.ndarray:
@@ -241,15 +196,14 @@ def projection(g: np.ndarray) -> np.ndarray:
 class MlWorkspace:
     """Precomputed per-geometry objects for the ML cost.
 
-    Built once per (params, spec, bem) and shared read-only by every
-    trial of a point.  It stores only the N x N slot projector ``p``,
-    made read-only; ``lam`` is rebuilt on each access for the matrix
-    search, so no NL x NL array is kept.
+    Built once per (params, spec, Q) and shared read-only by every trial
+    of a point.  It stores only the N x N slot projector ``p``, made
+    read-only; ``lam`` is rebuilt on each access for the matrix search,
+    so no NL x NL array is kept.
     """
 
     params: OtfsParams
     spec: PcpSpec
-    bem: BemModel
     p: np.ndarray
 
     def __post_init__(self) -> None:
@@ -295,38 +249,50 @@ def _lag_bands(n: int) -> tuple:
 
 
 def build_workspace(params: OtfsParams, spec: PcpSpec,
-                    bem: BemModel) -> MlWorkspace:
-    """Slot projector P of the model's column space.
+                    q: int) -> MlWorkspace:
+    """Slot projector P of the Q-tone model's column space.
 
-    The slot factor S is G's rows at each slot's first pilot row and its
-    columns for delay shift 0: S[l, q] = s_l[0] B[k_{l,0}, q], the
-    slot-l pilot sample (slot phase times a constant) times tone q.
-    Each relative singular value of S appears L times among G's, so
-    ``projection`` truncates S exactly where it would truncate G, and
-    rank(G) = L rank(S).
+    The tones sit at (q - floor(Q/2)) / (K M N) cycles per sample, K =
+    BEM_K.  The slot factor is S[l, q] = s_l[0] e^{j 2 pi f_q k_l}: the
+    slot-l pilot sample (slot phase times a constant) times tone q at
+    the slot's first pilot row k_l.  These are G's rows at each slot's
+    first pilot row and its columns for delay shift 0 (``build_g`` in
+    ``tests/reference.py``).  Each relative singular value of S appears L
+    times among G's, so ``projection`` truncates S exactly where it would
+    truncate G, and rank(G) = L rank(S).  Q must lie in 1 .. N: more
+    tones than slots leave G rank deficient, which raises ``ValueError``.
     """
-    _require_slots(params, spec, bem)
-    slots = pilot_dt_slots(spec, params)
-    basis = bem.basis.reshape(params.n, spec.length, bem.q)
-    s = slots[:, :1] * basis[:, 0, :]
-    return MlWorkspace(params=params, spec=spec, bem=bem, p=projection(s))
+    if q < 1:
+        raise ValueError("model order q must be >= 1")
+    if params.n < q:
+        raise ValueError(
+            f"model matrix is rank deficient: Q={q} basis tones need at "
+            f"least Q slots, got N={params.n} (L={spec.length})"
+        )
+    freqs = (np.arange(q) - q // 2) / (BEM_K * params.mn)
+    first = pilot_sample_indices(params, spec)[:, :1]
+    tones = np.exp(2j * np.pi * first.astype(float) * freqs)
+    s = pilot_dt_slots(spec, params)[:, :1] * tones
+    return MlWorkspace(params=params, spec=spec, p=projection(s))
 
 
-def _gamma_phases(bem: BemModel, eps_tilde: float) -> np.ndarray:
+def _gamma_phases(params: OtfsParams, spec: PcpSpec,
+                  eps_tilde: float) -> np.ndarray:
     """Diagonal of Gamma(eps): e^{j 2 pi eps k / (M N)} at pilot samples."""
     return np.exp(2j * np.pi * eps_tilde
-                  * bem.pilot_idx.ravel() / bem.params.mn)
+                  * pilot_sample_indices(params, spec).ravel() / params.mn)
 
 
-def ml_cost(r_p: np.ndarray, lam: np.ndarray, bem: BemModel,
-            eps_tilde: float, counter: OpCounter | None = None) -> float:
+def ml_cost(r_p: np.ndarray, lam: np.ndarray, params: OtfsParams,
+            spec: PcpSpec, eps_tilde: float,
+            counter: OpCounter | None = None) -> float:
     """Matrix form of the ML cost, the ground truth.
 
     g(eps) = r_p^H Gamma(eps) Lambda Gamma^H(eps) r_p; maximizing over
     eps picks the trial CFO whose de-rotation leaves the observation
     closest to the BEM model's column space.
     """
-    v = np.conj(_gamma_phases(bem, eps_tilde)) * r_p
+    v = np.conj(_gamma_phases(params, spec, eps_tilde)) * r_p
     nl = r_p.size
     if counter is not None:
         counter.add(nl * nl + 2 * nl)
@@ -368,7 +334,7 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
     cost of one phasor-weighted sum.  The matrix path (``use_fast`` off)
     builds Lambda once per call and evaluates ``ml_cost`` at each point.
     """
-    bem, n = workspace.bem, workspace.params.n
+    params, spec, n = workspace.params, workspace.spec, workspace.params.n
     if use_fast:
         beta = workspace.beta(r_p, counter=counter)
     else:
@@ -378,7 +344,8 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
         grid = center + np.arange(-steps, steps + 1) * step
         if not use_fast:
             return grid, np.array([
-                ml_cost(r_p, lam, bem, e, counter=counter) for e in grid
+                ml_cost(r_p, lam, params, spec, e, counter=counter)
+                for e in grid
             ])
         if counter is not None:
             counter.add(n * grid.size)
@@ -401,5 +368,4 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
         np.concatenate([grid1, grid2]),
         np.concatenate([costs1, costs2]),
     ])
-    return CfoEstimate(eps_coarse=float(eps_coarse), eps_fine=eps_fine,
-                       cost_trace=trace)
+    return CfoEstimate(eps_fine=eps_fine, cost_trace=trace)

@@ -117,19 +117,6 @@ class ChannelRealization:
         return self.start + self.duration
 
 
-@dataclass(frozen=True)
-class Impairments:
-    """Receiver-side impairments applied to the transmitted stream.
-
-    theta is the integer timing offset in samples (delay-resolution
-    units); epsilon is the CFO normalized by the Doppler resolution
-    1/(M N Ts).
-    """
-
-    theta: int = 0
-    epsilon: float = 0.0
-
-
 def single_tap_model(nu_max_t: float = 0.0) -> ChannelModel:
     """Unit-power single tap at delay zero."""
     return ChannelModel(pdp=np.array([1.0]), nu_max_t=nu_max_t)
@@ -311,15 +298,17 @@ def unit_noise(length: int, seed) -> np.ndarray:
 
 
 def apply_impairments(stream: np.ndarray, real: ChannelRealization,
-                      imp: Impairments, params: OtfsParams,
+                      theta: int, epsilon: float, params: OtfsParams,
                       length: int | None = None) -> np.ndarray:
     """Propagate ``stream`` through the channel with TO and CFO, noiselessly.
 
     r[k] = e^{j 2 pi eps k / (M N)} * sum_ell h[ell, k] s[k - ell - theta]
 
-    for k = 0 .. length-1, with s taken as zero outside its support.  The
-    CFO phase index k counts received samples from the start of the
-    observation buffer.  ``length`` defaults to the end of the
+    for k = 0 .. length-1, with s taken as zero outside its support.
+    ``theta`` is the integer timing offset in samples (delay-resolution
+    units) and ``epsilon`` the CFO normalized by the Doppler resolution
+    1/(M N Ts).  The CFO phase index k counts received samples from the
+    start of the observation buffer.  ``length`` defaults to the end of the
     realization, ``real.stop``.
 
     The sum runs over the realization's rows, tap ``real.delays[i]``
@@ -332,9 +321,9 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     stream = np.asarray(stream, dtype=complex)
     if stream.ndim != 1:
         raise ValueError("stream must be 1-D")
-    if not float(imp.theta).is_integer():
-        raise ValueError(f"timing offset must be an integer, got {imp.theta!r}")
-    theta = int(imp.theta)
+    if not float(theta).is_integer():
+        raise ValueError(f"timing offset must be an integer, got {theta!r}")
+    theta = int(theta)
     length = real.stop if length is None else int(length)
     lo, hi = stream_reach(theta, stream.size, int(real.delays[-1]) + 1,
                           length)
@@ -351,8 +340,8 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
             continue
         out[first:last] += (row[first - real.start:last - real.start]
                             * stream[first - shift:last - shift])
-    if imp.epsilon != 0.0:
-        out[lo:hi] *= np.exp(2j * np.pi * imp.epsilon * np.arange(lo, hi)
+    if epsilon != 0.0:
+        out[lo:hi] *= np.exp(2j * np.pi * epsilon * np.arange(lo, hi)
                              / params.mn)
     return out
 

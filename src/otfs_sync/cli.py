@@ -63,27 +63,33 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    """Run the verb.  An input error, a ``ValueError`` from the config or
+    the verb, exits with status 2 and one ``otfs-sync: error:`` line, as
+    a bad flag does."""
     args = PARSER.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    config = resolve_config(args)
-    if args.verb == "run":
-        summary = run_single(config, args.out)
-        print(f"sweep_value={summary.sweep_value} "
-              f"to_err_mean={summary.to_err_mean!r} "
-              f"to_err_var={summary.to_err_var!r} "
-              f"cfo_mse_coarse={summary.cfo_mse_coarse!r} "
-              f"cfo_mse_fine={summary.cfo_mse_fine!r} "
-              f"trials={summary.trials} failures={summary.failures}")
-    elif args.verb == "sweep":
-        emitted = run_sweep(config, args.out)
-        for filename, summaries in emitted.items():
-            print(f"{filename}: {len(summaries)} points")
-    else:
-        report = run_snapshot(config, args.out)
-        for key, value in report.items():
-            print(f"{key}={value!r}")
+    try:
+        config = resolve_config(args)
+        if args.verb == "run":
+            summary = run_single(config, args.out)
+            print(f"sweep_value={summary.sweep_value} "
+                  f"to_err_mean={summary.to_err_mean!r} "
+                  f"to_err_var={summary.to_err_var!r} "
+                  f"cfo_mse_coarse={summary.cfo_mse_coarse!r} "
+                  f"cfo_mse_fine={summary.cfo_mse_fine!r} "
+                  f"trials={summary.trials} failures={summary.failures}")
+        elif args.verb == "sweep":
+            emitted = run_sweep(config, args.out)
+            for filename, summaries in emitted.items():
+                print(f"{filename}: {len(summaries)} points")
+        else:
+            report = run_snapshot(config, args.out)
+            for key, value in report.items():
+                print(f"{key}={value!r}")
+    except ValueError as exc:
+        PARSER.error(str(exc))
     return 0
 
 

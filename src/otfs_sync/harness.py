@@ -30,12 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cfo import (BEM_K, MlWorkspace, build_bem, build_workspace,
-                  coarse_cfo, extract_pilot, fine_cfo, matched_order)
-from .channel import (ChannelModel, Impairments, apply_impairments,
-                      eva_model, export_taps, mean_delay, noise_sigma,
-                      realize_channel, single_tap_model, stream_reach,
-                      unit_noise)
+from .cfo import (COARSE_STEP, MlWorkspace, build_workspace, coarse_cfo,
+                  extract_pilot, fine_cfo, matched_order)
+from .channel import (ChannelModel, apply_impairments, eva_model,
+                      export_taps, mean_delay, noise_sigma, realize_channel,
+                      single_tap_model, stream_reach, unit_noise)
 from .modem import OtfsParams, build_stream
 from .pilot import PcpSpec, build_frame
 from .timing import estimate_to, fold_offset
@@ -47,7 +46,9 @@ RESULT_COLUMNS = ("sweep_value", "to_err_mean", "to_err_var",
 
 #: Errors the estimators raise on inputs they cannot handle; a trial that
 #: hits one is counted as failed.  Anything else is a bug and propagates.
-#: A singular BEM model fails in :func:`build_point`, before any trial.
+#: A config that cannot run (too many model tones for the slots, no trial,
+#: a search window narrower than one coarse step) fails in
+#: :func:`build_point`, before any trial.
 ESTIMATOR_ERRORS = (ValueError,)
 
 
@@ -164,7 +165,17 @@ def resolve_channel(config: ExperimentConfig) -> ChannelModel:
 
 
 def build_point(config: ExperimentConfig) -> PointContext:
-    """Resolve one sweep point's geometry, channel, and ML workspace."""
+    """Resolve one sweep point's geometry, channel, and ML workspace.
+
+    Refuses, with ``ValueError``, a config that would run no trial or a
+    fine search with less than one ``COARSE_STEP`` per side.
+    """
+    if config.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {config.trials}")
+    if round(config.cfo_half_width / COARSE_STEP) < 1:
+        raise ValueError(
+            f"cfo_half_width must be at least one coarse step "
+            f"({COARSE_STEP}), got {config.cfo_half_width!r}")
     params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp)
     model = resolve_channel(config)
     mu_est = mean_delay(model)
@@ -175,8 +186,8 @@ def build_point(config: ExperimentConfig) -> PointContext:
         advance = params.mn // 2 - footprint
     else:
         advance = int(config.advance)
-    bem = build_bem(params, spec, k=BEM_K, q=matched_order(config.nu_max_t))
-    workspace = build_workspace(params, spec, bem)
+    workspace = build_workspace(params, spec,
+                                matched_order(config.nu_max_t))
     eps_span = params.n - 2.0 * config.nu_max_t
     return PointContext(params=params, spec=spec, model=model,
                         mu_est=mu_est, workspace=workspace,
@@ -240,9 +251,8 @@ def run_trial(configs: list, ctx: PointContext, trial_idx: int,
     realization = realize_channel(ctx.model, params, max(hi - lo, 1),
                                   r_chan, start=lo)
     traces["realization"] = realization
-    clean = apply_impairments(stream, realization,
-                              Impairments(theta=shift, epsilon=eps),
-                              params, length=length)
+    clean = apply_impairments(stream, realization, shift, eps, params,
+                              length=length)
     # The noiseless points all receive this one array.
     clean.flags.writeable = False
 

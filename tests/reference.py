@@ -7,9 +7,12 @@ trial path:
 * ``metric_delay`` and ``metric_time`` are the direct sums behind
   ``timing.metric_delay_iterative`` and ``timing.metric_time_iterative``
   (criterion 1); the ``*_multiplies`` functions count both forms' work;
-* ``build_g`` is the dense model matrix whose projector
-  ``cfo.build_workspace`` factors as P kron I_L (criterion 4 and every
-  ``TestFactoredWorkspace`` comparison);
+* ``bem_basis`` is the GCE-BEM (Leus, EUSIPCO 2004): the Q tones at
+  any oversampling K evaluated at all N L pilot samples, of which
+  ``cfo.build_workspace`` evaluates only each slot's first row at
+  K = ``cfo.BEM_K``; ``build_g`` is the dense model matrix made of it,
+  whose projector ``cfo.build_workspace`` factors as P kron I_L
+  (criteria 2 and 4 and every ``TestFactoredWorkspace`` comparison);
 * ``beta_coefficients`` is the banded reduction that
   ``cfo.MlWorkspace.beta`` computes from P, and ``ml_cost_fast`` the
   per-point cost that ``cfo.fine_cfo`` evaluates a stage at a time
@@ -29,7 +32,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from otfs_sync.cfo import BemModel, OpCounter, _require_slots
+from otfs_sync.cfo import OpCounter, pilot_sample_indices
 from otfs_sync.modem import OtfsParams, qam16_symbols
 from otfs_sync.pilot import (PILOT_AMPLITUDE, PcpSpec, _frame_layout,
                              pilot_dt_slots)
@@ -105,22 +108,37 @@ def bem_order(k: int, nu_max_t: float) -> int:
     return int(math.ceil(2.0 * k * nu_max_t)) + 1
 
 
-def build_g(params: OtfsParams, spec: PcpSpec, bem: BemModel) -> np.ndarray:
+def bem_basis(params: OtfsParams, spec: PcpSpec, k: int,
+              q: int) -> np.ndarray:
+    """GCE-BEM tone matrix over one block's pilot samples, shape (N L, Q).
+
+    B[l L + a, q] = e^{j 2 pi f_q k_{l,a}} with the tones f_q =
+    (q - floor(Q/2)) / (K M N) cycles per sample, q = 0 .. Q-1, centered
+    on DC, and k_{l,a} the stream index of pilot row a in slot l
+    (``cfo.pilot_sample_indices``), rows in pilot-vector order.
+    """
+    freqs = (np.arange(q) - q // 2) / (k * params.mn)
+    idx = pilot_sample_indices(params, spec)
+    return np.exp(2j * np.pi * idx.reshape(-1, 1).astype(float) * freqs)
+
+
+def build_g(params: OtfsParams, spec: PcpSpec,
+            basis: np.ndarray) -> np.ndarray:
     """Model matrix G mapping BEM coefficients to noiseless pilot rows.
 
     G[l L + a, ell Q + q] = p_l[(a - ell) mod L] * B[k_{l,a}, q], where
-    p_l is the transmitted delay-time pilot of slot l and k_{l,a} the
-    stream index of pilot row a in slot l.  The cyclic shift reflects the
-    delay-domain prefix: within the protected rows the channel acts
-    circularly on the pilot.  Shape (N L, L Q).
+    p_l is the transmitted delay-time pilot of slot l, B the (N L, Q)
+    tone matrix ``basis`` (``bem_basis``, or any tone set) and k_{l,a}
+    the stream index of pilot row a in slot l.  The cyclic shift reflects
+    the delay-domain prefix: within the protected rows the channel acts
+    circularly on the pilot.  Shape (N L, L Q); its rows l L and columns
+    0 .. Q-1 are the slot factor S of ``cfo.build_workspace``.
     """
-    n, length, q = params.n, spec.length, bem.q
-    _require_slots(params, spec, bem)
+    n, length, q = params.n, spec.length, basis.shape[1]
     slots = pilot_dt_slots(spec, params)
     shift = (np.arange(length)[:, None] - np.arange(length)[None, :]) % length
     shifted = slots[:, shift]
-    basis = bem.basis.reshape(n, length, q)
-    g4 = shifted[:, :, :, None] * basis[:, :, None, :]
+    g4 = shifted[:, :, :, None] * basis.reshape(n, length, q)[:, :, None, :]
     return g4.reshape(n * length, length * q)
 
 
@@ -145,7 +163,7 @@ def beta_coefficients(r_p: np.ndarray, lam: np.ndarray, params: OtfsParams,
     return beta
 
 
-def ml_cost_fast(r_p: np.ndarray, lam: np.ndarray, bem: BemModel,
+def ml_cost_fast(r_p: np.ndarray, lam: np.ndarray, params: OtfsParams,
                  eps_tilde: float, beta: np.ndarray | None = None,
                  counter: OpCounter | None = None) -> float:
     """Trigonometric-polynomial form of the ML cost.
@@ -155,7 +173,6 @@ def ml_cost_fast(r_p: np.ndarray, lam: np.ndarray, bem: BemModel,
     With beta precomputed, each grid point costs N complex multiplies
     regardless of L, versus (N L)^2 for the matrix form.
     """
-    params = bem.params
     if beta is None:
         beta = beta_coefficients(r_p, lam, params, counter=counter)
     phases = np.exp(2j * np.pi * np.arange(params.n) * eps_tilde / params.n)
@@ -164,20 +181,20 @@ def ml_cost_fast(r_p: np.ndarray, lam: np.ndarray, bem: BemModel,
     return float(-beta[0].real + 2.0 * np.real(beta @ phases))
 
 
-def bem_fit_nmse(taps: np.ndarray, bem: BemModel) -> float:
+def bem_fit_nmse(taps: np.ndarray, params: OtfsParams, spec: PcpSpec,
+                 basis: np.ndarray) -> float:
     """NMSE of the best BEM fit to known tap gains over the pilot region.
 
     ``taps`` has one row per tap and one column per sample from 0, such
     as the rows of a start-0 ``ChannelRealization``; each tap's
     trajectory at the pilot sample indices is least-squares fitted onto
-    the tone set, and the pooled residual power over signal power is
-    returned.  This measures the expressiveness of the basis, independent
-    of any estimator.
+    the tone set ``basis`` (``bem_basis``), and the pooled residual power
+    over signal power is returned.  This measures the expressiveness of
+    the basis, independent of any estimator.
     """
-    idx = bem.pilot_idx.ravel()
-    targets = taps[:, idx].T
-    coef, *_ = np.linalg.lstsq(bem.basis, targets, rcond=None)
-    resid = bem.basis @ coef - targets
+    targets = taps[:, pilot_sample_indices(params, spec).ravel()].T
+    coef, *_ = np.linalg.lstsq(basis, targets, rcond=None)
+    resid = basis @ coef - targets
     return float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(targets) ** 2))
 
 # Stream statistics (otfs_sync.modem).

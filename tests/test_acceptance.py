@@ -19,15 +19,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otfs_sync.cfo import (OpCounter, build_bem, build_workspace, fine_cfo,
-                           ml_cost, projection)
+from otfs_sync.cfo import (OpCounter, build_workspace, fine_cfo, ml_cost,
+                           pilot_sample_indices, projection)
 from otfs_sync.channel import EVA_TS, eva_model, realize_channel
 from otfs_sync.harness import build_point, load_config, run_sweep, run_trial
 from otfs_sync.modem import OtfsParams
 from otfs_sync.pilot import PcpSpec
 from otfs_sync.timing import metric_delay_iterative, metric_time_iterative
-from reference import (bem_fit_nmse, bem_order, beta_coefficients, build_g,
-                       metric_delay, metric_time, ml_cost_fast)
+from reference import (bem_basis, bem_fit_nmse, bem_order, beta_coefficients,
+                       build_g, metric_delay, metric_time, ml_cost_fast)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -85,14 +85,15 @@ class TestCriterion2:
         for n, length, q in ((8, 4, 3), (16, 8, 5)):
             params = OtfsParams(m=4 * length, n=n, lcp=length)
             spec = PcpSpec(length=length, m_p=2 * length)
-            bem = build_bem(params, spec, k=2, q=q)
-            ws = build_workspace(params, spec, bem)
+            g = build_g(params, spec, bem_basis(params, spec, k=2, q=q))
+            # The factored projector, from G's slot factor S.
+            lam = np.kron(projection(g[::length, :q]), np.eye(length))
             rng = np.random.default_rng(1000 + n)
             for _ in range(50):
                 r_p = random_buffer(rng, n * length)
                 eps = float(rng.uniform(-n / 2, n / 2))
-                ref = ml_cost(r_p, ws.lam, bem, eps)
-                fast = ml_cost_fast(r_p, ws.lam, bem, eps)
+                ref = ml_cost(r_p, lam, params, spec, eps)
+                fast = ml_cost_fast(r_p, lam, params, eps)
                 worst = max(worst, abs(fast - ref) / max(abs(ref), 1e-300))
                 cases += 1
         elapsed = time.perf_counter() - tic
@@ -157,8 +158,7 @@ class TestCriterion4:
             k = int(rng.integers(1, 5))
             params = OtfsParams(m=m, n=n, lcp=int(rng.integers(0, 9)))
             spec = PcpSpec(length=length, m_p=m // 2)
-            bem = build_bem(params, spec, k=k, q=q)
-            g = build_g(params, spec, bem)
+            g = build_g(params, spec, bem_basis(params, spec, k=k, q=q))
             lam = projection(g)
             scale = float(np.linalg.norm(lam))
             worst_h = max(worst_h,
@@ -167,11 +167,12 @@ class TestCriterion4:
                           float(np.linalg.norm(lam @ lam - lam)) / scale)
             c = random_buffer(rng, length * q)
             eps = float(rng.uniform(-n / 2, n / 2))
-            gamma = np.exp(2j * np.pi * eps * bem.pilot_idx.ravel()
+            gamma = np.exp(2j * np.pi * eps
+                           * pilot_sample_indices(params, spec).ravel()
                            / params.mn)
             r_p = gamma * (g @ c)
             energy = float(np.sum(np.abs(r_p) ** 2))
-            cost = ml_cost(r_p, lam, bem, eps)
+            cost = ml_cost(r_p, lam, params, spec, eps)
             worst_c = max(worst_c, abs(cost - energy) / energy)
         elapsed = time.perf_counter() - tic
         ok = max(worst_h, worst_i, worst_c) <= 1e-9
@@ -230,11 +231,12 @@ class TestCriterion8:
         spec = PcpSpec(length=21, m_p=64)
         model = eva_model(21, nu_t)
         real = realize_channel(model, params, params.n_t, seed=11)
-        bem = build_bem(params, spec, k=4, q=bem_order(4, nu_t))
-        nmse = bem_fit_nmse(real.taps, bem)
+        q = bem_order(4, nu_t)
+        nmse = bem_fit_nmse(real.taps, params, spec,
+                            bem_basis(params, spec, k=4, q=q))
         ok = nmse <= 1e-2
         report(capsys, "8b", ok,
-               f"Jakes LS fit NMSE {nmse:.2e} at K=4, Q={bem.q} "
+               f"Jakes LS fit NMSE {nmse:.2e} at K=4, Q={q} "
                f"(threshold 1e-2)")
         assert nmse <= 1e-2
 
@@ -264,17 +266,16 @@ class TestCriterion9:
         per_point = []
         for length in (21, 11):
             spec = PcpSpec(length=length, m_p=64)
-            bem = build_bem(params, spec, k=4, q=7)
-            ws = build_workspace(params, spec, bem)
+            ws = build_workspace(params, spec, 7)
             rng = np.random.default_rng(length)
             r_p = random_buffer(rng, params.n * length)
             beta = beta_coefficients(r_p, ws.lam, params)
             counter = OpCounter()
-            ml_cost_fast(r_p, ws.lam, bem, 0.123, beta=beta, counter=counter)
+            ml_cost_fast(r_p, ws.lam, params, 0.123, beta=beta,
+                         counter=counter)
             per_point.append(counter.multiplies)
         spec = PcpSpec(length=21, m_p=64)
-        bem = build_bem(params, spec, k=4, q=7)
-        ws = build_workspace(params, spec, bem)
+        ws = build_workspace(params, spec, 7)
         rng = np.random.default_rng(5)
         r_p = random_buffer(rng, params.n * 21)
         fast_counter = OpCounter()

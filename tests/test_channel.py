@@ -11,7 +11,7 @@ from scipy.special import j0
 
 from otfs_sync import channel
 from otfs_sync.channel import (JAKES_SINUSOIDS, MAX_BLOCK, TAYLOR_TERMS,
-                               ChannelModel, ChannelRealization, Impairments,
+                               ChannelModel, ChannelRealization,
                                apply_impairments, eva_model, export_taps,
                                mean_delay, noise_sigma, realize_channel,
                                single_tap_model, stream_reach, unit_noise)
@@ -357,7 +357,7 @@ class TestApplyImpairments:
     def test_pure_delay(self):
         """A unit tap with timing offset theta shifts the stream."""
         real = self._unit_channel(20)
-        out = apply_impairments(self.stream, real, Impairments(theta=5),
+        out = apply_impairments(self.stream, real, 5, 0.0,
                                 self.params)
         assert_array_equal(out[:5], np.zeros(5))
         assert_array_equal(out[5:15], self.stream)
@@ -366,7 +366,7 @@ class TestApplyImpairments:
     def test_negative_delay_truncates(self):
         """A negative offset slides the stream out of the buffer head."""
         real = self._unit_channel(20)
-        out = apply_impairments(self.stream, real, Impairments(theta=-3),
+        out = apply_impairments(self.stream, real, -3, 0.0,
                                 self.params)
         assert_array_equal(out[:7], self.stream[3:])
         assert_array_equal(out[7:], np.zeros(13))
@@ -375,7 +375,7 @@ class TestApplyImpairments:
         """Each tap delays by its delay bin and scales by its gain."""
         taps = np.array([np.full(16, 1.0), np.full(16, 0.5j)])
         real = ChannelRealization(taps=taps, delays=np.array([0, 2]))
-        out = apply_impairments(self.stream, real, Impairments(), self.params)
+        out = apply_impairments(self.stream, real, 0, 0.0, self.params)
         expected = np.zeros(16, dtype=complex)
         expected[:10] += self.stream
         expected[2:12] += 0.5j * self.stream
@@ -385,7 +385,7 @@ class TestApplyImpairments:
         """CFO multiplies sample k by exp(j 2 pi eps k / (M N))."""
         real = self._unit_channel(10)
         eps = 0.37
-        out = apply_impairments(self.stream, real, Impairments(epsilon=eps),
+        out = apply_impairments(self.stream, real, 0, eps,
                                 self.params)
         ramp = np.exp(2j * np.pi * eps * np.arange(10) / self.params.mn)
         assert_allclose(out, self.stream * ramp, atol=1e-12)
@@ -409,7 +409,7 @@ class TestApplyImpairments:
     def test_noiseless_when_snr_none(self):
         """The impairments add no noise at all."""
         real = self._unit_channel(10)
-        out = apply_impairments(self.stream, real, Impairments(),
+        out = apply_impairments(self.stream, real, 0, 0.0,
                                 self.params)
         assert_array_equal(out, self.stream)
 
@@ -422,7 +422,7 @@ class TestApplyImpairments:
         taps[1, theta + 2 + self.stream.size - 1] = 2.0
         real = ChannelRealization(taps=taps, delays=np.array([0, 2]))
         out = apply_impairments(self.stream, real,
-                                Impairments(theta=theta), self.params)
+                                theta, 0.0, self.params)
         expected = np.zeros(20, dtype=complex)
         expected[max(0, theta)] = self.stream[max(0, -theta)]
         expected[theta + 2 + self.stream.size - 1] = 2.0 * self.stream[-1]
@@ -442,15 +442,14 @@ class TestApplyImpairments:
         assert real.delays.size == 7
         dense = np.zeros((model.n_taps, real.duration), dtype=complex)
         dense[real.delays] = real.taps
-        imp = Impairments(theta=theta, epsilon=0.37)
-        out = apply_impairments(stream, real, imp, params)
+        out = apply_impairments(stream, real, theta, 0.37, params)
         expected = np.zeros(real.duration, dtype=complex)
         for ell in range(model.n_taps):
             shift = theta + ell
             lo, hi = max(0, shift), min(real.duration, stream.size + shift)
             expected[lo:hi] += dense[ell, lo:hi] \
                 * stream[lo - shift:hi - shift]
-        expected *= np.exp(2j * np.pi * imp.epsilon
+        expected *= np.exp(2j * np.pi * 0.37
                            * np.arange(real.duration) / params.mn)
         assert np.array_equal(out, expected)
 
@@ -471,14 +470,15 @@ class TestApplyImpairments:
         assert (lo, hi) == (max(0, theta),
                             min(length, theta + params.n_t + 20))
         full = realize_channel(model, params, length, seed=12)
-        imp = Impairments(theta=theta, epsilon=0.37)
-        expected = apply_impairments(stream, full, imp, params)
+        expected = apply_impairments(stream, full, theta, 0.37, params)
         sliced = ChannelRealization(taps=full.taps[:, lo:hi],
                                     delays=full.delays, start=lo)
-        out = apply_impairments(stream, sliced, imp, params, length=length)
+        out = apply_impairments(stream, sliced, theta, 0.37, params,
+                                length=length)
         assert np.array_equal(out, expected)
         window = realize_channel(model, params, hi - lo, seed=12, start=lo)
-        out = apply_impairments(stream, window, imp, params, length=length)
+        out = apply_impairments(stream, window, theta, 0.37, params,
+                                length=length)
         assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("start, stop", [(6, 15), (5, 14)])
@@ -489,14 +489,14 @@ class TestApplyImpairments:
             delays=np.array([0]), start=start)
         assert stream_reach(5, self.stream.size, 1, 20) == (5, 15)
         with pytest.raises(ValueError, match="does not cover"):
-            apply_impairments(self.stream, real, Impairments(theta=5),
+            apply_impairments(self.stream, real, 5, 0.0,
                               self.params, length=20)
 
     def test_fractional_theta_raises(self):
         """Non-integer timing offsets are refused."""
         real = self._unit_channel(10)
         with pytest.raises(ValueError):
-            apply_impairments(self.stream, real, Impairments(theta=1.5),
+            apply_impairments(self.stream, real, 1.5, 0.0,
                               self.params)
 
 

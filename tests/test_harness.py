@@ -323,18 +323,14 @@ class TestRunTrial:
 
     def test_point_context_is_frozen(self):
         """Trials share the point context and its ML workspace read-only,
-        down to the projector and BEM arrays."""
+        down to the projector array."""
         ctx = build_point(TINY)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.advance = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.workspace.lam = None
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            ctx.workspace.bem.basis = None
-        bem = ctx.workspace.bem
-        for array in (ctx.workspace.p, bem.freqs, bem.pilot_idx, bem.basis):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ctx.workspace.p[0] = 0
 
 
 class TestAggregate:
@@ -606,6 +602,12 @@ class TestSharedLink:
         assert "read-only" in r.failure
 
 
+def error_lines(capsys):
+    """The ``otfs-sync: error:`` lines written to stderr so far."""
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("otfs-sync: error:")]
+
+
 class TestCli:
     """Command-line verbs end to end."""
 
@@ -675,13 +677,47 @@ class TestCli:
         assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
-    def test_run_unknown_sweep_axis_raises(self, tmp_path):
+    def test_run_unknown_sweep_axis_raises(self, tmp_path, capsys):
         """`run` refuses a sweep axis that `sweep` refuses, before writing
-        anything."""
-        with pytest.raises(ValueError, match="unknown sweep axis"):
+        anything, as a usage error: exit status 2 and one error line."""
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--out", str(tmp_path), "--sweep", "bogus"]
                  + self._flags())
+        assert exc.value.code == 2
+        assert error_lines(capsys) == [
+            "otfs-sync: error: unknown sweep axis 'bogus'"]
         assert not (tmp_path / "manifest.txt").exists()
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "snapshot"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--cfo_half_width", "-0.5"], "cfo_half_width must be at least"),
+        (["--cfo_half_width", "0.004"], "cfo_half_width must be at least"),
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--trials", "-2"], "trials must be >= 1"),
+        (["--trials", "x"], "invalid literal for int()"),
+    ], ids=["negative_half_width", "sub_step_half_width", "zero_trials",
+            "negative_trials", "unparsable_trials"])
+    def test_config_errors_exit_2(self, tmp_path, capsys, verb, flags,
+                                  message):
+        """A config value no trial can run with is a usage error before
+        any trial: exit status 2, one error line, no results."""
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--out", str(tmp_path)] + self._flags() + flags)
+        assert exc.value.code == 2
+        [line] = error_lines(capsys)
+        assert line.startswith(f"otfs-sync: error: {message}")
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_unknown_config_file_key_exits_2(self, tmp_path, capsys):
+        """An unknown key in a --config file is a usage error too."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("m = 32\nno_such_key = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert error_lines(capsys) == [
+            "otfs-sync: error: unknown config key 'no_such_key'"]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         """Flags override file values, which override the defaults."""

@@ -3,8 +3,9 @@
 Each case reruns one command through ``cli.main`` and compares its files
 with ``tests/data/pinned/<case>/``.  The manifest and the estimate's
 integers match exactly, and so do the results' sweep value, timing error
-and count columns.  The CFO values (``cfo_*`` columns, ``eps_*`` keys)
-match to 1e-12 relative, so the check also holds on another BLAS build.
+and count columns.  The CFO values (``cfo_*`` columns, ``eps_*`` keys,
+and the snapshot cost trace's ``eps`` and ``cost`` columns) match to
+1e-12 relative, so the check also holds on another BLAS build.
 
 A change that moves a pinned number on purpose regenerates the files with
 
@@ -37,7 +38,8 @@ CASES = {
          "--theta", "random", "--epsilon", "random", "--trials", "20"],
         ("results*.csv", "manifest.txt")),
     "snapshot_timing": (["snapshot", "--config",
-                         "configs/snapshot_timing.cfg"], ("estimate.txt",)),
+                         "configs/snapshot_timing.cfg"],
+                        ("estimate.txt", "cost_trace.csv")),
 }
 
 
@@ -52,7 +54,8 @@ def run_case(name, out_dir):
 
 def same_value(key, got, want):
     """Exact text, except CFO values, which match to 1e-12 relative."""
-    if got == want or not key.startswith(("cfo_", "eps_")):
+    if got == want or not (key.startswith(("cfo_", "eps_"))
+                           or key in ("eps", "cost")):
         return got == want
     return math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=0.0)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from otfs_sync.channel import (Impairments, apply_impairments, mean_delay,
-                               realize_channel, single_tap_model)
+from otfs_sync.channel import (apply_impairments, mean_delay, realize_channel,
+                               single_tap_model)
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame
 from otfs_sync.timing import (estimate_theta_d, estimate_theta_t,
@@ -161,7 +161,7 @@ class TestNoiselessRecovery:
         """With theta = 0 the delay metric peaks at the first energized
         pilot row, (m_p - L) + Lcp + floor(mu_h) with mu_h = 1."""
         received = apply_impairments(self.stream, self.real,
-                                     Impairments(theta=0), self.params)
+                                     0, 0.0, self.params)
         p_d = metric_delay(received, self.params, self.spec)
         assert int(np.argmax(np.abs(p_d))) == (16 - 2) + 16 + 1
 
@@ -172,7 +172,7 @@ class TestNoiselessRecovery:
                                          + (self.spec.m_p - self.spec.length)
                                          + int(np.floor(self.mu)))
         received = apply_impairments(
-            self.stream, self.real, Impairments(theta=theta + advance),
+            self.stream, self.real, theta + advance, 0.0,
             self.params)
         to, metrics = estimate_to(received, self.params, self.spec, self.mu)
         got = int(fold_offset(to.theta_hat - advance, self.params.n_t))
@@ -185,9 +185,9 @@ class TestNoiselessRecovery:
         """Moving the whole pattern by k samples moves the estimate by k."""
         base, shift = 10, 24
         rec0 = apply_impairments(self.stream, self.real,
-                                 Impairments(theta=base), self.params)
+                                 base, 0.0, self.params)
         rec1 = apply_impairments(self.stream, self.real,
-                                 Impairments(theta=base + shift), self.params)
+                                 base + shift, 0.0, self.params)
         to0, _ = estimate_to(rec0, self.params, self.spec, self.mu)
         to1, _ = estimate_to(rec1, self.params, self.spec, self.mu)
         assert to1.theta_hat - to0.theta_hat == shift
