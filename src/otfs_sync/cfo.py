@@ -3,7 +3,9 @@
 Two stages:
 
 * ``coarse_cfo`` reads the CFO from the mean phase advance between
-  adjacent pilot slots (ambiguity window of one Doppler-axis width N);
+  adjacent pilot slots (ambiguity window of one Doppler-axis width N),
+  summed from the lag-M products the slot timing metric formed (the
+  slot band of ``timing.TimingMetrics``), so it reads no buffer sample;
 * ``fine_cfo`` refines it by maximizing a maximum-likelihood cost built
   on a generalized complex-exponential basis expansion (GCE-BEM) of the
   channel taps over the pilot region.
@@ -44,7 +46,7 @@ import numpy as np
 
 from .modem import OtfsParams
 from .pilot import PcpSpec, pilot_dt_slots
-from .timing import ToEstimate, fold_offset
+from .timing import TimingMetrics, ToEstimate, fold_offset
 
 logger = logging.getLogger(__name__)
 
@@ -76,38 +78,41 @@ class CfoEstimate:
     cost_trace: np.ndarray
 
 
-def coarse_cfo(received: np.ndarray, to: ToEstimate, params: OtfsParams,
+def coarse_cfo(to: ToEstimate, metrics: TimingMetrics, params: OtfsParams,
                spec: PcpSpec) -> float:
     """Slot-to-slot phase-advance CFO estimate.
 
     Averages, over the 2L-1 energy-bearing pilot rows located by the
     timing stage, the angle of the lag-M correlation after removing the
-    pilot's designed per-slot phase step 2*pi*(N//2)/N.  The per-row angles
-    are taken on the branch centered at the angle of the summed row
-    correlations: that magnitude-weighted consensus sits within the
-    cluster of row angles, so recentering keeps every row away from the
-    +-pi branch cut no matter where the CFO falls inside the ambiguity
-    window.  Averaging raw angles instead would mix wrapped and
-    unwrapped rows whenever the true phase advance lands near +-pi.
-    The result is the CFO modulo N, reported in [-N/2, N/2).
+    pilot's designed per-slot phase step 2*pi*(N//2)/N.  The row
+    correlations are sums of the timing stage's own lag-M products: rows
+    theta_t_hat .. theta_t_hat + N - 2 and the first 2L-1 columns of
+    ``metrics.slot_band``, so no sample of the buffer is read again.  Its
+    columns start at row mprime_p - L, the delay-metric peak, which is
+    where the first energy-bearing pilot row lands; the band's last
+    column carries no pilot energy and is excluded.  The definition,
+    which gathers the same products from the buffer, is
+    ``coarse_cfo_gather`` in ``tests/reference.py``.
 
-    Rows whose correlation magnitude is negligible are skipped with a
-    warning.  The window holds the 2L-1 rows starting at the delay-metric
-    peak (row mprime_p - L), which is where the first energy-bearing
-    pilot row lands; the row just past the window carries no pilot
-    energy and is excluded.
+    The per-row angles are taken on the branch centered at the angle of
+    the summed row correlations (``_phase_advance_cfo``).
     """
-    received = np.asarray(received)
-    m, n, length = params.m, params.n, spec.length
-    rows = np.arange(to.mprime_p - length, to.mprime_p + length - 1)
-    base = (to.theta_t_hat + np.arange(n - 1))[:, None] * m
-    idx = base + rows[None, :]
-    if idx.min() < 0 or idx.max() + m >= received.size:
-        raise ValueError(
-            "buffer too short for the coarse CFO window at the estimated "
-            "timing offset"
-        )
-    corr = (np.conj(received[idx]) * received[idx + m]).sum(axis=0)
+    rows = metrics.slot_band[to.theta_t_hat:to.theta_t_hat + params.n - 1,
+                             :2 * spec.length - 1]
+    return _phase_advance_cfo(rows.sum(axis=0), params.n)
+
+
+def _phase_advance_cfo(corr: np.ndarray, n: int) -> float:
+    """CFO, modulo N in [-N/2, N/2), from the lag-M row correlations.
+
+    The magnitude-weighted consensus, the angle of the summed row
+    correlations, sits within the cluster of row angles, so recentering
+    on it keeps every row away from the +-pi branch cut no matter where
+    the CFO falls inside the ambiguity window.  Averaging raw angles
+    instead would mix wrapped and unwrapped rows whenever the true phase
+    advance lands near +-pi.  Rows whose correlation magnitude is
+    negligible are skipped with a warning.
+    """
     corr = corr * np.exp(-2j * np.pi * (n // 2) / n)
     mags = np.abs(corr)
     keep = mags > 1e-12 * max(mags.max(), 1e-300)
@@ -145,13 +150,17 @@ def matched_order(nu_max_t: float) -> int:
     return 2 * math.floor(BEM_K * nu_max_t / 2.0 + 0.5) + 1
 
 
+@functools.lru_cache(maxsize=None)
 def pilot_sample_indices(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
     """Block-relative stream indices of the protected pilot rows.
 
-    Row a of slot l sits at Lcp + l M + m_p + a; shape (N, L).
+    Row a of slot l sits at Lcp + l M + m_p + a; shape (N, L), ascending
+    in stream order, cached read-only per geometry.
     """
-    return (params.lcp + np.arange(params.n)[:, None] * params.m
-            + spec.m_p + np.arange(spec.length)[None, :])
+    idx = (params.lcp + np.arange(params.n)[:, None] * params.m
+           + spec.m_p + np.arange(spec.length)[None, :])
+    idx.flags.writeable = False
+    return idx
 
 
 def extract_pilot(received: np.ndarray, block_start: int,
@@ -161,13 +170,14 @@ def extract_pilot(received: np.ndarray, block_start: int,
     Returns the length-N*L vector ordered slot-major (slot 0 rows first).
     """
     received = np.asarray(received)
-    idx = block_start + pilot_sample_indices(params, spec)
-    if idx.min() < 0 or idx.max() >= received.size:
+    idx = pilot_sample_indices(params, spec)
+    if block_start + idx[0, 0] < 0 \
+            or block_start + idx[-1, -1] >= received.size:
         raise ValueError(
             f"pilot rows of the block at {block_start} fall outside the "
             f"buffer of {received.size} samples"
         )
-    return received[idx].ravel()
+    return received[block_start + idx].ravel()
 
 
 def projection(g: np.ndarray) -> np.ndarray:
@@ -300,10 +310,28 @@ def ml_cost(r_p: np.ndarray, lam: np.ndarray, params: OtfsParams,
 
 
 @functools.lru_cache(maxsize=None)
+def _grid_offsets(step: float, steps: int) -> np.ndarray:
+    """Read-only offsets (k - steps) step, k = 0 .. 2 steps, of a stage's
+    grid points from its center."""
+    offsets = np.arange(-steps, steps + 1) * step
+    offsets.flags.writeable = False
+    return offsets
+
+
+@functools.lru_cache(maxsize=None)
+def _tone_ramp(n: int) -> np.ndarray:
+    """Read-only 2 pi j m, m = 0 .. N-1: the exponent of the phasors
+    e^{j 2 pi m eps / N} before the factor eps / N."""
+    ramp = 2j * np.pi * np.arange(n)
+    ramp.flags.writeable = False
+    return ramp
+
+
+@functools.lru_cache(maxsize=None)
 def _phase_table(n: int, step: float, steps: int) -> np.ndarray:
     """Read-only T[k, m] = e^{j 2 pi m (k - steps) step / N}: the phasors
     of the 2 steps + 1 grid offsets (k - steps) step, m = 0 .. N-1."""
-    offsets = np.arange(-steps, steps + 1) * step
+    offsets = _grid_offsets(step, steps)
     table = np.exp(2j * np.pi * offsets[:, None] * np.arange(n)[None, :] / n)
     table.flags.writeable = False
     return table
@@ -324,7 +352,8 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
     eps_c + k step around the stage center eps_c, so a point's phasors
     factor as e^{j 2 pi m eps_c / N} times row k of the table
     T[k, m] = e^{j 2 pi m k step / N}, cached read-only per
-    (N, step, steps) (``_phase_table``).  A stage's costs are
+    (N, step, steps) (``_phase_table``), as are the grid offsets and the
+    exponent 2 pi j m of the center phasors.  A stage's costs are
     -beta[0] + 2 Re(T @ (beta * e^{j 2 pi m eps_c / N})): N exponentials
     per stage instead of N per grid point, with beta from the workspace's
     slot projector.  They agree to rounding, not bit for bit, with the
@@ -341,7 +370,7 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
         lam = workspace.lam
 
     def evaluate(center: float, step: float, steps: int) -> tuple:
-        grid = center + np.arange(-steps, steps + 1) * step
+        grid = center + _grid_offsets(step, steps)
         if not use_fast:
             return grid, np.array([
                 ml_cost(r_p, lam, params, spec, e, counter=counter)
@@ -349,7 +378,7 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
             ])
         if counter is not None:
             counter.add(n * grid.size)
-        rotated = beta * np.exp(2j * np.pi * np.arange(n) * center / n)
+        rotated = beta * np.exp(_tone_ramp(n) * center / n)
         table = _phase_table(n, step, steps)
         return grid, -beta[0].real + 2.0 * np.real(table @ rotated)
 

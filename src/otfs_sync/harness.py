@@ -167,8 +167,11 @@ def resolve_channel(config: ExperimentConfig) -> ChannelModel:
 def build_point(config: ExperimentConfig) -> PointContext:
     """Resolve one sweep point's geometry, channel, and ML workspace.
 
-    Refuses, with ``ValueError``, a config that would run no trial or a
-    fine search with less than one ``COARSE_STEP`` per side.
+    Refuses, with ``ValueError``, a config that would run no trial, a
+    fine search with less than one ``COARSE_STEP`` per side, or a pilot
+    whose received footprint leaves its slot: the last pilot row m_p + L
+    - 1, spread by the largest delay d_max that carries power, must stay
+    at or below row M - 1, or the delay metric wraps into the next slot.
     """
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
@@ -180,6 +183,12 @@ def build_point(config: ExperimentConfig) -> PointContext:
     model = resolve_channel(config)
     mu_est = mean_delay(model)
     spec = resolve_pilot(config, params)
+    reach = spec.m_p + spec.length - 1 + int(model.delays[-1])
+    if reach > params.m - 1:
+        raise ValueError(
+            f"received pilot footprint reaches delay row {reach} (m_p + L "
+            f"- 1 + largest tap delay), past the last row {params.m - 1} "
+            f"of the slot; lower pilot_m_p")
     if config.advance == "centered":
         footprint = params.lcp + (spec.m_p - spec.length) \
             + int(np.floor(mu_est))
@@ -195,21 +204,23 @@ def build_point(config: ExperimentConfig) -> PointContext:
 
 
 def trial_streams(root_seed: int, trial_idx: int) -> list:
-    """Independent streams for data, channel, noise, and offset draws.
+    """Independent generators for the data, channel and offset draws.
 
     Seeds depend only on (root_seed, trial_idx), never on the sweep point,
     so the same trial index reproduces the same randomness at every point.
-    The data, channel and offset streams are generators; the noise stream
-    is left as its ``SeedSequence``, which :func:`unit_noise` turns into a
-    generator only when a noisy point draws from it.  The four are the
-    children ``SeedSequence([root_seed, trial_idx]).spawn(4)`` would make,
-    built directly.
+    They are children 0, 1 and 3 of ``SeedSequence([root_seed,
+    trial_idx]).spawn(4)``, built directly; child 2 seeds the noise and
+    is built by :func:`noise_seed` only when a noisy point draws from it.
     """
-    entropy = [int(root_seed), int(trial_idx)]
-    data, chan, noise, draw = (np.random.SeedSequence(entropy, spawn_key=(i,))
-                               for i in range(4))
-    return [np.random.default_rng(data), np.random.default_rng(chan), noise,
-            np.random.default_rng(draw)]
+    return [np.random.default_rng(np.random.SeedSequence(
+        [int(root_seed), int(trial_idx)], spawn_key=(i,))) for i in (0, 1, 3)]
+
+
+def noise_seed(root_seed: int, trial_idx: int) -> np.random.SeedSequence:
+    """The noise stream of a trial, child 2 of the spawn that
+    :func:`trial_streams` makes, for :func:`unit_noise`."""
+    return np.random.SeedSequence([int(root_seed), int(trial_idx)],
+                                  spawn_key=(2,))
 
 
 def run_trial(configs: list, ctx: PointContext, trial_idx: int,
@@ -224,8 +235,8 @@ def run_trial(configs: list, ctx: PointContext, trial_idx: int,
     the shifted stream reaches (:func:`stream_reach`), and the read-only
     noiseless received buffer.  Each point's receiver then sees
     ``clean + noise_sigma(snr_db) * w``, with the unit noise shape w drawn
-    at the first noisy point; since no draw depends on the point, this is
-    the common-random-numbers pairing.
+    from :func:`noise_seed` at the first noisy point; since no draw
+    depends on the point, this is the common-random-numbers pairing.
 
     A ``traces`` dict, when given, receives each stage's artifacts as they
     are made: the channel ``realization`` (that window), the timing
@@ -234,7 +245,8 @@ def run_trial(configs: list, ctx: PointContext, trial_idx: int,
     """
     params, spec, config = ctx.params, ctx.spec, configs[0]
     traces = {} if traces is None else traces
-    r_data, r_chan, r_noise, r_draw = trial_streams(config.seed, trial_idx)
+    seed = config.seed
+    r_data, r_chan, r_draw = trial_streams(seed, trial_idx)
     if config.theta is None:
         theta = int(r_draw.integers(-params.mn // 2, params.mn // 2))
     else:
@@ -261,7 +273,7 @@ def run_trial(configs: list, ctx: PointContext, trial_idx: int,
         received = clean
         if config.snr_db is not None:
             if w is None:
-                w = unit_noise(clean.size, r_noise)
+                w = unit_noise(clean.size, noise_seed(seed, trial_idx))
             received = clean + noise_sigma(config.snr_db) * w
         result = TrialResult(theta_true=theta, eps_true=eps)
         stage = "timing"
@@ -271,7 +283,7 @@ def run_trial(configs: list, ctx: PointContext, trial_idx: int,
             result.theta_hat = int(fold_offset(to.theta_hat - ctx.advance,
                                                params.n_t))
             stage = "coarse"
-            result.eps_coarse = coarse_cfo(received, to, params, spec)
+            result.eps_coarse = coarse_cfo(to, metrics, params, spec)
             stage = "fine"
             r_p = extract_pilot(received, to.theta_hat, params, spec)
             estimate = fine_cfo(r_p, ctx.workspace, result.eps_coarse,
@@ -360,9 +372,7 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse_value(name: str, text: str):
-    """Convert one config value from its text form."""
-    if name not in _FIELD_TYPES:
-        raise ValueError(f"unknown config key {name!r}")
+    """Convert one config value of a known key from its text form."""
     text = text.strip()
     low = text.lower()
     kind = _FIELD_TYPES[name]
@@ -392,15 +402,23 @@ def _parse_value(name: str, text: str):
 
 def update_config(config: ExperimentConfig, items) -> ExperimentConfig:
     """``config`` with each (key, text) pair parsed and set; of repeated
-    keys the last pair wins."""
-    return replace(config, **{key: _parse_value(key, text)
-                              for key, text in items})
+    keys the last pair wins.  A value that does not parse raises
+    ``ValueError`` naming its key."""
+    values = {}
+    for key, text in items:
+        if key not in _FIELD_TYPES:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            values[key] = _parse_value(key, text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from exc
+    return replace(config, **values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat ``key = value`` lines over the defaults; '#' starts a
-    comment."""
-    items = []
+    comment.  An error names its line."""
+    config = ExperimentConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -409,8 +427,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected key=value, "
                              f"got {raw!r}")
         key, value = line.split("=", 1)
-        items.append((key.strip(), value))
-    return update_config(ExperimentConfig(), items)
+        try:
+            config = update_config(config, [(key.strip(), value)])
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from exc
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

@@ -17,10 +17,19 @@ updating each output point from the previous one with a few new products
 instead of recomputing the full window.  The direct sums that define
 them, ``metric_delay`` and ``metric_time``, live in
 ``tests/reference.py``, where the tests compare the two.
+
+Each metric forms only the lag products it reads.  The delay metric
+reads samples [0, MN + 2L - 2).  The slot metric reads the 2L located
+pilot rows of slots 0 .. 2N - 2, and its lag-M products, the
+(2N - 2, 2L) slot band, are handed on in ``TimingMetrics`` so that
+``cfo.coarse_cfo`` sums its correlations from them instead of the
+buffer.  The index grids of both gathers are cached read-only per
+geometry.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +40,12 @@ from .pilot import PcpSpec
 
 @dataclass
 class TimingMetrics:
-    """Raw complex metric traces for one buffer."""
+    """Raw complex metric traces for one buffer, and the slot band
+    (``_slot_band``, shape (2N - 2, 2L)) that P_t sums."""
 
     p_d: np.ndarray
     p_t: np.ndarray
+    slot_band: np.ndarray
 
 
 @dataclass
@@ -58,24 +69,34 @@ def fold_offset(value, width):
     return (value + width / 2) % width - width / 2
 
 
+@functools.lru_cache(maxsize=None)
+def _delay_grid(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
+    """Read-only index grid iM + y, i < N, y < M + L - 2: the lag products
+    that each slot's windows of the delay metric cover."""
+    grid = (np.arange(params.n)[:, None] * params.m
+            + np.arange(params.m + spec.length - 2))
+    grid.flags.writeable = False
+    return grid
+
+
 def _delay_products(received: np.ndarray, params: OtfsParams,
                     spec: PcpSpec) -> np.ndarray:
-    """c[y] = conj(r[y]) * r[y + L], the L-lag sample products of a buffer
-    long enough for every window of the delay metric."""
+    """c[y] = conj(r[y]) * r[y + L] for y < MN + L - 2, the L-lag sample
+    products the delay metric reads: samples [0, MN + 2L - 2)."""
     received = np.asarray(received)
-    m, n, length = params.m, params.n, spec.length
-    needed = (n - 1) * m + (m - 1) + (length - 2) + length + 1
-    if received.size < needed:
+    length = spec.length
+    span = params.mn + length - 2
+    if received.size < span + length:
         raise ValueError(
-            f"buffer too short for the delay metric: need {needed} samples, "
-            f"got {received.size}"
+            f"buffer too short for the delay metric: need {span + length} "
+            f"samples, got {received.size}"
         )
     if length < 2:
         raise ValueError(
             "the delay metric needs a pilot of length >= 2 (its window "
             "sums L-1 lag products)"
         )
-    return np.conj(received[:-length]) * received[length:]
+    return np.conj(received[:span]) * received[length:span + length]
 
 
 def metric_delay_iterative(received: np.ndarray, params: OtfsParams,
@@ -95,11 +116,10 @@ def metric_delay_iterative(received: np.ndarray, params: OtfsParams,
 
     is ``metric_delay`` in ``tests/reference.py``.
     """
-    m, n, length = params.m, params.n, spec.length
+    m, length = params.m, spec.length
     prods = _delay_products(received, params, spec)
     # lag products summed over the N slots, at each delay offset
-    sums = prods[np.arange(n)[:, None] * m
-                 + np.arange(m + length - 2)].sum(axis=0)
+    sums = prods[_delay_grid(params, spec)].sum(axis=0)
     steps = np.empty(m, dtype=complex)
     steps[0] = sums[:length - 1].sum()
     steps[1:] = sums[length - 1:] - sums[:m - 1]
@@ -118,47 +138,53 @@ def estimate_theta_d(p_d: np.ndarray, spec: PcpSpec, params: OtfsParams,
     return peak - (spec.m_p - spec.length) - params.lcp - int(np.floor(mu_h))
 
 
-def _slot_products(received: np.ndarray, m: int) -> np.ndarray:
-    """d[y] = conj(r[y]) * r[y + M], the slot-lag sample products."""
-    return np.conj(received[:-m]) * received[m:]
+@functools.lru_cache(maxsize=None)
+def _slot_grid(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
+    """Read-only index grid vM + i, v < 2N - 1, i < 2L: the pilot rows of
+    every slot the slot band reads, relative to its first row."""
+    grid = (np.arange(2 * params.n - 1)[:, None] * params.m
+            + np.arange(2 * spec.length))
+    grid.flags.writeable = False
+    return grid
 
 
-def _slot_row_sums(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
-                   mprime_p: int) -> np.ndarray:
-    """rowsum[w] = sum_i conj(r[wM + i]) r[(w+1)M + i] over the pilot rows.
+def _slot_band(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
+               mprime_p: int) -> np.ndarray:
+    """D[w, i] = conj(r[wM + lo + i]) r[(w+1)M + lo + i], lo = mprime_p - L.
 
-    Rows i run over mprime_p - L .. mprime_p + L - 1 and w over the 2N-1
-    slot lags reachable by the sliding window.
+    The lag-M products of the 2L pilot rows lo .. lo + 2L - 1 over the
+    2N - 2 slot lags w that the sliding window reaches, shape
+    (2N - 2, 2L): every product the slot metric and the coarse CFO read.
     """
-    m, n, length = params.m, params.n, spec.length
+    length = spec.length
     lo = mprime_p - length
     if lo < 0:
         raise ValueError(
             f"slot metric window starts at row {lo}; mprime_p={mprime_p} "
             f"must be >= pilot length {length}"
         )
-    needed = (2 * n - 2) * m + mprime_p + length
+    needed = (2 * params.n - 2) * params.m + mprime_p + length
     received = np.asarray(received)
     if received.size < needed:
         raise ValueError(
             f"buffer too short for the slot metric: need {needed} samples, "
             f"got {received.size}"
         )
-    prods = _slot_products(received, m)
-    idx = np.arange(2 * n - 2)[:, None] * m + np.arange(lo, lo + 2 * length)
-    return prods[idx].sum(axis=1)
+    rows = received[lo:][_slot_grid(params, spec)]
+    return np.conj(rows[:-1]) * rows[1:]
 
 
-def metric_time_iterative(received: np.ndarray, params: OtfsParams,
-                          spec: PcpSpec, mprime_p: int) -> np.ndarray:
-    """Slot-domain metric via the sliding update.
+def metric_time_iterative(band: np.ndarray) -> np.ndarray:
+    """Slot-domain metric via the sliding update, from the slot band.
 
     P_t[l+1] = P_t[l] - sum_i conj(r[lM+i]) r[(l+1)M+i]
                       + sum_i conj(r[(l+N-1)M+i]) r[(l+N)M+i]
 
     2 * 2L new products per output point instead of the direct form's
     (N-1) * 2L.  The trace is the first window followed by the running
-    sum of these exchanges.  The direct form that defines it,
+    sum of these exchanges, over the row sums of ``band``
+    (``_slot_band``, 2N - 2 slot lags, so N output points).  The
+    direct form that defines it,
 
         P_t[l] = sum_{i=m'_p-L}^{m'_p+L-1} sum_{v=0}^{N-2}
                  conj(r[(l+v)M + i]) r[(l+v+1)M + i],   l = 0 .. N-1,
@@ -167,8 +193,8 @@ def metric_time_iterative(received: np.ndarray, params: OtfsParams,
     windows that straddle the following block, is ``metric_time`` in
     ``tests/reference.py``.
     """
-    rowsums = _slot_row_sums(received, params, spec, mprime_p)
-    n = params.n
+    rowsums = band.sum(axis=1)
+    n = band.shape[0] // 2 + 1
     steps = np.empty(n, dtype=complex)
     steps[0] = rowsums[:n - 1].sum()
     steps[1:] = rowsums[n - 1:] - rowsums[:n - 1]
@@ -187,17 +213,21 @@ def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
     Both metrics use their iterative forms; the direct forms that define
     them are ``metric_delay`` and ``metric_time`` in
     ``tests/reference.py``.  The slot-domain window is anchored at the
-    measured delay peak (mprime_p - L = argmax |P_d|), which by
-    construction equals theta_d_hat + (m_p - L) + Lcp + floor(mu_h).
+    measured delay peak, mprime_p - L = argmax |P_d|, which by
+    construction is theta_d_hat + (m_p - L) + Lcp + floor(mu_h).  The
+    slot band the slot metric is summed from is returned with the traces
+    for ``cfo.coarse_cfo``, which reads its rows theta_t_hat ..
+    theta_t_hat + N - 2.
     """
     p_d = metric_delay_iterative(received, params, spec)
     theta_d_hat = estimate_theta_d(p_d, spec, params, mu_h)
-    mprime_p = int(np.argmax(np.abs(p_d))) + spec.length
-    p_t = metric_time_iterative(received, params, spec, mprime_p)
+    mprime_p = theta_d_hat + spec.m_p + params.lcp + int(np.floor(mu_h))
+    band = _slot_band(received, params, spec, mprime_p)
+    p_t = metric_time_iterative(band)
     theta_t_hat = estimate_theta_t(p_t)
     theta_hat = theta_d_hat + params.m * theta_t_hat
     return (
         ToEstimate(theta_d_hat=theta_d_hat, theta_t_hat=theta_t_hat,
                    theta_hat=theta_hat, mprime_p=mprime_p),
-        TimingMetrics(p_d=p_d, p_t=p_t),
+        TimingMetrics(p_d=p_d, p_t=p_t, slot_band=band),
     )

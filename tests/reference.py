@@ -7,6 +7,9 @@ trial path:
 * ``metric_delay`` and ``metric_time`` are the direct sums behind
   ``timing.metric_delay_iterative`` and ``timing.metric_time_iterative``
   (criterion 1); the ``*_multiplies`` functions count both forms' work;
+* ``coarse_cfo_gather`` gathers the coarse CFO's row correlations from
+  the buffer, where ``cfo.coarse_cfo`` sums them from the timing stage's
+  slot band;
 * ``bem_basis`` is the GCE-BEM (Leus, EUSIPCO 2004): the Q tones at
   any oversampling K evaluated at all N L pilot samples, of which
   ``cfo.build_workspace`` evaluates only each slot's first row at
@@ -32,11 +35,11 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from otfs_sync.cfo import OpCounter, pilot_sample_indices
+from otfs_sync.cfo import OpCounter, _phase_advance_cfo, pilot_sample_indices
 from otfs_sync.modem import OtfsParams, qam16_symbols
 from otfs_sync.pilot import (PILOT_AMPLITUDE, PcpSpec, _frame_layout,
                              pilot_dt_slots)
-from otfs_sync.timing import _delay_products, _slot_row_sums
+from otfs_sync.timing import ToEstimate, _delay_products, _slot_band
 
 
 # Timing metrics (otfs_sync.timing): the direct forms and the multiply
@@ -67,7 +70,7 @@ def metric_time(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
     All N-1 slot-lag terms are summed for every candidate l, including
     windows that straddle the following block.
     """
-    rowsums = _slot_row_sums(received, params, spec, mprime_p)
+    rowsums = _slot_band(received, params, spec, mprime_p).sum(axis=1)
     n = params.n
     return sliding_window_view(rowsums, n - 1).sum(axis=-1)
 
@@ -89,6 +92,33 @@ def time_metric_multiplies(params: OtfsParams, spec: PcpSpec,
     if iterative:
         return (n - 1) * per_rowsum + (n - 1) * 2 * per_rowsum
     return n * (n - 1) * per_rowsum
+
+# Coarse CFO (otfs_sync.cfo): the row correlations gathered from the
+# buffer.
+
+
+def coarse_cfo_gather(received: np.ndarray, to: ToEstimate,
+                      params: OtfsParams, spec: PcpSpec) -> float:
+    """Coarse CFO from the lag-M row correlations gathered from the buffer.
+
+    corr[i] = sum_{v=0}^{N-2} conj(r[(theta_t + v) M + i])
+              r[(theta_t + v + 1) M + i]
+
+    over the 2L-1 rows i = mprime_p - L .. mprime_p + L - 2, turned into
+    a CFO as ``cfo.coarse_cfo`` does; ``cfo.coarse_cfo`` sums the same
+    products from the timing stage's slot band instead.
+    """
+    received = np.asarray(received)
+    m, n, length = params.m, params.n, spec.length
+    rows = np.arange(to.mprime_p - length, to.mprime_p + length - 1)
+    idx = (to.theta_t_hat + np.arange(n - 1))[:, None] * m + rows[None, :]
+    if idx.min() < 0 or idx.max() + m >= received.size:
+        raise ValueError(
+            "buffer too short for the coarse CFO window at the estimated "
+            "timing offset"
+        )
+    corr = (np.conj(received[idx]) * received[idx + m]).sum(axis=0)
+    return _phase_advance_cfo(corr, n)
 
 # ML cost (otfs_sync.cfo): the paper's model-order rule, the dense model
 # matrix, the banded reduction of the NL x NL projector, the per-point

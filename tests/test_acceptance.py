@@ -25,7 +25,8 @@ from otfs_sync.channel import EVA_TS, eva_model, realize_channel
 from otfs_sync.harness import build_point, load_config, run_sweep, run_trial
 from otfs_sync.modem import OtfsParams
 from otfs_sync.pilot import PcpSpec
-from otfs_sync.timing import metric_delay_iterative, metric_time_iterative
+from otfs_sync.timing import (_slot_band, metric_delay_iterative,
+                              metric_time_iterative)
 from reference import (bem_basis, bem_fit_nmse, bem_order, beta_coefficients,
                        build_g, metric_delay, metric_time, ml_cost_fast)
 
@@ -60,7 +61,7 @@ class TestCriterion1:
             worst_d = max(worst_d, float(np.max(np.abs(p_d_it - p_d))
                                          / np.max(np.abs(p_d))))
             p_t = metric_time(buf, params, spec, mprime_p=32)
-            p_t_it = metric_time_iterative(buf, params, spec, mprime_p=32)
+            p_t_it = metric_time_iterative(_slot_band(buf, params, spec, 32))
             worst_t = max(worst_t, float(np.max(np.abs(p_t_it - p_t))
                                          / np.max(np.abs(p_t))))
         elapsed = time.perf_counter() - tic

@@ -18,12 +18,15 @@ from otfs_sync.cfo import (BEM_K, OpCounter, _phase_table, build_workspace,
                            projection)
 from otfs_sync.channel import (apply_impairments, mean_delay, noise_sigma,
                                realize_channel, single_tap_model, unit_noise)
-from otfs_sync.harness import build_point, load_config
+from otfs_sync import harness
+from otfs_sync.harness import build_point, load_config, run_trial
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
 from otfs_sync.timing import estimate_to, fold_offset
 from reference import (bem_basis, bem_fit_nmse, bem_order, beta_coefficients,
-                       build_g, ml_cost_fast)
+                       build_g, coarse_cfo_gather, ml_cost_fast)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def chain_setup(seed=0):
@@ -43,8 +46,7 @@ def receive_and_time(params, spec, stream, real, mu, eps, snr_db=None,
     if snr_db is not None:
         received += noise_sigma(snr_db) * unit_noise(received.size,
                                                      noise_seed)
-    to, _ = estimate_to(received, params, spec, mu)
-    return received, to
+    return estimate_to(received, params, spec, mu)
 
 
 def model_matrix(params, spec, q):
@@ -73,15 +75,15 @@ class TestCoarseCfo:
     def test_noiseless_exact(self, eps):
         """On a clean static channel the estimate is exact to rounding."""
         params, spec, stream, real, mu = chain_setup()
-        received, to = receive_and_time(params, spec, stream, real, mu, eps)
-        assert abs(coarse_cfo(received, to, params, spec) - eps) < 1e-9
+        to, metrics = receive_and_time(params, spec, stream, real, mu, eps)
+        assert abs(coarse_cfo(to, metrics, params, spec) - eps) < 1e-9
 
     def test_ambiguity_window(self):
         """Offsets are resolved modulo N into [-N/2, N/2)."""
         params, spec, stream, real, mu = chain_setup()
         eps = 2.3 + params.n
-        received, to = receive_and_time(params, spec, stream, real, mu, eps)
-        assert abs(coarse_cfo(received, to, params, spec) - 2.3) < 1e-9
+        to, metrics = receive_and_time(params, spec, stream, real, mu, eps)
+        assert abs(coarse_cfo(to, metrics, params, spec) - 2.3) < 1e-9
 
     def test_stable_at_wrap_point(self):
         """Near eps = N/2 the per-row phases straddle the +-pi branch cut;
@@ -89,18 +91,100 @@ class TestCoarseCfo:
         params, spec, stream, real, mu = chain_setup()
         eps = params.n / 2 - 0.01
         for noise_seed in range(10):
-            received, to = receive_and_time(params, spec, stream, real, mu,
-                                            eps, snr_db=30.0,
-                                            noise_seed=noise_seed)
-            got = coarse_cfo(received, to, params, spec)
+            to, metrics = receive_and_time(params, spec, stream, real, mu,
+                                           eps, snr_db=30.0,
+                                           noise_seed=noise_seed)
+            got = coarse_cfo(to, metrics, params, spec)
             assert abs(fold_offset(got - eps, params.n)) < 0.05
 
     def test_dead_buffer_raises(self):
         """A buffer with no pilot energy cannot produce an estimate."""
         params, spec, stream, real, mu = chain_setup()
-        received, to = receive_and_time(params, spec, stream, real, mu, 0.0)
+        dead = np.zeros(2 * params.n_t, dtype=complex)
+        to, metrics = estimate_to(dead, params, spec, mu)
         with pytest.raises(ValueError, match="usable"):
-            coarse_cfo(np.zeros_like(received), to, params, spec)
+            coarse_cfo(to, metrics, params, spec)
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(length=st.integers(2, 8), n=st.integers(2, 12),
+           extra_m=st.integers(0, 24), theta_t_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_slot_band_sum_equals_buffer_gather(self, length, n, extra_m,
+                                                theta_t_frac, seed):
+        """At random (M, N, L) and slot offset, over a random buffer, the
+        estimate summed from the timing stage's slot band equals, bit for
+        bit, the one gathered from the buffer (``coarse_cfo_gather``)."""
+        m = 2 * length + extra_m
+        params = OtfsParams(m=m, n=n, lcp=length)
+        spec = PcpSpec(length=length, m_p=length + extra_m // 2)
+        rng = np.random.default_rng(seed)
+        received = rng.standard_normal(2 * params.n_t) \
+            + 1j * rng.standard_normal(2 * params.n_t)
+        to, metrics = estimate_to(received, params, spec, 0.0)
+        to = dataclasses.replace(to, theta_t_hat=int(theta_t_frac * (n - 1)))
+        assert coarse_cfo(to, metrics, params, spec) == \
+            coarse_cfo_gather(received, to, params, spec)
+
+
+class TestReadSet:
+    """The receive chain reads only the samples its stages document."""
+
+    @staticmethod
+    def chain(received, ctx, half_width):
+        params, spec = ctx.params, ctx.spec
+        to, metrics = estimate_to(received, params, spec, ctx.mu_est)
+        eps_coarse = coarse_cfo(to, metrics, params, spec)
+        r_p = extract_pilot(received, to.theta_hat, params, spec)
+        estimate = fine_cfo(r_p, ctx.workspace, eps_coarse,
+                            half_width=half_width)
+        return to, metrics, eps_coarse, r_p, estimate
+
+    @pytest.mark.parametrize("config_name, overrides", [
+        ("noiseless_recovery.cfg", dict(theta=None, epsilon=None)),
+        ("sweep_snr.cfg", dict(snr_db=20.0)),
+    ], ids=["32x8", "128x32"])
+    def test_unread_samples_do_not_matter(self, monkeypatch, config_name,
+                                          overrides):
+        """Every sample outside the delay window [0, MN + 2L - 2), the
+        slot band (rows mprime_p - L .. mprime_p + L - 1 of slots 0 ..
+        2N - 2) and the pilot rows at theta_hat is set to NaN; the
+        timing estimate, its traces, both CFO estimates, the pilot vector
+        and the cost trace stay bit for bit those of the whole buffer."""
+        config = dataclasses.replace(load_config(CONFIG_DIR / config_name),
+                                     **overrides)
+        ctx = build_point(config)
+        params, spec, length = ctx.params, ctx.spec, ctx.spec.length
+        seen = []
+
+        def capture(received, *args):
+            seen.append(received)
+            return estimate_to(received, *args)
+
+        monkeypatch.setattr(harness, "estimate_to", capture)
+        for trial in range(4):
+            [result] = run_trial([config], ctx, trial)
+            assert result.failure is None
+            received = seen[-1]
+            whole = self.chain(received, ctx, config.cfo_half_width)
+            to = whole[0]
+            read = np.zeros(received.size, dtype=bool)
+            read[:params.mn + 2 * length - 2] = True
+            band = (np.arange(2 * params.n - 1)[:, None] * params.m
+                    + to.mprime_p - length + np.arange(2 * length))
+            read[band] = True
+            read[to.theta_hat + pilot_sample_indices(params, spec)] = True
+            assert 0 < read.sum() < received.size
+            poisoned = np.where(read, received, np.nan)
+            part = self.chain(poisoned, ctx, config.cfo_half_width)
+            assert part[0] == to
+            for name in ("p_d", "p_t", "slot_band"):
+                assert_array_equal(getattr(part[1], name),
+                                   getattr(whole[1], name))
+            assert part[2] == whole[2]
+            assert_array_equal(part[3], whole[3])
+            assert part[4].eps_fine == whole[4].eps_fine
+            assert_array_equal(part[4].cost_trace, whole[4].cost_trace)
 
 
 class TestBemOrder:
@@ -235,8 +319,7 @@ def duplicated_tone_model():
 
 
 RANK_PREFIX = "projection: cond(G^H G)"
-GEOMETRY_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
-                   / "sweep_doppler_geometries.cfg")
+GEOMETRY_CONFIG = CONFIG_DIR / "sweep_doppler_geometries.cfg"
 
 
 def logged_ranks(messages):

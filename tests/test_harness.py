@@ -14,9 +14,10 @@ from otfs_sync.cli import main
 from otfs_sync import channel, harness
 from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
                                build_point, config_items, context_key,
-                               load_config, parse_config, run_single,
-                               run_snapshot, run_sweep, run_trial,
-                               trial_streams, write_csv, write_manifest)
+                               load_config, noise_seed, parse_config,
+                               run_single, run_snapshot, run_sweep,
+                               run_trial, trial_streams, write_csv,
+                               write_manifest)
 from reference import read_csv
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -147,8 +148,8 @@ class TestTrialStreams:
 
     @staticmethod
     def _draws(root, trial):
-        return [np.random.default_rng(s).uniform()
-                for s in trial_streams(root, trial)]
+        return [s.uniform() for s in trial_streams(root, trial)] \
+            + [np.random.default_rng(noise_seed(root, trial)).uniform()]
 
     def test_deterministic_per_index(self):
         """The same (root, trial) pair reproduces identical draws."""
@@ -159,27 +160,45 @@ class TestTrialStreams:
         assert self._draws(5, 3) != self._draws(5, 4)
 
     def test_children_are_the_spawned_ones(self):
-        """The four streams are seeded by the children that
-        SeedSequence([root, trial]).spawn(4) makes: same states."""
+        """The data, channel and offset generators and the noise seed are
+        the children that SeedSequence([root, trial]).spawn(4) makes, in
+        the order 0, 1, 3 and 2: same states."""
         spawned = np.random.SeedSequence([5, 3]).spawn(4)
-        for stream, child in zip(trial_streams(5, 3), spawned):
-            seq = stream if isinstance(stream, np.random.SeedSequence) \
-                else stream.bit_generator.seed_seq
+        seqs = [g.bit_generator.seed_seq for g in trial_streams(5, 3)]
+        for seq, child in zip(seqs + [noise_seed(5, 3)],
+                              [spawned[i] for i in (0, 1, 3, 2)]):
             assert_array_equal(seq.generate_state(8),
                                child.generate_state(8))
 
     def test_noise_stream_left_unbuilt(self):
-        """The noise stream stays a SeedSequence until a noisy point draws
-        from it, and draws what a generator built from the spawned child
-        draws."""
+        """The noise stream is not among the trial's generators: it stays
+        a SeedSequence, built on demand, and draws what a generator built
+        from the spawned child draws."""
         streams = trial_streams(5, 3)
-        assert [type(s) for s in streams] == [
-            np.random.Generator, np.random.Generator,
-            np.random.SeedSequence, np.random.Generator]
+        assert [type(s) for s in streams] == [np.random.Generator] * 3
+        seed = noise_seed(5, 3)
+        assert isinstance(seed, np.random.SeedSequence)
         child = np.random.SeedSequence([5, 3]).spawn(4)[2]
         assert np.array_equal(
-            channel.unit_noise(64, streams[2]),
+            channel.unit_noise(64, seed),
             channel.unit_noise(64, np.random.default_rng(child)))
+
+    def test_noiseless_trial_builds_no_noise_seed(self, monkeypatch):
+        """A point without noise never builds the noise stream; a noisy
+        point builds it once per trial index, whatever its point count."""
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return noise_seed(*args)
+
+        monkeypatch.setattr(harness, "noise_seed", counting)
+        ctx = build_point(TINY)
+        run_trial([TINY], ctx, 4)
+        assert built == []
+        noisy = [dataclasses.replace(TINY, snr_db=v) for v in (0.0, 20.0)]
+        run_trial([TINY] + noisy, ctx, 4)
+        assert built == [(TINY.seed, 4)]
 
 
 class TestRunTrial:
@@ -317,7 +336,7 @@ class TestRunTrial:
         run_trial([TINY, noisy], ctx, 2)
         clean, received = seen
         w = channel.unit_noise(2 * ctx.params.n_t,
-                               trial_streams(TINY.seed, 2)[2])
+                               noise_seed(TINY.seed, 2))
         assert np.array_equal(
             received, clean + channel.noise_sigma(snr_db) * w)
 
@@ -331,6 +350,26 @@ class TestRunTrial:
             ctx.workspace.lam = None
         with pytest.raises(ValueError, match="read-only"):
             ctx.workspace.p[0] = 0
+
+
+class TestBuildPoint:
+    """Set-up checks that refuse a geometry before any trial."""
+
+    def test_pilot_footprint_must_stay_in_its_slot(self):
+        """The last pilot row m_p + L - 1, spread by the channel's largest
+        powered delay, must land at or below row M - 1.  EVA at L = 21
+        spreads by 20 rows, so at M = 64 the bound is m_p <= 23 and the
+        centred m_p = 32 is refused; a single tap spreads by none, so
+        there the pilot may end on the slot's last row."""
+        wide = dataclasses.replace(TINY, m=64, n=64, lcp=20,
+                                   pilot_length=21, channel="eva",
+                                   nu_max_t=0.14)
+        build_point(dataclasses.replace(wide, pilot_m_p=23))
+        for m_p in (24, None):
+            with pytest.raises(ValueError, match="footprint"):
+                build_point(dataclasses.replace(wide, pilot_m_p=m_p))
+        build_point(dataclasses.replace(wide, pilot_m_p=43,
+                                        channel="single_tap"))
 
 
 class TestAggregate:
@@ -695,9 +734,16 @@ class TestCli:
         (["--cfo_half_width", "0.004"], "cfo_half_width must be at least"),
         (["--trials", "0"], "trials must be >= 1"),
         (["--trials", "-2"], "trials must be >= 1"),
-        (["--trials", "x"], "invalid literal for int()"),
+        (["--trials", "x"],
+         "config key trials: invalid literal for int() with base 10: 'x'"),
+        (["--geometries", "64"],
+         "config key geometries: not enough values to unpack"),
+        (["--m", "64", "--n", "64", "--lcp", "20", "--pilot_length", "21",
+          "--channel", "eva"],
+         "received pilot footprint reaches delay row 72"),
     ], ids=["negative_half_width", "sub_step_half_width", "zero_trials",
-            "negative_trials", "unparsable_trials"])
+            "negative_trials", "unparsable_trials", "unparsable_geometry",
+            "pilot_footprint_past_slot"])
     def test_config_errors_exit_2(self, tmp_path, capsys, verb, flags,
                                   message):
         """A config value no trial can run with is a usage error before
@@ -710,14 +756,29 @@ class TestCli:
         assert list(tmp_path.glob("*.csv")) == []
 
     def test_unknown_config_file_key_exits_2(self, tmp_path, capsys):
-        """An unknown key in a --config file is a usage error too."""
+        """An unknown key in a --config file is a usage error too, and
+        names its line."""
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("m = 32\nno_such_key = 1\n")
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(cfg), "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert error_lines(capsys) == [
-            "otfs-sync: error: unknown config key 'no_such_key'"]
+            "otfs-sync: error: config line 2: unknown config key "
+            "'no_such_key'"]
+
+    def test_config_file_value_error_names_line_and_key(self, tmp_path,
+                                                         capsys):
+        """A value in a --config file that does not parse is reported
+        with its line and its key."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# header\nm = 32\n\ntrials = x\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert error_lines(capsys) == [
+            "otfs-sync: error: config line 4: config key trials: invalid "
+            "literal for int() with base 10: 'x'"]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         """Flags override file values, which override the defaults."""

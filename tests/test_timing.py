@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from otfs_sync.channel import (apply_impairments, mean_delay, realize_channel,
                                single_tap_model)
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame
-from otfs_sync.timing import (estimate_theta_d, estimate_theta_t,
+from otfs_sync.timing import (_slot_band, estimate_theta_d, estimate_theta_t,
                               estimate_to, fold_offset,
                               metric_delay_iterative, metric_time_iterative)
 from reference import (delay_metric_multiplies, metric_delay, metric_time,
@@ -103,7 +105,8 @@ class TestSlotMetric:
             rng = np.random.default_rng(seed)
             buf = random_buffer(rng, 80)
             assert_allclose(
-                metric_time_iterative(buf, self.params, self.spec, 4),
+                metric_time_iterative(_slot_band(buf, self.params,
+                                                 self.spec, 4)),
                 metric_time(buf, self.params, self.spec, 4), rtol=1e-12)
 
     def test_window_anchor_below_length_raises(self):
@@ -115,6 +118,43 @@ class TestSlotMetric:
         """A buffer below the slot-window reach is refused."""
         with pytest.raises(ValueError, match="need"):
             metric_time(self.buffer[:40], self.params, self.spec, mprime_p=4)
+
+
+class TestMetricProperties:
+    """The iterative forms against the direct ones over random grids."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(length=st.integers(2, 8), n=st.integers(1, 12),
+           extra_m=st.integers(0, 24), peak_frac=st.floats(0.0, 1.0),
+           slack=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_iterative_forms_match_direct(self, length, n, extra_m,
+                                          peak_frac, slack, seed):
+        """At random (M, N, L), with the slot window anchored anywhere the
+        delay peak can put it and a buffer of any length both metrics
+        reach, each iterative form matches its direct form within 1e-10
+        of the trace's largest magnitude, and the slot band holds exactly
+        the lag-M products its definition names."""
+        m = 2 * length + extra_m
+        params = OtfsParams(m=m, n=n, lcp=0)
+        spec = PcpSpec(length=length, m_p=length)
+        mprime_p = length + int(peak_frac * (m - 1))
+        size = max(params.mn + 2 * length - 2,
+                   (2 * n - 2) * m + mprime_p + length) + slack
+        buf = random_buffer(np.random.default_rng(seed), size)
+
+        p_d = metric_delay(buf, params, spec)
+        assert_allclose(metric_delay_iterative(buf, params, spec), p_d,
+                        rtol=0, atol=1e-10 * np.max(np.abs(p_d)))
+        band = _slot_band(buf, params, spec, mprime_p)
+        w, i = np.meshgrid(np.arange(2 * n - 2),
+                           mprime_p - length + np.arange(2 * length),
+                           indexing="ij")
+        assert_array_equal(band, np.conj(buf[w * m + i])
+                           * buf[(w + 1) * m + i])
+        p_t = metric_time(buf, params, spec, mprime_p)
+        assert_allclose(metric_time_iterative(band), p_t, rtol=0,
+                        atol=1e-10 * max(np.max(np.abs(p_t)), 1.0))
 
 
 class TestPeakBookkeeping:
