@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "along one axis; snapshot: one trial with raw "
                              "traces")
     parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log one line per group of points that share "
-                             "a context")
+                        help="log one line per run: its points, trials "
+                             "per point and wall time")
     parser.add_argument("--config", type=str, default=None,
                         help="flat key=value config file")
     parser.add_argument("--out", type=str, default=".",

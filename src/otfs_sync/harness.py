@@ -8,10 +8,11 @@ seeds are derived from the root seed by trial index alone, so a trial
 reuses the same data, channel, offsets, and unit-variance noise shape at
 every sweep point; sweep points then differ only through the swept
 quantity (common-random-numbers pairing), which makes trend comparisons
-across points far less noisy than independent draws would.  One
-:func:`run_trial` call makes a trial's draws once and runs the receive
-chain at every point that shares them (one :func:`context_key`: the
-points of an SNR sweep).
+across points far less noisy than independent draws would.  A run is
+trial-major: every point's context is built first, then one
+:func:`run_trial` call per trial index covers every point of every
+results file, and makes each artefact once per distinct input it is
+computed from.
 
 Outputs are flat text: a results CSV with one row per sweep point, a
 manifest echoing every resolved config key, and (for snapshots) the raw
@@ -203,78 +204,112 @@ def build_point(config: ExperimentConfig) -> PointContext:
                         advance=advance, eps_span=eps_span)
 
 
-def trial_streams(root_seed: int, trial_idx: int) -> list:
-    """Independent generators for the data, channel and offset draws.
-
-    Seeds depend only on (root_seed, trial_idx), never on the sweep point,
-    so the same trial index reproduces the same randomness at every point.
-    They are children 0, 1 and 3 of ``SeedSequence([root_seed,
-    trial_idx]).spawn(4)``, built directly; child 2 seeds the noise and
-    is built by :func:`noise_seed` only when a noisy point draws from it.
-    """
-    return [np.random.default_rng(np.random.SeedSequence(
-        [int(root_seed), int(trial_idx)], spawn_key=(i,))) for i in (0, 1, 3)]
+def _trial_rng(seed: int, trial_idx: int, child: int):
+    """Generator of child ``child`` of ``SeedSequence([seed,
+    trial_idx]).spawn(4)``, built directly: 0 draws the data, 1 the
+    channel, 2 the noise and 3 the offsets.  No child depends on the
+    sweep point."""
+    return np.random.default_rng(np.random.SeedSequence(
+        [int(seed), int(trial_idx)], spawn_key=(child,)))
 
 
-def noise_seed(root_seed: int, trial_idx: int) -> np.random.SeedSequence:
-    """The noise stream of a trial, child 2 of the spawn that
-    :func:`trial_streams` makes, for :func:`unit_noise`."""
-    return np.random.SeedSequence([int(root_seed), int(trial_idx)],
-                                  spawn_key=(2,))
-
-
-def run_trial(configs: list, ctx: PointContext, trial_idx: int,
+def run_trial(points: list, trial_idx: int,
               traces: dict | None = None) -> list:
-    """One trial index at every point of ``configs``: a result per point.
+    """One trial index at every (config, ctx) pair of ``points``: a result
+    per point.
 
     This is the only place the receive chain is written out and the only
-    place noise is added.  The points must share one :func:`context_key`
-    (:func:`_run_table` groups them so); ``configs[0]`` supplies the seed,
-    theta and epsilon.  The transmit half is made once: the trial's draws,
-    frame, stream, the channel over the samples of the 2 n_t buffer that
-    the shifted stream reaches (:func:`stream_reach`), and the read-only
-    noiseless received buffer.  Each point's receiver then sees
-    ``clean + noise_sigma(snr_db) * w``, with the unit noise shape w drawn
-    from :func:`noise_seed` at the first noisy point; since no draw
-    depends on the point, this is the common-random-numbers pairing.
+    place noise is added.  Each artefact is keyed by exactly the values
+    it is computed from and made once per key, from a generator
+    (:func:`_trial_rng`) built only when its key misses:
+
+    * offset draws (child 3): seed, theta setting, MN.  theta is drawn
+      over [-MN/2, MN/2) unless fixed, then a uniform u sets epsilon
+      unless that is fixed;
+    * frame and stream (child 0): seed, geometry, pilot;
+    * channel realization (child 1): seed, the channel model's pdp and
+      nu*T, MN, and the window [lo, hi) of the 2 n_t buffer that the
+      shifted stream reaches (:func:`stream_reach`);
+    * noiseless received buffer, read-only: stream, realization, shift,
+      epsilon;
+    * unit noise shape w (child 2): seed and buffer length, drawn only
+      for a noisy point.
+
+    A point receives ``clean + noise_sigma(snr_db) * w``.  Since no draw
+    depends on the point, points share draws (common random numbers), and
+    the results equal one-point calls bit for bit.  An artefact is
+    dropped after the last point that reads it.
 
     A ``traces`` dict, when given, receives each stage's artifacts as they
     are made: the channel ``realization`` (that window), the timing
     estimate ``to`` and its ``metrics``, and the fine-CFO ``estimate``;
-    with several points, the last point's estimator artifacts.
+    with several points, the last point's.
     """
-    params, spec, config = ctx.params, ctx.spec, configs[0]
     traces = {} if traces is None else traces
-    seed = config.seed
-    r_data, r_chan, r_draw = trial_streams(seed, trial_idx)
-    if config.theta is None:
-        theta = int(r_draw.integers(-params.mn // 2, params.mn // 2))
-    else:
-        theta = int(config.theta)
-    u = float(r_draw.uniform(0.0, 1.0))
-    eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
-        else float(config.epsilon)
-
-    stream = build_stream(build_frame(params, spec, r_data), params)
-    shift, length = theta + ctx.advance, 2 * params.n_t
-    lo, hi = stream_reach(shift, stream.size, ctx.model.n_taps, length)
-    # A stream that misses the buffer reads no taps; one sample keeps the
-    # realization nonempty.
-    realization = realize_channel(ctx.model, params, max(hi - lo, 1),
-                                  r_chan, start=lo)
-    traces["realization"] = realization
-    clean = apply_impairments(stream, realization, shift, eps, params,
-                              length=length)
-    # The noiseless points all receive this one array.
-    clean.flags.writeable = False
-
-    results, w = [], None
-    for config in configs:
-        received = clean
+    offsets, plans, last = {}, [], {}
+    for i, (config, ctx) in enumerate(points):
+        params, seed = ctx.params, config.seed
+        draw = (seed, config.theta, params.mn)
+        if draw not in offsets:
+            r_draw = _trial_rng(seed, trial_idx, 3)
+            theta = int(r_draw.integers(-params.mn // 2, params.mn // 2)) \
+                if config.theta is None else int(config.theta)
+            offsets[draw] = theta, float(r_draw.uniform(0.0, 1.0))
+        theta, u = offsets[draw]
+        eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
+            else float(config.epsilon)
+        shift, length = theta + ctx.advance, 2 * params.n_t
+        lo, hi = stream_reach(shift, params.n_t, ctx.model.n_taps, length)
+        # Plain values, not the params and spec objects: a tuple of them
+        # hashes without a Python call.
+        stream_key = ("stream", seed, params.m, params.n, params.lcp,
+                      ctx.spec.length, ctx.spec.m_p)
+        real_key = ("realization", seed, ctx.model.pdp.tobytes(),
+                    ctx.model.nu_max_t, params.mn, lo, hi)
+        keys = [stream_key, real_key,
+                ("clean", stream_key, real_key, shift, eps)]
         if config.snr_db is not None:
+            keys.append(("noise", seed, length))
+        plans.append((theta, eps, shift, keys))
+        for key in keys:
+            last[key] = i
+
+    made, results = {}, []
+    for i, ((config, ctx), (theta, eps, shift, keys)) in enumerate(
+            zip(points, plans)):
+        params, spec, seed = ctx.params, ctx.spec, config.seed
+        stream_key, real_key, clean_key = keys[:3]
+        real = made.get(real_key)
+        if real is None:
+            lo, hi = real_key[-2:]
+            # A stream that misses the buffer reads no taps; one sample
+            # keeps the realization nonempty.
+            real = made[real_key] = realize_channel(
+                ctx.model, params, max(hi - lo, 1),
+                _trial_rng(seed, trial_idx, 1), start=lo)
+        traces["realization"] = real
+        received = made.get(clean_key)
+        if received is None:
+            stream = made.get(stream_key)
+            if stream is None:
+                stream = made[stream_key] = build_stream(build_frame(
+                    params, spec, _trial_rng(seed, trial_idx, 0)), params)
+            received = apply_impairments(stream, real, shift, eps, params,
+                                         length=2 * params.n_t)
+            # Every noiseless point that shares it receives this array.
+            received.flags.writeable = False
+            made[clean_key] = received
+        if config.snr_db is not None:
+            noise_key = keys[3]
+            w = made.get(noise_key)
             if w is None:
-                w = unit_noise(clean.size, noise_seed(seed, trial_idx))
-            received = clean + noise_sigma(config.snr_db) * w
+                w = made[noise_key] = unit_noise(
+                    noise_key[-1], _trial_rng(seed, trial_idx, 2))
+            received = received + noise_sigma(config.snr_db) * w
+        for key in keys:
+            if last[key] == i:
+                made.pop(key, None)
+
         result = TrialResult(theta_true=theta, eps_true=eps)
         stage = "timing"
         try:
@@ -400,25 +435,30 @@ def _parse_value(name: str, text: str):
     return text
 
 
+def _parse_item(key: str, text: str):
+    """The value of one (key, text) pair; an unknown key or a value that
+    does not parse raises ``ValueError`` naming the key."""
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        return _parse_value(key, text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from exc
+
+
 def update_config(config: ExperimentConfig, items) -> ExperimentConfig:
     """``config`` with each (key, text) pair parsed and set; of repeated
     keys the last pair wins.  A value that does not parse raises
     ``ValueError`` naming its key."""
-    values = {}
-    for key, text in items:
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            values[key] = _parse_value(key, text)
-        except ValueError as exc:
-            raise ValueError(f"config key {key}: {exc}") from exc
-    return replace(config, **values)
+    return replace(config, **{key: _parse_item(key, text)
+                              for key, text in items})
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat ``key = value`` lines over the defaults; '#' starts a
-    comment.  An error names its line."""
-    config = ExperimentConfig()
+    comment, and of repeated keys the last line wins.  An error names its
+    line."""
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -427,11 +467,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected key=value, "
                              f"got {raw!r}")
         key, value = line.split("=", 1)
+        key = key.strip()
         try:
-            config = update_config(config, [(key.strip(), value)])
+            values[key] = _parse_item(key, value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from exc
-    return config
+    return replace(ExperimentConfig(), **values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -458,47 +499,50 @@ def context_key(config: ExperimentConfig) -> tuple:
     """Cache key of the point context: every config field but ``snr_db``.
 
     The data SNR only scales the noise drawn per trial, so points that
-    differ in nothing else share one :func:`build_point` result and, in
-    one :func:`run_trial` call per trial index, its transmit half.
+    differ in nothing else share one :func:`build_point` result.
     """
     return tuple(getattr(config, f.name) for f in dataclasses.fields(config)
                  if f.name != "snr_db")
 
 
-def _run_table(filename: str, axis: str, points: list) -> list:
-    """Summaries of ``points``, (sweep value, config) pairs, in their order.
+def _run_tables(tables: dict) -> dict:
+    """Summaries of ``tables``, {results filename: [(sweep value, config),
+    ...]}, per file and in point order.
 
-    Points that share a :func:`context_key` form one group: the group
-    builds its context once and makes one :func:`run_trial` call per trial
-    index over all its points, so an SNR sweep builds its ML workspace
-    once and each trial's transmit half once.  Each group logs one INFO
-    line; failure warnings and aggregation stay in point order.
+    Every point's context is built first, one :func:`build_point` per
+    distinct :func:`context_key`, so an input error stops the run before
+    any trial.  Then one :func:`run_trial` call per trial index covers
+    every point of every file, which makes each trial artefact once per
+    distinct input.  The run logs one INFO line; failure warnings and
+    aggregation follow in point order.
     """
-    groups = {}
-    for i, (_, point_cfg) in enumerate(points):
-        groups.setdefault(context_key(point_cfg), []).append(i)
-    runs = [None] * len(points)
-    for members in groups.values():
-        configs = [points[i][1] for i in members]
-        ctx = build_point(configs[0])
-        tic = time.perf_counter()
-        results = [[] for _ in configs]
-        for t in range(configs[0].trials):
-            for point, result in zip(results, run_trial(configs, ctx, t)):
-                point.append(result)
-        for i, point_results in zip(members, results):
-            runs[i] = (point_results, ctx)
-        logger.info("%s: points %s=%s done in %.3f s (%d trials each)",
-                    filename, axis,
-                    ",".join(str(points[i][0]) for i in members),
-                    time.perf_counter() - tic, configs[0].trials)
-    summaries = []
-    for (value, _), (results, ctx) in zip(points, runs):
-        for t, r in enumerate(results):
+    contexts, labels, points = {}, [], []
+    for filename, rows in tables.items():
+        for value, config in rows:
+            key = context_key(config)
+            if key not in contexts:
+                contexts[key] = build_point(config)
+            labels.append((filename, value))
+            points.append((config, contexts[key]))
+    trials = points[0][0].trials
+    tic = time.perf_counter()
+    results = [[] for _ in points]
+    for t in range(trials):
+        for point, result in zip(results, run_trial(points, t)):
+            point.append(result)
+    logger.info("%s done in %.3f s (%d trials each)",
+                "; ".join(f"{filename}: {rows[0][1].sweep}="
+                          + ",".join(str(value) for value, _ in rows)
+                          for filename, rows in tables.items()),
+                time.perf_counter() - tic, trials)
+    summaries = {filename: [] for filename in tables}
+    for (filename, value), (_, ctx), point_results in zip(labels, points,
+                                                          results):
+        for t, r in enumerate(point_results):
             if r.failure is not None:
                 logger.warning("point %s: trial %d failed (%s)", value, t,
                                r.failure)
-        summaries.append(aggregate(value, results, ctx))
+        summaries[filename].append(aggregate(value, point_results, ctx))
     return summaries
 
 
@@ -507,22 +551,21 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
     With ``geometries`` set, the whole axis is swept once per geometry and
     written to ``results_{M}x{N}.csv`` each; otherwise everything lands in
-    ``results.csv``.  Each file's points run as one :func:`_run_table`.
+    ``results.csv``.  All files run as one :func:`_run_tables`, and
+    nothing is written before every trial has run.
     """
+    if not config.sweep_values:
+        raise ValueError("sweep_values is empty: a sweep needs at least "
+                         "one point")
+    variants = [(f"results_{m}x{n}.csv", replace(config, m=m, n=n))
+                for m, n in config.geometries] \
+        or [("results.csv", config)]
+    emitted = _run_tables({filename: list(sweep_axis_configs(variant))
+                           for filename, variant in variants})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.geometries:
-        variants = [(f"results_{m}x{n}.csv", replace(config, m=m, n=n))
-                    for m, n in config.geometries]
-    else:
-        variants = [("results.csv", config)]
-
-    emitted = {}
-    for filename, variant in variants:
-        summaries = _run_table(filename, variant.sweep,
-                               list(sweep_axis_configs(variant)))
+    for filename, summaries in emitted.items():
         write_csv(out / filename, RESULT_COLUMNS, summary_rows(summaries))
-        emitted[filename] = summaries
     write_manifest(out / "manifest.txt", config)
     return emitted
 
@@ -531,10 +574,10 @@ def run_single(config: ExperimentConfig, out_dir) -> PointSummary:
     """One sweep point at the config's scalar settings: a one-point table
     whose sweep value is the config's value of the :func:`sweep_axis`."""
     axis = sweep_axis(config)
+    [summary] = _run_tables(
+        {"results.csv": [(getattr(config, axis), config)]})["results.csv"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    [summary] = _run_table("results.csv", axis,
-                           [(getattr(config, axis), config)])
     write_csv(out / "results.csv", RESULT_COLUMNS, summary_rows([summary]))
     write_manifest(out / "manifest.txt", config)
     return summary
@@ -552,12 +595,12 @@ def run_snapshot(config: ExperimentConfig, out_dir) -> dict:
     grid (eps, cost); ``channel_taps.csv`` from the tap export; and
     ``estimate.txt`` with the trial's truths and estimates.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     traces = {}
-    [result] = run_trial([config], build_point(config), 0, traces)
+    [result] = run_trial([(config, build_point(config))], 0, traces)
     if result.failure is not None:
         raise ValueError(f"snapshot trial failed at {result.failure}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     to, metrics = traces["to"], traces["metrics"]
 
     for name, trace in (("metric_delay.csv", metrics.p_d),

@@ -119,7 +119,7 @@ class TestCriterion3:
         span = config.m * config.n // 2
         theta_misses = []
         for idx, theta in enumerate(range(-span, span)):
-            [r] = run_trial([dataclasses.replace(config, theta=theta)], ctx,
+            [r] = run_trial([(dataclasses.replace(config, theta=theta), ctx)],
                             trial_idx=idx)
             if r.failure is not None or r.theta_hat != theta:
                 theta_misses.append((theta, r.theta_hat, r.failure))
@@ -127,7 +127,7 @@ class TestCriterion3:
         eps_worst = 0.0
         for trial in range(50):
             eps = float(rng.uniform(-config.n / 2, config.n / 2))
-            [r] = run_trial([dataclasses.replace(config, epsilon=eps)], ctx,
+            [r] = run_trial([(dataclasses.replace(config, epsilon=eps), ctx)],
                             trial_idx=trial)
             eps_worst = max(eps_worst, abs(r.eps_fine - eps))
         elapsed = time.perf_counter() - tic
@@ -200,7 +200,7 @@ class TestCriterion5:
         delay_hits = slot_hits = 0
         for seed in range(100):
             traces = {}
-            run_trial([dataclasses.replace(config, seed=seed)], ctx, 0,
+            run_trial([(dataclasses.replace(config, seed=seed), ctx)], 0,
                       traces)
             metrics = traces["metrics"]
             if abs(int(np.argmax(np.abs(metrics.p_d))) - 118) <= 2:

@@ -163,7 +163,7 @@ class TestReadSet:
 
         monkeypatch.setattr(harness, "estimate_to", capture)
         for trial in range(4):
-            [result] = run_trial([config], ctx, trial)
+            [result] = run_trial([(config, ctx)], trial)
             assert result.failure is None
             received = seen[-1]
             whole = self.chain(received, ctx, config.cfo_half_width)

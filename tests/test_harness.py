@@ -14,10 +14,9 @@ from otfs_sync.cli import main
 from otfs_sync import channel, harness
 from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
                                build_point, config_items, context_key,
-                               load_config, noise_seed, parse_config,
-                               run_single, run_snapshot, run_sweep,
-                               run_trial, trial_streams, write_csv,
-                               write_manifest)
+                               load_config, parse_config, run_single,
+                               run_snapshot, run_sweep, run_trial,
+                               write_csv, write_manifest)
 from reference import read_csv
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -86,6 +85,21 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_config("m = 16\nnonsense\n")
 
+    def test_one_replace_per_file(self, monkeypatch):
+        """A config file is parsed into one set of values and applied in
+        one ``replace``, not one per line."""
+        calls = []
+        replace = harness.replace
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return replace(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "replace", counted)
+        config = load_config(CONFIG_DIR / "sweep_doppler_geometries.cfg")
+        assert len(calls) == 1
+        assert config.geometries == ((64, 64), (128, 32), (256, 16))
+
     def test_shipped_configs_parse(self):
         """The checked-in experiment configs all load."""
         paths = sorted(CONFIG_DIR.glob("*.cfg"))
@@ -148,8 +162,21 @@ class TestTrialStreams:
 
     @staticmethod
     def _draws(root, trial):
-        return [s.uniform() for s in trial_streams(root, trial)] \
-            + [np.random.default_rng(noise_seed(root, trial)).uniform()]
+        return [harness._trial_rng(root, trial, i).uniform()
+                for i in range(4)]
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The (seed, trial, child) of every generator run_trial builds."""
+        built = []
+        trial_rng = harness._trial_rng
+
+        def counting(*args):
+            built.append(args)
+            return trial_rng(*args)
+
+        monkeypatch.setattr(harness, "_trial_rng", counting)
+        return built
 
     def test_deterministic_per_index(self):
         """The same (root, trial) pair reproduces identical draws."""
@@ -160,45 +187,31 @@ class TestTrialStreams:
         assert self._draws(5, 3) != self._draws(5, 4)
 
     def test_children_are_the_spawned_ones(self):
-        """The data, channel and offset generators and the noise seed are
-        the children that SeedSequence([root, trial]).spawn(4) makes, in
-        the order 0, 1, 3 and 2: same states."""
+        """The data, channel, noise and offset generators, children 0 to
+        3, are the children that SeedSequence([root, trial]).spawn(4)
+        makes: same states."""
         spawned = np.random.SeedSequence([5, 3]).spawn(4)
-        seqs = [g.bit_generator.seed_seq for g in trial_streams(5, 3)]
-        for seq, child in zip(seqs + [noise_seed(5, 3)],
-                              [spawned[i] for i in (0, 1, 3, 2)]):
+        for i, child in enumerate(spawned):
+            seq = harness._trial_rng(5, 3, i).bit_generator.seed_seq
             assert_array_equal(seq.generate_state(8),
                                child.generate_state(8))
 
-    def test_noise_stream_left_unbuilt(self):
-        """The noise stream is not among the trial's generators: it stays
-        a SeedSequence, built on demand, and draws what a generator built
-        from the spawned child draws."""
-        streams = trial_streams(5, 3)
-        assert [type(s) for s in streams] == [np.random.Generator] * 3
-        seed = noise_seed(5, 3)
-        assert isinstance(seed, np.random.SeedSequence)
-        child = np.random.SeedSequence([5, 3]).spawn(4)[2]
-        assert np.array_equal(
-            channel.unit_noise(64, seed),
-            channel.unit_noise(64, np.random.default_rng(child)))
+    def test_noise_stream_left_unbuilt(self, monkeypatch):
+        """A noiseless trial builds the data, channel and offset
+        generators once each and never the noise one."""
+        built = self._count_builds(monkeypatch)
+        run_trial([(TINY, build_point(TINY))], 4)
+        assert sorted(built) == [(TINY.seed, 4, i) for i in (0, 1, 3)]
 
     def test_noiseless_trial_builds_no_noise_seed(self, monkeypatch):
-        """A point without noise never builds the noise stream; a noisy
-        point builds it once per trial index, whatever its point count."""
-        built = []
-
-        def counting(*args):
-            built.append(args)
-            return noise_seed(*args)
-
-        monkeypatch.setattr(harness, "noise_seed", counting)
+        """A point without noise never builds the noise stream; noisy
+        points build it once per trial index, whatever their count."""
+        built = self._count_builds(monkeypatch)
         ctx = build_point(TINY)
-        run_trial([TINY], ctx, 4)
-        assert built == []
-        noisy = [dataclasses.replace(TINY, snr_db=v) for v in (0.0, 20.0)]
-        run_trial([TINY] + noisy, ctx, 4)
-        assert built == [(TINY.seed, 4)]
+        noisy = [(dataclasses.replace(TINY, snr_db=v), ctx)
+                 for v in (0.0, 20.0)]
+        run_trial([(TINY, ctx)] + noisy, 4)
+        assert [b for b in built if b[2] == 2] == [(TINY.seed, 4, 2)]
 
 
 class TestRunTrial:
@@ -207,8 +220,8 @@ class TestRunTrial:
     def test_deterministic(self):
         """A repeated trial reproduces every field bit for bit."""
         ctx = build_point(TINY)
-        [one] = run_trial([TINY], ctx, 0)
-        [two] = run_trial([TINY], ctx, 0)
+        [one] = run_trial([(TINY, ctx)], 0)
+        [two] = run_trial([(TINY, ctx)], 0)
         assert one.theta_true == two.theta_true
         assert one.eps_true == two.eps_true
         assert one.theta_hat == two.theta_hat
@@ -220,7 +233,7 @@ class TestRunTrial:
         """The tiny noiseless link recovers both offsets in every trial."""
         ctx = build_point(TINY)
         for t in range(5):
-            [r] = run_trial([TINY], ctx, t)
+            [r] = run_trial([(TINY, ctx)], t)
             assert r.theta_hat == r.theta_true
             assert abs(r.eps_fine - r.eps_true) <= 1e-4
 
@@ -230,8 +243,8 @@ class TestRunTrial:
         noisy = dataclasses.replace(TINY, snr_db=0.0)
         ctx_a = build_point(TINY)
         ctx_b = build_point(noisy)
-        [a] = run_trial([TINY], ctx_a, 2)
-        [b] = run_trial([noisy], ctx_b, 2)
+        [a] = run_trial([(TINY, ctx_a)], 2)
+        [b] = run_trial([(noisy, ctx_b)], 2)
         assert a.theta_true == b.theta_true
         assert a.eps_true == b.eps_true
 
@@ -239,7 +252,7 @@ class TestRunTrial:
         """Explicit theta/epsilon settings pin every trial."""
         fixed = dataclasses.replace(TINY, theta=11, epsilon=0.375)
         ctx = build_point(fixed)
-        [r] = run_trial([fixed], ctx, 4)
+        [r] = run_trial([(fixed, ctx)], 4)
         assert r.theta_true == 11
         assert r.eps_true == 0.375
 
@@ -249,7 +262,7 @@ class TestRunTrial:
         extremes come within 0.1 of both ends."""
         fading = dataclasses.replace(TINY, nu_max_t=1.5)
         ctx = build_point(fading)
-        eps = [run_trial([fading], ctx, t)[0].eps_true for t in range(200)]
+        eps = [run_trial([(fading, ctx)], t)[0].eps_true for t in range(200)]
         assert all(-2.5 <= e < 2.5 for e in eps)
         assert min(eps) < -2.4 and max(eps) > 2.4
 
@@ -265,7 +278,7 @@ class TestRunTrial:
         monkeypatch.setattr(harness, stage, refuse)
         label = {"estimate_to": "timing", "coarse_cfo": "coarse",
                  "fine_cfo": "fine"}[stage]
-        [r] = run_trial([TINY], ctx, 0)
+        [r] = run_trial([(TINY, ctx)], 0)
         assert r.failure == f"{label}: no lock"
 
     @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
@@ -278,7 +291,7 @@ class TestRunTrial:
         ctx = build_point(TINY)
         monkeypatch.setattr(harness, stage, broken)
         with pytest.raises(TypeError, match="bad call"):
-            run_trial([TINY], ctx, 0)
+            run_trial([(TINY, ctx)], 0)
 
     def test_every_traced_stage_called_once(self, monkeypatch):
         """One trial on a fading point calls each stage whose time
@@ -300,7 +313,7 @@ class TestRunTrial:
             monkeypatch.setattr(harness, name,
                                 counting(name, getattr(harness, name)))
         fading = dataclasses.replace(TINY, nu_max_t=0.5, snr_db=20.0)
-        [r] = run_trial([fading], build_point(fading), 0)
+        [r] = run_trial([(fading, build_point(fading))], 0)
         assert r.failure is None
         assert calls == dict.fromkeys(stages, 1)
 
@@ -312,7 +325,7 @@ class TestRunTrial:
                                      advance=40)
         ctx = build_point(config)
         traces = {}
-        run_trial([config], ctx, 0, traces)
+        run_trial([(config, ctx)], 0, traces)
         real = traces["realization"]
         shift, n_t = theta + 40, ctx.params.n_t
         assert real.start == max(0, shift)
@@ -333,10 +346,11 @@ class TestRunTrial:
         monkeypatch.setattr(harness, "estimate_to", capture)
         noisy = dataclasses.replace(TINY, snr_db=snr_db)
         ctx = build_point(TINY)
-        run_trial([TINY, noisy], ctx, 2)
+        run_trial([(TINY, ctx), (noisy, ctx)], 2)
         clean, received = seen
-        w = channel.unit_noise(2 * ctx.params.n_t,
-                               noise_seed(TINY.seed, 2))
+        w = channel.unit_noise(
+            2 * ctx.params.n_t,
+            np.random.SeedSequence([TINY.seed, 2]).spawn(4)[2])
         assert np.array_equal(
             received, clean + channel.noise_sigma(snr_db) * w)
 
@@ -523,7 +537,7 @@ class TestRunners:
     def test_snapshot_reports_trial_zero(self, tmp_path):
         """The snapshot's truths and estimates are trial 0 of run_trial."""
         report = run_snapshot(TINY, tmp_path)
-        [trial] = run_trial([TINY], build_point(TINY), 0)
+        [trial] = run_trial([(TINY, build_point(TINY))], 0)
         assert (report["theta_true"], report["eps_true"]) == \
             (trial.theta_true, trial.eps_true)
         assert (report["theta_hat"], report["eps_coarse"],
@@ -546,11 +560,15 @@ class TestRunners:
 
 
 class TestSharedLink:
-    """Points that share a context run in one run_trial call per trial
-    index, which makes the trial's transmit half once for all of them."""
+    """A run makes one run_trial call per trial index over all its points,
+    which makes each trial artefact once per distinct input."""
 
     #: time-varying single tap, so the shared realization matters
     FADING = dataclasses.replace(TINY, nu_max_t=0.5, trials=4)
+
+    #: three grids of MN = 256 whose pilot, prefix and buffer agree, so
+    #: they share offsets, channel windows and noise
+    EQUAL_MN = ((32, 8), (16, 16), (64, 4))
 
     @pytest.mark.parametrize("values", [(None, 0.0, 20.0),
                                         (20.0, None, 0.0), (20.0,),
@@ -567,22 +585,69 @@ class TestSharedLink:
             point = dataclasses.replace(config, snr_db=value)
             ctx = build_point(point)
             expected.append(aggregate(
-                value, [run_trial([point], ctx, t)[0]
+                value, [run_trial([(point, ctx)], t)[0]
                         for t in range(config.trials)], ctx))
         assert summaries == expected
         assert [s.failures for s in summaries] == [0] * len(values)
 
-    @pytest.mark.parametrize("sweep,values,snr_db,per_trial", [
-        ("snr_db", (None, 10.0, 30.0), None, (1, 1, 1)),
-        ("nu_max_t", (0.0, 0.5), 30.0, (2, 2, 2)),
-        ("nu_max_t", (0.0, 0.5), None, (2, 2, 0)),
+    @pytest.mark.parametrize("sweep, sweep_values, overrides", [
+        ("nu_max_t", (0.0, 0.5),
+         {"geometries": EQUAL_MN, "pilot_m_p": 4, "snr_db": 30.0}),
+        ("nu_max_t", (0.5, 0.0),
+         {"geometries": ((32, 8), (32, 16), (16, 16)), "pilot_m_p": 4,
+          "snr_db": 10.0}),
+        ("nu_max_t", (0.0, 0.5),
+         {"geometries": ((32, 8), (16, 16)), "pilot_m_p": 4, "theta": 11}),
+        ("snr_db", (None, 0.0, 20.0),
+         {"geometries": ((32, 8), (16, 16)), "pilot_m_p": 4}),
+    ], ids=["nu_over_equal_mn", "mixed_mn", "fixed_theta_random_eps",
+            "noisy_and_noiseless"])
+    def test_trial_major_equals_point_major(self, tmp_path, monkeypatch,
+                                            sweep, sweep_values, overrides):
+        """Each point's trial results in run_sweep equal one-point
+        run_trial calls made point after point, field for field, and so
+        do the summaries: over grids of equal MN, over grids of mixed MN
+        and buffer length (32x16 may share nothing with the MN = 256
+        grids), with theta fixed and epsilon drawn, and at noisy and
+        noiseless points."""
+        config = dataclasses.replace(self.FADING, sweep=sweep,
+                                     sweep_values=sweep_values, **overrides)
+        seen = []
+        record = harness.aggregate
+
+        def recording(value, results, ctx):
+            seen.append(list(results))
+            return record(value, results, ctx)
+
+        monkeypatch.setattr(harness, "aggregate", recording)
+        emitted = run_sweep(config, tmp_path)
+        results, summaries = [], []
+        for m, n in config.geometries:
+            for value in sweep_values:
+                point = dataclasses.replace(config, m=m, n=n,
+                                            **{sweep: value})
+                ctx = build_point(point)
+                results.append([run_trial([(point, ctx)], t)[0]
+                                for t in range(config.trials)])
+                summaries.append(aggregate(value, results[-1], ctx))
+        assert seen == results
+        assert [s for table in emitted.values() for s in table] == summaries
+        assert all(r.failure is None for point in seen for r in point)
+
+    @pytest.mark.parametrize("sweep,values,snr_db,per_trial,geometries", [
+        ("snr_db", (None, 10.0, 30.0), None, (1, 1, 1), ()),
+        ("nu_max_t", (0.0, 0.5), 30.0, (2, 1, 1), ()),
+        ("nu_max_t", (0.0, 0.5), None, (2, 1, 0), ()),
+        ("nu_max_t", (0.0, 0.5), 30.0, (2, 3, 1), EQUAL_MN),
     ])
     def test_transmit_half_made_once_per_group(self, tmp_path, monkeypatch,
                                                sweep, values, snr_db,
-                                               per_trial):
+                                               per_trial, geometries):
         """realize_channel, build_frame and the noise draw run once per
-        trial index per context group: once for a whole SNR sweep, once
-        per point on a Doppler sweep, and never without noise."""
+        trial index and distinct input: the channel once per Doppler
+        value, the frame once per geometry, the noise once per trial
+        index, and never without noise.  Across three grids of one MN,
+        pilot and prefix, the noise and channel windows are shared too."""
         calls = {"realize_channel": 0, "build_frame": 0, "unit_noise": 0}
 
         def counting(name, fn):
@@ -595,7 +660,8 @@ class TestSharedLink:
             monkeypatch.setattr(harness, name,
                                 counting(name, getattr(harness, name)))
         config = dataclasses.replace(self.FADING, sweep=sweep,
-                                     sweep_values=values, snr_db=snr_db)
+                                     sweep_values=values, snr_db=snr_db,
+                                     geometries=geometries, pilot_m_p=4)
         run_sweep(config, tmp_path)
         assert tuple(calls.values()) == tuple(config.trials * k
                                               for k in per_trial)
@@ -636,9 +702,13 @@ class TestSharedLink:
 
         monkeypatch.setattr(harness, "estimate_to", scribble)
         ctx = build_point(self.FADING)
-        [r] = run_trial([self.FADING], ctx, 0)
+        [r] = run_trial([(self.FADING, ctx)], 0)
         assert r.failure.startswith("timing: ")
         assert "read-only" in r.failure
+
+
+#: The verbs of the command line.
+VERBS = ("run", "sweep", "snapshot")
 
 
 def error_lines(capsys):
@@ -683,17 +753,25 @@ class TestCli:
         assert "theta_hat=10" in out
         assert (tmp_path / "metric_delay.csv").exists()
 
-    def test_verbose_group_line_in_milliseconds(self, tmp_path, caplog):
-        """`-v` logs one line per group of points, with the group's wall
-        time to the millisecond, so a short group does not read 0.0 s."""
-        with caplog.at_level(logging.INFO, logger="otfs_sync.harness"):
-            code = main(["-v", "run", "--out", str(tmp_path)]
-                        + self._flags())
-        assert code == 0
-        [line] = [r.getMessage() for r in caplog.records
-                  if r.name == "otfs_sync.harness"]
-        assert re.fullmatch(r"results\.csv: points snr_db=None done in "
-                            r"\d+\.\d{3} s \(2 trials each\)", line)
+    def test_verbose_sweep_line_in_milliseconds(self, tmp_path, caplog):
+        """`-v` logs one line per run, naming every point of every results
+        file, with the run's wall time to the millisecond, so a short run
+        does not read 0.0 s; `run` is a one-point run."""
+        sweep = ["sweep", "--sweep", "snr_db", "--sweep_values", "50,60",
+                 "--pilot_m_p", "4", "--geometries", "32x8,16x16"]
+        for verb, points in (
+                (["run"], r"results\.csv: snr_db=None"),
+                (sweep, r"results_32x8\.csv: snr_db=50\.0,60\.0; "
+                        r"results_16x16\.csv: snr_db=50\.0,60\.0")):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="otfs_sync.harness"):
+                code = main(["-v"] + verb + ["--out", str(tmp_path)]
+                            + self._flags())
+            assert code == 0
+            [line] = [r.getMessage() for r in caplog.records
+                      if r.name == "otfs_sync.harness"]
+            assert re.fullmatch(points + r" done in \d+\.\d{3} s "
+                                r"\(2 trials each\)", line)
 
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         """An unknown flag is a usage error: exit status 2, nothing run.
@@ -728,32 +806,45 @@ class TestCli:
         assert not (tmp_path / "manifest.txt").exists()
         assert not (tmp_path / "results.csv").exists()
 
-    @pytest.mark.parametrize("verb", ["run", "sweep", "snapshot"])
-    @pytest.mark.parametrize("flags, message", [
-        (["--cfo_half_width", "-0.5"], "cfo_half_width must be at least"),
-        (["--cfo_half_width", "0.004"], "cfo_half_width must be at least"),
-        (["--trials", "0"], "trials must be >= 1"),
-        (["--trials", "-2"], "trials must be >= 1"),
-        (["--trials", "x"],
-         "config key trials: invalid literal for int() with base 10: 'x'"),
-        (["--geometries", "64"],
-         "config key geometries: not enough values to unpack"),
-        (["--m", "64", "--n", "64", "--lcp", "20", "--pilot_length", "21",
-          "--channel", "eva"],
-         "received pilot footprint reaches delay row 72"),
-    ], ids=["negative_half_width", "sub_step_half_width", "zero_trials",
-            "negative_trials", "unparsable_trials", "unparsable_geometry",
-            "pilot_footprint_past_slot"])
+    @pytest.mark.parametrize("verb, flags, message", [
+        pytest.param(verb, flags, message, id=f"{name}-{verb}")
+        for name, verbs, flags, message in [
+            ("negative_half_width", VERBS, ["--cfo_half_width", "-0.5"],
+             "cfo_half_width must be at least"),
+            ("sub_step_half_width", VERBS, ["--cfo_half_width", "0.004"],
+             "cfo_half_width must be at least"),
+            ("zero_trials", VERBS, ["--trials", "0"], "trials must be >= 1"),
+            ("negative_trials", VERBS, ["--trials", "-2"],
+             "trials must be >= 1"),
+            ("unparsable_trials", VERBS, ["--trials", "x"],
+             "config key trials: invalid literal for int() with base 10: "
+             "'x'"),
+            ("unparsable_geometry", VERBS, ["--geometries", "64"],
+             "config key geometries: not enough values to unpack"),
+            ("pilot_footprint_past_slot", VERBS,
+             ["--m", "64", "--n", "64", "--lcp", "20", "--pilot_length",
+              "21", "--channel", "eva"],
+             "received pilot footprint reaches delay row 72"),
+            # The first grid builds; the second does not fit the pilot.
+            ("pilot_past_later_geometry", ("sweep",),
+             ["--sweep", "snr_db", "--sweep_values", "50", "--pilot_m_p",
+              "20", "--geometries", "32x8,16x16"],
+             "pilot region [18, 21] does not fit delay axis of size 16"),
+            ("empty_sweep_values", ("sweep",), ["--sweep_values", ""],
+             "sweep_values is empty"),
+        ] for verb in verbs])
     def test_config_errors_exit_2(self, tmp_path, capsys, verb, flags,
                                   message):
         """A config value no trial can run with is a usage error before
-        any trial: exit status 2, one error line, no results."""
+        any trial: exit status 2, one error line, and nothing written, not
+        even the output directory."""
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main([verb, "--out", str(tmp_path)] + self._flags() + flags)
+            main([verb, "--out", str(out)] + self._flags() + flags)
         assert exc.value.code == 2
         [line] = error_lines(capsys)
         assert line.startswith(f"otfs-sync: error: {message}")
-        assert list(tmp_path.glob("*.csv")) == []
+        assert not out.exists()
 
     def test_unknown_config_file_key_exits_2(self, tmp_path, capsys):
         """An unknown key in a --config file is a usage error too, and
