@@ -11,8 +11,8 @@ quantity (common-random-numbers pairing), which makes trend comparisons
 across points far less noisy than independent draws would.  A run is
 trial-major: every point's context is built first, then one
 :func:`run_trial` call per trial index covers every point of every
-results file, and makes each artefact once per distinct input it is
-computed from.
+results file in one pass, making each artefact on the first point that
+needs it.
 
 Outputs are flat text: a results CSV with one row per sweep point, a
 manifest echoing every resolved config key, and (for snapshots) the raw
@@ -63,16 +63,10 @@ class ExperimentConfig:
     duration (nu_max * M * N * Ts), passed to the channel model as is; 0
     makes the channel static.
 
-    ``advance`` is the receiver's acquisition offset: the transmitted
-    stream is shifted by ``theta + advance`` before the buffer is cut, and
-    ``advance`` is subtracted from the estimate again, so it cancels for a
-    working estimator and merely positions the pattern inside the scan.
-    ``"centered"`` chooses the offset that keeps the whole correlation
-    footprint inside the buffer for every theta in the draw range.
-
     ``theta``/``epsilon`` of ``None`` draw uniformly per trial (theta over
     [-MN/2, MN/2) integer, epsilon over +-(N/2 - nu_max_t)); fixed values
-    make every trial use that offset.
+    make every trial use that offset.  theta counts from the centred
+    acquisition point that :func:`build_point` derives.
 
     Each trial transmits one block, and the fine-CFO search evaluates the
     trigonometric-polynomial ML cost over a BEM of order
@@ -93,7 +87,6 @@ class ExperimentConfig:
     # impairment draws
     theta: int | None = None
     epsilon: float | None = None
-    advance: int | str = "centered"
     # estimator settings
     cfo_half_width: float = 0.5
     # harness
@@ -169,13 +162,23 @@ def build_point(config: ExperimentConfig) -> PointContext:
     """Resolve one sweep point's geometry, channel, and ML workspace.
 
     Refuses, with ``ValueError``, a config that would run no trial, a
-    fine search with less than one ``COARSE_STEP`` per side, or a pilot
-    whose received footprint leaves its slot: the last pilot row m_p + L
-    - 1, spread by the largest delay d_max that carries power, must stay
-    at or below row M - 1, or the delay metric wraps into the next slot.
+    fine search with less than one ``COARSE_STEP`` per side, a pilot
+    shorter than 2, or a pilot whose received footprint leaves its slot:
+    the last pilot row m_p + L - 1, spread by the largest delay d_max that
+    carries power, must stay at or below row M - 1, or the delay metric
+    wraps into the next slot.
+
+    The receiver's acquisition offset ``advance`` = MN/2 - (Lcp + m_p - L
+    + floor(mu)) is derived, not set: a trial shifts the stream by theta
+    + advance and subtracts advance from the estimate again, which keeps
+    the whole correlation footprint inside the 2 n_t buffer for every
+    theta in [-MN/2, MN/2).
     """
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
+    if config.pilot_length < 2:
+        raise ValueError("the delay metric needs a pilot of length >= 2 "
+                         "(its window sums L-1 lag products)")
     if round(config.cfo_half_width / COARSE_STEP) < 1:
         raise ValueError(
             f"cfo_half_width must be at least one coarse step "
@@ -190,12 +193,8 @@ def build_point(config: ExperimentConfig) -> PointContext:
             f"received pilot footprint reaches delay row {reach} (m_p + L "
             f"- 1 + largest tap delay), past the last row {params.m - 1} "
             f"of the slot; lower pilot_m_p")
-    if config.advance == "centered":
-        footprint = params.lcp + (spec.m_p - spec.length) \
-            + int(np.floor(mu_est))
-        advance = params.mn // 2 - footprint
-    else:
-        advance = int(config.advance)
+    footprint = params.lcp + (spec.m_p - spec.length) + int(np.floor(mu_est))
+    advance = params.mn // 2 - footprint
     workspace = build_workspace(params, spec,
                                 matched_order(config.nu_max_t))
     eps_span = params.n - 2.0 * config.nu_max_t
@@ -213,6 +212,16 @@ def _trial_rng(seed: int, trial_idx: int, child: int):
         [int(seed), int(trial_idx)], spawn_key=(child,)))
 
 
+def _draw_offsets(seed: int, trial_idx: int, theta: int | None,
+                  mn: int) -> tuple:
+    """(theta, u) from child 3: theta drawn over [-MN/2, MN/2) unless
+    fixed, then the uniform u that sets epsilon unless that is fixed."""
+    rng = _trial_rng(seed, trial_idx, 3)
+    if theta is None:
+        theta = rng.integers(-mn // 2, mn // 2)
+    return int(theta), float(rng.uniform(0.0, 1.0))
+
+
 def run_trial(points: list, trial_idx: int,
               traces: dict | None = None) -> list:
     """One trial index at every (config, ctx) pair of ``points``: a result
@@ -220,8 +229,8 @@ def run_trial(points: list, trial_idx: int,
 
     This is the only place the receive chain is written out and the only
     place noise is added.  Each artefact is keyed by exactly the values
-    it is computed from and made once per key, from a generator
-    (:func:`_trial_rng`) built only when its key misses:
+    it is computed from and made on its key's first use, from a
+    generator (:func:`_trial_rng`) built only then:
 
     * offset draws (child 3): seed, theta setting, MN.  theta is drawn
       over [-MN/2, MN/2) unless fixed, then a uniform u sets epsilon
@@ -230,15 +239,19 @@ def run_trial(points: list, trial_idx: int,
     * channel realization (child 1): seed, the channel model's pdp and
       nu*T, MN, and the window [lo, hi) of the 2 n_t buffer that the
       shifted stream reaches (:func:`stream_reach`);
-    * noiseless received buffer, read-only: stream, realization, shift,
-      epsilon;
     * unit noise shape w (child 2): seed and buffer length, drawn only
-      for a noisy point.
+      for a noisy point;
+    * noiseless received buffer, read-only: stream, realization, shift,
+      epsilon.  Only the latest one is kept, and a point with another
+      key replaces it.  In a run, points share it only when they differ
+      in ``snr_db`` alone, and :func:`_run_tables` lists such points next
+      to each other, so each is made once; another order only remakes
+      it, bit for bit.
 
     A point receives ``clean + noise_sigma(snr_db) * w``.  Since no draw
     depends on the point, points share draws (common random numbers), and
-    the results equal one-point calls bit for bit.  An artefact is
-    dropped after the last point that reads it.
+    the results equal one-point calls bit for bit.  Nothing outlives the
+    call.
 
     A ``traces`` dict, when given, receives each stage's artifacts as they
     are made: the channel ``realization`` (that window), the timing
@@ -246,16 +259,18 @@ def run_trial(points: list, trial_idx: int,
     with several points, the last point's.
     """
     traces = {} if traces is None else traces
-    offsets, plans, last = {}, [], {}
-    for i, (config, ctx) in enumerate(points):
-        params, seed = ctx.params, config.seed
-        draw = (seed, config.theta, params.mn)
-        if draw not in offsets:
-            r_draw = _trial_rng(seed, trial_idx, 3)
-            theta = int(r_draw.integers(-params.mn // 2, params.mn // 2)) \
-                if config.theta is None else int(config.theta)
-            offsets[draw] = theta, float(r_draw.uniform(0.0, 1.0))
-        theta, u = offsets[draw]
+    made, results, clean_key = {}, [], None
+
+    def once(key, make):
+        if key not in made:
+            made[key] = make()
+        return made[key]
+
+    for config, ctx in points:
+        params, spec, seed = ctx.params, ctx.spec, config.seed
+        theta, u = once(("offsets", seed, config.theta, params.mn),
+                        lambda: _draw_offsets(seed, trial_idx, config.theta,
+                                              params.mn))
         eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
             else float(config.epsilon)
         shift, length = theta + ctx.advance, 2 * params.n_t
@@ -263,52 +278,27 @@ def run_trial(points: list, trial_idx: int,
         # Plain values, not the params and spec objects: a tuple of them
         # hashes without a Python call.
         stream_key = ("stream", seed, params.m, params.n, params.lcp,
-                      ctx.spec.length, ctx.spec.m_p)
+                      spec.length, spec.m_p)
         real_key = ("realization", seed, ctx.model.pdp.tobytes(),
                     ctx.model.nu_max_t, params.mn, lo, hi)
-        keys = [stream_key, real_key,
-                ("clean", stream_key, real_key, shift, eps)]
-        if config.snr_db is not None:
-            keys.append(("noise", seed, length))
-        plans.append((theta, eps, shift, keys))
-        for key in keys:
-            last[key] = i
-
-    made, results = {}, []
-    for i, ((config, ctx), (theta, eps, shift, keys)) in enumerate(
-            zip(points, plans)):
-        params, spec, seed = ctx.params, ctx.spec, config.seed
-        stream_key, real_key, clean_key = keys[:3]
-        real = made.get(real_key)
-        if real is None:
-            lo, hi = real_key[-2:]
-            # A stream that misses the buffer reads no taps; one sample
-            # keeps the realization nonempty.
-            real = made[real_key] = realize_channel(
-                ctx.model, params, max(hi - lo, 1),
-                _trial_rng(seed, trial_idx, 1), start=lo)
-        traces["realization"] = real
-        received = made.get(clean_key)
-        if received is None:
-            stream = made.get(stream_key)
-            if stream is None:
-                stream = made[stream_key] = build_stream(build_frame(
-                    params, spec, _trial_rng(seed, trial_idx, 0)), params)
-            received = apply_impairments(stream, real, shift, eps, params,
-                                         length=2 * params.n_t)
+        # A stream that misses the buffer reads no taps; one sample keeps
+        # the realization nonempty.
+        real = traces["realization"] = once(real_key, lambda: realize_channel(
+            ctx.model, params, max(hi - lo, 1),
+            _trial_rng(seed, trial_idx, 1), start=lo))
+        if (stream_key, real_key, shift, eps) != clean_key:
+            clean_key = (stream_key, real_key, shift, eps)
+            stream = once(stream_key, lambda: build_stream(build_frame(
+                params, spec, _trial_rng(seed, trial_idx, 0)), params))
+            clean = apply_impairments(stream, real, shift, eps, params,
+                                      length=length)
             # Every noiseless point that shares it receives this array.
-            received.flags.writeable = False
-            made[clean_key] = received
+            clean.flags.writeable = False
+        received = clean
         if config.snr_db is not None:
-            noise_key = keys[3]
-            w = made.get(noise_key)
-            if w is None:
-                w = made[noise_key] = unit_noise(
-                    noise_key[-1], _trial_rng(seed, trial_idx, 2))
-            received = received + noise_sigma(config.snr_db) * w
-        for key in keys:
-            if last[key] == i:
-                made.pop(key, None)
+            w = once(("noise", seed, length), lambda: unit_noise(
+                length, _trial_rng(seed, trial_idx, 2)))
+            received = clean + noise_sigma(config.snr_db) * w
 
         result = TrialResult(theta_true=theta, eps_true=eps)
         stage = "timing"
@@ -413,8 +403,6 @@ def _parse_value(name: str, text: str):
     kind = _FIELD_TYPES[name]
     if low in _NONE_WORDS.get(name, ()):
         return None
-    if name == "advance":
-        return "centered" if low == "centered" else int(text)
     if name == "sweep_values":
         return tuple(float(v) for v in text.split(",") if v.strip())
     if name == "geometries":

@@ -189,11 +189,12 @@ class TestCriterion5:
     """Metric traces peak at the injected offsets."""
 
     def test_metric_traces_peak_at_injected_offsets(self, capsys):
-        """At the snapshot operating point (theta = 15M + 40, so the slot
-        metric peaks at 15 and the delay metric at theta_d + (m_p - L)
-        + Lcp + floor(mu_h) = 40 + 43 + 32 + 3 = 118), at least 95 of 100
-        seeded snapshots put the slot peak exactly at 15 and the delay
-        peak within +-2 of 118."""
+        """At the snapshot operating point (theta = -10 plus the derived
+        advance 1970 shifts the stream by 15M + 40, so the slot metric
+        peaks at 15 and the delay metric at theta_d + (m_p - L) + Lcp +
+        floor(mu_h) = 40 + 43 + 32 + 3 = 118), at least 95 of 100 seeded
+        snapshots put the slot peak exactly at 15 and the delay peak
+        within +-2 of 118."""
         tic = time.perf_counter()
         config = load_config(CONFIG_DIR / "snapshot_timing.cfg")
         ctx = build_point(config)

@@ -25,7 +25,8 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 #: must fail like a misspelling.
 REMOVED_KEYS = ("blocks", "bem_literal_exponent", "fast_cost", "ts",
                 "pilot_n_p", "pilot_zc_root", "pilot_power_db", "bem_k",
-                "bias_correction_known_pdp", "doppler_spectrum", "bem_q")
+                "bias_correction_known_pdp", "doppler_spectrum", "bem_q",
+                "advance")
 
 #: Small, fast, noiseless link used across the harness tests.
 TINY = ExperimentConfig(m=32, n=8, lcp=16, pilot_length=2,
@@ -40,7 +41,7 @@ class TestConfigParsing:
         """Every field survives rendering to text and parsing back."""
         config = ExperimentConfig(m=64, n=16, lcp=20, pilot_m_p=21,
                                   snr_db=None, theta=7, epsilon=None,
-                                  advance="centered", cfo_half_width=1.0,
+                                  cfo_half_width=1.0,
                                   sweep_values=(0.5, 1.5),
                                   geometries=((64, 64), (128, 32)))
         text = "\n".join(f"{k} = {v}" for k, v in config_items(config))
@@ -59,8 +60,6 @@ class TestConfigParsing:
         ("theta = random", "theta", None),
         ("theta = -100", "theta", -100),
         ("epsilon = random", "epsilon", None),
-        ("advance = centered", "advance", "centered"),
-        ("advance = 0", "advance", 0),
         ("sweep_values = 0, 10, 20", "sweep_values", (0.0, 10.0, 20.0)),
         ("geometries = 64x64, 128x32", "geometries", ((64, 64), (128, 32))),
     ])
@@ -320,14 +319,16 @@ class TestRunTrial:
     @pytest.mark.parametrize("theta", [-100, 0, 300])
     def test_channel_synthesized_over_stream_reach(self, theta):
         """The traced realization covers exactly the buffer samples the
-        shifted stream reaches, clipped to the 2 n_t buffer."""
-        config = dataclasses.replace(TINY, theta=theta, epsilon=0.25,
-                                     advance=40)
+        shifted stream reaches, clipped to the 2 n_t buffer: at the
+        derived advance of 97, theta = -100 and 300 clip the window at
+        either end of the buffer."""
+        config = dataclasses.replace(TINY, theta=theta, epsilon=0.25)
         ctx = build_point(config)
         traces = {}
         run_trial([(config, ctx)], 0, traces)
         real = traces["realization"]
-        shift, n_t = theta + 40, ctx.params.n_t
+        shift, n_t = theta + ctx.advance, ctx.params.n_t
+        assert ctx.advance == 97
         assert real.start == max(0, shift)
         assert real.stop == min(2 * n_t, shift + n_t + ctx.model.n_taps - 1)
 
@@ -635,20 +636,23 @@ class TestSharedLink:
         assert all(r.failure is None for point in seen for r in point)
 
     @pytest.mark.parametrize("sweep,values,snr_db,per_trial,geometries", [
-        ("snr_db", (None, 10.0, 30.0), None, (1, 1, 1), ()),
-        ("nu_max_t", (0.0, 0.5), 30.0, (2, 1, 1), ()),
-        ("nu_max_t", (0.0, 0.5), None, (2, 1, 0), ()),
-        ("nu_max_t", (0.0, 0.5), 30.0, (2, 3, 1), EQUAL_MN),
+        ("snr_db", (None, 10.0, 30.0), None, (1, 1, 1, 1), ()),
+        ("nu_max_t", (0.0, 0.5), 30.0, (2, 1, 1, 2), ()),
+        ("nu_max_t", (0.0, 0.5), None, (2, 1, 0, 2), ()),
+        ("nu_max_t", (0.0, 0.5), 30.0, (2, 3, 1, 6), EQUAL_MN),
     ])
     def test_transmit_half_made_once_per_group(self, tmp_path, monkeypatch,
                                                sweep, values, snr_db,
                                                per_trial, geometries):
-        """realize_channel, build_frame and the noise draw run once per
-        trial index and distinct input: the channel once per Doppler
-        value, the frame once per geometry, the noise once per trial
-        index, and never without noise.  Across three grids of one MN,
-        pilot and prefix, the noise and channel windows are shared too."""
-        calls = {"realize_channel": 0, "build_frame": 0, "unit_noise": 0}
+        """realize_channel, build_frame, the noise draw and
+        apply_impairments run once per trial index and distinct input: the
+        channel once per Doppler value, the frame once per geometry, the
+        noise once per trial index, and never without noise, and the
+        noiseless buffer once per point up to SNR, which the points of an
+        SNR sweep share.  Across three grids of one MN, pilot and prefix,
+        the noise and channel windows are shared too."""
+        calls = {"realize_channel": 0, "build_frame": 0, "unit_noise": 0,
+                 "apply_impairments": 0}
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -665,6 +669,29 @@ class TestSharedLink:
         run_sweep(config, tmp_path)
         assert tuple(calls.values()) == tuple(config.trials * k
                                               for k in per_trial)
+
+    def test_interleaved_points_remake_the_noiseless_buffer(self,
+                                                            monkeypatch):
+        """Two points that share a noiseless buffer but are not adjacent
+        get it made twice, and every result still equals a one-point
+        call's, field for field."""
+        calls = []
+        apply = harness.apply_impairments
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "apply_impairments", counted)
+        other = dataclasses.replace(self.FADING, nu_max_t=0.0)
+        noisy = dataclasses.replace(self.FADING, snr_db=10.0)
+        points = [(config, build_point(config))
+                  for config in (self.FADING, other, noisy)]
+        for t in range(self.FADING.trials):
+            calls.clear()
+            got = run_trial(points, t)
+            assert len(calls) == 3 and calls[0] == calls[2]
+            assert got == [run_trial([point], t)[0] for point in points]
 
     def test_noisy_only_failures_stay_at_their_points(self, tmp_path,
                                                       monkeypatch, caplog):
@@ -832,6 +859,8 @@ class TestCli:
              "pilot region [18, 21] does not fit delay axis of size 16"),
             ("empty_sweep_values", ("sweep",), ["--sweep_values", ""],
              "sweep_values is empty"),
+            ("one_sample_pilot", VERBS, ["--pilot_length", "1"],
+             "the delay metric needs a pilot of length >= 2"),
         ] for verb in verbs])
     def test_config_errors_exit_2(self, tmp_path, capsys, verb, flags,
                                   message):

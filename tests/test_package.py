@@ -35,7 +35,8 @@ def public_definitions(tree, module):
 def uncalled_definitions(src):
     """Each public definition under ``src`` (see
     :func:`public_definitions`) that no code in ``src`` names outside the
-    definition itself and the package's re-exports in ``__init__.py``."""
+    definition itself; ``__init__.py`` is not read, so a name it imported
+    would not count as a caller."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))
              if path.name != "__init__.py"}
