@@ -143,10 +143,9 @@ def matched_order(nu_max_t: float) -> int:
     Doppler band.  A wider set also fits a CFO shift of its own size and
     flattens the ML cost (README, "Operating-point notes").  floor(x +
     1/2) rounds half up: nu_max_t = 0.25 gives Q = 3 where ``round``
-    would give 1.
+    would give 1.  A negative ``nu_max_t`` is refused earlier, by
+    ``channel.ChannelModel``.
     """
-    if nu_max_t < 0:
-        raise ValueError("nu_max_t must be >= 0")
     return 2 * math.floor(BEM_K * nu_max_t / 2.0 + 0.5) + 1
 
 
@@ -269,11 +268,10 @@ def build_workspace(params: OtfsParams, spec: PcpSpec,
     first pilot row and its columns for delay shift 0 (``build_g`` in
     ``tests/reference.py``).  Each relative singular value of S appears L
     times among G's, so ``projection`` truncates S exactly where it would
-    truncate G, and rank(G) = L rank(S).  Q must lie in 1 .. N: more
-    tones than slots leave G rank deficient, which raises ``ValueError``.
+    truncate G, and rank(G) = L rank(S).  Q comes from
+    :func:`matched_order`, so it is at least 1; more tones than slots
+    leave G rank deficient, which raises ``ValueError``.
     """
-    if q < 1:
-        raise ValueError("model order q must be >= 1")
     if params.n < q:
         raise ValueError(
             f"model matrix is rank deficient: Q={q} basis tones need at "

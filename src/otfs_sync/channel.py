@@ -134,8 +134,6 @@ def eva_model(length: int, nu_max_t: float) -> ChannelModel:
     DEBUG; a tap further out means the span truncates the profile and is
     logged as a WARNING.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
     bins = np.rint(EVA_DELAYS_NS * 1e-9 / EVA_TS).astype(int)
     clipped = np.minimum(bins, length - 1)
     if np.any(bins > length):

@@ -74,12 +74,8 @@ def main(argv=None) -> int:
         config = resolve_config(args)
         if args.verb == "run":
             summary = run_single(config, args.out)
-            print(f"sweep_value={summary.sweep_value} "
-                  f"to_err_mean={summary.to_err_mean!r} "
-                  f"to_err_var={summary.to_err_var!r} "
-                  f"cfo_mse_coarse={summary.cfo_mse_coarse!r} "
-                  f"cfo_mse_fine={summary.cfo_mse_fine!r} "
-                  f"trials={summary.trials} failures={summary.failures}")
+            print(" ".join(f"{key}={value!r}" for key, value
+                           in dataclasses.asdict(summary).items()))
         elif args.verb == "sweep":
             emitted = run_sweep(config, args.out)
             for filename, summaries in emitted.items():

@@ -42,9 +42,6 @@ from .timing import estimate_to, fold_offset
 
 logger = logging.getLogger(__name__)
 
-RESULT_COLUMNS = ("sweep_value", "to_err_mean", "to_err_var",
-                  "cfo_mse_coarse", "cfo_mse_fine", "trials", "failures")
-
 #: Errors the estimators raise on inputs they cannot handle; a trial that
 #: hits one is counted as failed.  Anything else is a bug and propagates.
 #: A config that cannot run (too many model tones for the slots, no trial,
@@ -65,8 +62,9 @@ class ExperimentConfig:
 
     ``theta``/``epsilon`` of ``None`` draw uniformly per trial (theta over
     [-MN/2, MN/2) integer, epsilon over +-(N/2 - nu_max_t)); fixed values
-    make every trial use that offset.  theta counts from the centred
-    acquisition point that :func:`build_point` derives.
+    make every trial use that offset, and a fixed theta must lie in the
+    same range.  theta counts from the centred acquisition point that
+    :func:`build_point` derives.
 
     Each trial transmits one block, and the fine-CFO search evaluates the
     trigonometric-polynomial ML cost over a BEM of order
@@ -128,6 +126,10 @@ class PointSummary:
     failures: int
 
 
+#: The results CSV header: the :class:`PointSummary` fields, in order.
+RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(PointSummary))
+
+
 @dataclass(frozen=True)
 class PointContext:
     """Per-sweep-point objects built once and shared read-only by trials."""
@@ -163,7 +165,8 @@ def build_point(config: ExperimentConfig) -> PointContext:
 
     Refuses, with ``ValueError``, a config that would run no trial, a
     fine search with less than one ``COARSE_STEP`` per side, a pilot
-    shorter than 2, or a pilot whose received footprint leaves its slot:
+    shorter than 2, a fixed theta outside [-MN/2, MN/2), or a pilot whose
+    received footprint leaves its slot:
     the last pilot row m_p + L - 1, spread by the largest delay d_max that
     carries power, must stay at or below row M - 1, or the delay metric
     wraps into the next slot.
@@ -184,6 +187,11 @@ def build_point(config: ExperimentConfig) -> PointContext:
             f"cfo_half_width must be at least one coarse step "
             f"({COARSE_STEP}), got {config.cfo_half_width!r}")
     params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp)
+    if config.theta is not None \
+            and not -params.mn // 2 <= config.theta < params.mn // 2:
+        raise ValueError(
+            f"theta must lie in [-MN/2, MN/2) = [{-params.mn // 2}, "
+            f"{params.mn // 2}), got {config.theta}")
     model = resolve_channel(config)
     mu_est = mean_delay(model)
     spec = resolve_pilot(config, params)
@@ -281,11 +289,9 @@ def run_trial(points: list, trial_idx: int,
                       spec.length, spec.m_p)
         real_key = ("realization", seed, ctx.model.pdp.tobytes(),
                     ctx.model.nu_max_t, params.mn, lo, hi)
-        # A stream that misses the buffer reads no taps; one sample keeps
-        # the realization nonempty.
         real = traces["realization"] = once(real_key, lambda: realize_channel(
-            ctx.model, params, max(hi - lo, 1),
-            _trial_rng(seed, trial_idx, 1), start=lo))
+            ctx.model, params, hi - lo, _trial_rng(seed, trial_idx, 1),
+            start=lo))
         if (stream_key, real_key, shift, eps) != clean_key:
             clean_key = (stream_key, real_key, shift, eps)
             stream = once(stream_key, lambda: build_stream(build_frame(
@@ -353,11 +359,6 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
-
-
-def summary_rows(summaries) -> list:
-    return [(s.sweep_value, s.to_err_mean, s.to_err_var, s.cfo_mse_coarse,
-             s.cfo_mse_fine, s.trials, s.failures) for s in summaries]
 
 
 #: How ``None`` is spelled for each optional key: the first word is the
@@ -553,7 +554,8 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for filename, summaries in emitted.items():
-        write_csv(out / filename, RESULT_COLUMNS, summary_rows(summaries))
+        write_csv(out / filename, RESULT_COLUMNS,
+                  [dataclasses.astuple(s) for s in summaries])
     write_manifest(out / "manifest.txt", config)
     return emitted
 
@@ -566,7 +568,8 @@ def run_single(config: ExperimentConfig, out_dir) -> PointSummary:
         {"results.csv": [(getattr(config, axis), config)]})["results.csv"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "results.csv", RESULT_COLUMNS, summary_rows([summary]))
+    write_csv(out / "results.csv", RESULT_COLUMNS,
+              [dataclasses.astuple(summary)])
     write_manifest(out / "manifest.txt", config)
     return summary
 

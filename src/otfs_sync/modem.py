@@ -1,10 +1,11 @@
 """Delay-Doppler modem core: OTFS grid transforms, serialization, CP framing.
 
-The transmit chain is ``DdGrid -> dd_to_dt -> serialize_dt -> add_cp``,
-assembled by :func:`build_stream`.  The receiver never inverts it: it
-reads the pilot rows straight from the received samples.  All transforms
-use the unitary 1/sqrt(N) convention so downstream phase relations (pilot
-slot phase, CFO rotation) hold exactly as derived.
+The transmit chain, delay-Doppler grid -> ISFFT to delay-time ->
+serialization -> one CP, is the one function :func:`build_stream`.  The
+receiver never inverts it: it reads the pilot rows straight from the
+received samples.  The ISFFT uses the unitary 1/sqrt(N) convention so
+downstream phase relations (pilot slot phase, CFO rotation) hold exactly
+as derived.
 """
 
 from __future__ import annotations
@@ -67,43 +68,21 @@ def qam16_symbols(rng: np.random.Generator, size) -> np.ndarray:
     return re + 1j * im
 
 
-def _check_grid(grid: np.ndarray, params: OtfsParams) -> np.ndarray:
+def build_stream(grid: np.ndarray, params: OtfsParams) -> np.ndarray:
+    """The transmitted samples of one block: grid D spread to delay-time,
+    serialized, and prefixed with its last Lcp samples (one CP).
+
+        X[m, l] = (1/sqrt(N)) * sum_n D[m, n] * exp(j*2*pi*l*n/N),
+        x[l*M + m] = X[m, l],
+
+    unitary, so the block carries the grid's energy exactly; the stream
+    is x[MN - Lcp:] followed by x.
+    """
     grid = np.asarray(grid)
     if grid.shape != (params.m, params.n):
         raise ValueError(
             f"grid shape {grid.shape} does not match ({params.m}, {params.n})"
         )
-    return grid
-
-
-def dd_to_dt(grid: np.ndarray, params: OtfsParams) -> np.ndarray:
-    """Spread a delay-Doppler grid into the delay-time domain.
-
-    X[m, l] = (1/sqrt(N)) * sum_n D[m, n] * exp(j*2*pi*l*n/N)
-
-    Unitary, so frame energy is preserved exactly.
-    """
-    grid = _check_grid(grid, params)
-    return np.fft.ifft(grid, axis=1) * np.sqrt(params.n)
-
-
-def serialize_dt(frame: np.ndarray, params: OtfsParams) -> np.ndarray:
-    """Serialize a delay-time frame to the stream order x[l*M + m] = X[m, l]."""
-    frame = _check_grid(frame, params)
-    return frame.reshape(-1, order="F")
-
-
-def add_cp(samples: np.ndarray, params: OtfsParams) -> np.ndarray:
-    """Prepend the last Lcp samples as a cyclic prefix (one CP per block)."""
-    samples = np.asarray(samples)
-    if samples.shape != (params.mn,):
-        raise ValueError(f"expected {params.mn} samples, got {samples.shape}")
-    if params.lcp == 0:
-        return samples.copy()
-    return np.concatenate([samples[-params.lcp:], samples])
-
-
-def build_stream(grid: np.ndarray, params: OtfsParams) -> np.ndarray:
-    """The transmitted samples of one block: the CP-prefixed serialized
-    delay-time frame of ``grid``."""
-    return add_cp(serialize_dt(dd_to_dt(grid, params), params), params)
+    samples = (np.fft.ifft(grid, axis=1) * np.sqrt(params.n)).reshape(
+        -1, order="F")
+    return np.concatenate([samples[params.mn - params.lcp:], samples])

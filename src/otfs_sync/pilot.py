@@ -41,10 +41,6 @@ class PcpSpec:
     length: int
     m_p: int
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"pilot length must be >= 1, got {self.length}")
-
     def validate_fit(self, params: OtfsParams) -> None:
         """Check the pilot plus its delay-domain CP fit the grid."""
         if self.m_p - self.length < 0 or self.m_p + self.length - 1 > params.m - 1:
@@ -67,8 +63,6 @@ def make_zc(length: int) -> np.ndarray:
     Constant modulus with zero periodic autocorrelation at all nonzero
     lags (root 1 is coprime with every L).
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
     n = np.arange(length)
     if length % 2:
         phase = -np.pi * n * (n + 1) / length
@@ -77,31 +71,24 @@ def make_zc(length: int) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def embed_pcp(spec: PcpSpec, params: OtfsParams) -> np.ndarray:
-    """The pilot grid: the pilot with its delay-domain CP on an all-zero
-    grid.
-
-    Writes sqrt(P)*z[i] into rows m_p+i (i = 0..L-1) of Doppler column
-    c = N // 2, and the CP copies into rows m_p-k via
-    D[m_p-k, c] = D[m_p+L-k, c] for k = 1..L-1.  Every other entry is zero.
-    """
-    spec.validate_fit(params)
-    z = PILOT_AMPLITUDE * make_zc(spec.length)
-    out = np.zeros((params.m, params.n), dtype=complex)
-    out[spec.m_p - spec.length + 1:spec.m_p + spec.length, params.n // 2] = \
-        np.concatenate((z[1:], z))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _frame_layout(params: OtfsParams, spec: PcpSpec) -> tuple:
-    """Read-only pilot grid (:func:`embed_pcp`) and data rows (every
-    delay row outside ``guard_rows``) of one geometry.
+    """Read-only pilot grid and data rows (every delay row outside
+    ``guard_rows``) of one geometry.
+
+    The pilot grid is the pilot with its delay-domain CP on an all-zero
+    grid: sqrt(P)*z[i] in rows m_p+i (i = 0..L-1) of Doppler column
+    c = N // 2, and the CP copies in rows m_p-k via
+    D[m_p-k, c] = D[m_p+L-k, c] for k = 1..L-1.
 
     Every frame of a sweep point shares them; a spec that does not fit
     raises here on every call, since a raising call is not cached.
     """
-    pilot_grid = embed_pcp(spec, params)
+    spec.validate_fit(params)
+    z = PILOT_AMPLITUDE * make_zc(spec.length)
+    pilot_grid = np.zeros((params.m, params.n), dtype=complex)
+    pilot_grid[spec.m_p - spec.length + 1:spec.m_p + spec.length,
+               params.n // 2] = np.concatenate((z[1:], z))
     data_rows = np.setdiff1d(np.arange(params.m), spec.guard_rows())
     pilot_grid.flags.writeable = data_rows.flags.writeable = False
     return pilot_grid, data_rows
@@ -129,7 +116,8 @@ def pilot_dt_slots(spec: PcpSpec, params: OtfsParams) -> np.ndarray:
 
         s_l[i] = sqrt(P/N) * z[i] * exp(j*2*pi*l*(N // 2)/N)
 
-    Matches dd_to_dt of the embedded grid exactly (single-tone IDFT).
+    These are the pilot rows of the block ``modem.build_stream`` spreads
+    from the pilot grid (a single-tone IDFT per row).
     """
     z = PILOT_AMPLITUDE * make_zc(spec.length) / np.sqrt(params.n)
     slot_phase = np.exp(2j * np.pi * (params.n // 2) * np.arange(params.n)

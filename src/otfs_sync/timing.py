@@ -91,11 +91,6 @@ def _delay_products(received: np.ndarray, params: OtfsParams,
             f"buffer too short for the delay metric: need {span + length} "
             f"samples, got {received.size}"
         )
-    if length < 2:
-        raise ValueError(
-            "the delay metric needs a pilot of length >= 2 (its window "
-            "sums L-1 lag products)"
-        )
     return np.conj(received[:span]) * received[length:span + length]
 
 
@@ -124,18 +119,6 @@ def metric_delay_iterative(received: np.ndarray, params: OtfsParams,
     steps[0] = sums[:length - 1].sum()
     steps[1:] = sums[length - 1:] - sums[:m - 1]
     return np.cumsum(steps)
-
-
-def estimate_theta_d(p_d: np.ndarray, spec: PcpSpec, params: OtfsParams,
-                     mu_h: float) -> int:
-    """Delay-stage offset from the metric peak.
-
-    theta_d_hat = argmax |P_d| - (m_p - L) - Lcp - floor(mu_h); ties
-    resolve to the smallest index, and the result is reported without
-    range folding.
-    """
-    peak = int(np.argmax(np.abs(p_d)))
-    return peak - (spec.m_p - spec.length) - params.lcp - int(np.floor(mu_h))
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,33 +184,32 @@ def metric_time_iterative(band: np.ndarray) -> np.ndarray:
     return np.cumsum(steps)
 
 
-def estimate_theta_t(p_t: np.ndarray) -> int:
-    """Slot-stage offset: argmax |P_t|, ties to the smallest index."""
-    return int(np.argmax(np.abs(p_t)))
-
-
 def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
                 mu_h: float) -> tuple[ToEstimate, TimingMetrics]:
     """Run the full dual-domain timing estimate on one buffer.
 
     Both metrics use their iterative forms; the direct forms that define
     them are ``metric_delay`` and ``metric_time`` in
-    ``tests/reference.py``.  The slot-domain window is anchored at the
-    measured delay peak, mprime_p - L = argmax |P_d|, which by
-    construction is theta_d_hat + (m_p - L) + Lcp + floor(mu_h).  The
-    slot band the slot metric is summed from is returned with the traces
-    for ``cfo.coarse_cfo``, which reads its rows theta_t_hat ..
-    theta_t_hat + N - 2.
+    ``tests/reference.py``.  The delay stage takes the peak row argmax
+    |P_d|, and theta_d_hat = peak - (m_p - L) - Lcp - floor(mu_h).  The
+    slot-domain window is anchored at that peak, mprime_p = peak + L, and
+    the slot stage takes theta_t_hat = argmax |P_t|.  Both argmaxes
+    resolve ties to the smallest index, and theta_hat is reported without
+    range folding.  The slot band the slot metric is summed from is
+    returned with the traces for ``cfo.coarse_cfo``, which reads its rows
+    theta_t_hat .. theta_t_hat + N - 2.
     """
     p_d = metric_delay_iterative(received, params, spec)
-    theta_d_hat = estimate_theta_d(p_d, spec, params, mu_h)
-    mprime_p = theta_d_hat + spec.m_p + params.lcp + int(np.floor(mu_h))
+    peak = int(np.argmax(np.abs(p_d)))
+    mprime_p = peak + spec.length
     band = _slot_band(received, params, spec, mprime_p)
     p_t = metric_time_iterative(band)
-    theta_t_hat = estimate_theta_t(p_t)
-    theta_hat = theta_d_hat + params.m * theta_t_hat
+    theta_d_hat = (peak - (spec.m_p - spec.length) - params.lcp
+                   - int(np.floor(mu_h)))
+    theta_t_hat = int(np.argmax(np.abs(p_t)))
     return (
         ToEstimate(theta_d_hat=theta_d_hat, theta_t_hat=theta_t_hat,
-                   theta_hat=theta_hat, mprime_p=mprime_p),
+                   theta_hat=theta_d_hat + params.m * theta_t_hat,
+                   mprime_p=mprime_p),
         TimingMetrics(p_d=p_d, p_t=p_t, slot_band=band),
     )

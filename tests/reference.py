@@ -201,14 +201,18 @@ def ml_cost_fast(r_p: np.ndarray, lam: np.ndarray, params: OtfsParams,
     g(eps) = -beta[0] + 2 Re sum_{m=0}^{N-1} beta[m] e^{j 2 pi m eps / N}.
 
     With beta precomputed, each grid point costs N complex multiplies
-    regardless of L, versus (N L)^2 for the matrix form.
+    regardless of L, versus (N L)^2 for the matrix form.  ``eps_tilde``
+    is one offset, which gives a float, or an array of them, which gives
+    the array of their costs, each evaluated with its own exact phasors.
     """
     if beta is None:
         beta = beta_coefficients(r_p, lam, params, counter=counter)
-    phases = np.exp(2j * np.pi * np.arange(params.n) * eps_tilde / params.n)
+    phases = np.exp(2j * np.pi * np.multiply.outer(
+        eps_tilde, np.arange(params.n)) / params.n)
     if counter is not None:
-        counter.add(params.n)
-    return float(-beta[0].real + 2.0 * np.real(beta @ phases))
+        counter.add(phases.size)
+    costs = -beta[0].real + 2.0 * np.real(phases @ beta)
+    return costs if np.ndim(costs) else float(costs)
 
 
 def bem_fit_nmse(taps: np.ndarray, params: OtfsParams, spec: PcpSpec,

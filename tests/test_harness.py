@@ -316,12 +316,13 @@ class TestRunTrial:
         assert r.failure is None
         assert calls == dict.fromkeys(stages, 1)
 
-    @pytest.mark.parametrize("theta", [-100, 0, 300])
+    @pytest.mark.parametrize("theta", [-100, 0, 127])
     def test_channel_synthesized_over_stream_reach(self, theta):
         """The traced realization covers exactly the buffer samples the
         shifted stream reaches, clipped to the 2 n_t buffer: at the
-        derived advance of 97, theta = -100 and 300 clip the window at
-        either end of the buffer."""
+        derived advance of 97, theta = -100 clips the window at the
+        buffer's start, and theta = 127, the last value in [-MN/2, MN/2),
+        puts its end furthest in."""
         config = dataclasses.replace(TINY, theta=theta, epsilon=0.25)
         ctx = build_point(config)
         traces = {}
@@ -755,12 +756,16 @@ class TestCli:
                 "--seed", "9"]
 
     def test_run_verb(self, tmp_path, capsys):
-        """`run` executes the point and prints the summary line."""
+        """`run` executes the point and prints the summary line: every
+        results column, each with the cell results.csv holds."""
         code = main(["run", "--out", str(tmp_path)] + self._flags())
         assert code == 0
         out = capsys.readouterr().out
         assert "to_err_var=0.0" in out
-        assert (tmp_path / "results.csv").exists()
+        header, row = (tmp_path / "results.csv").read_text().splitlines()
+        assert out == " ".join(f"{key}={cell}" for key, cell
+                               in zip(header.split(","), row.split(","))) \
+            + "\n"
 
     def test_sweep_verb(self, tmp_path, capsys):
         """`sweep` emits per-geometry files and reports point counts."""
@@ -861,6 +866,15 @@ class TestCli:
              "sweep_values is empty"),
             ("one_sample_pilot", VERBS, ["--pilot_length", "1"],
              "the delay metric needs a pilot of length >= 2"),
+            ("empty_pilot", VERBS, ["--pilot_length", "0"],
+             "the delay metric needs a pilot of length >= 2"),
+            ("negative_doppler", VERBS, ["--nu_max_t", "-1"],
+             "nu_max_t must be >= 0"),
+            # MN = 256 on the 32x8 link of _flags.
+            ("theta_at_half_block", VERBS, ["--theta", "128"],
+             "theta must lie in [-MN/2, MN/2) = [-128, 128), got 128"),
+            ("theta_below_half_block", VERBS, ["--theta", "-129"],
+             "theta must lie in [-MN/2, MN/2) = [-128, 128), got -129"),
         ] for verb in verbs])
     def test_config_errors_exit_2(self, tmp_path, capsys, verb, flags,
                                   message):

@@ -1,11 +1,12 @@
-"""Tests for the delay-Doppler modem core: transforms, serialization, CP."""
+"""Tests for the delay-Doppler modem core: the transmit stream's
+transform, serialization and CP, all checked on ``build_stream``."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfs_sync.modem import (OtfsParams, QAM16_LEVELS, add_cp, build_stream,
-                             dd_to_dt, qam16_symbols, serialize_dt)
+from otfs_sync.modem import (OtfsParams, QAM16_LEVELS, build_stream,
+                             qam16_symbols)
 from reference import measure_papr
 
 
@@ -49,83 +50,90 @@ class TestQam16:
         assert_allclose(2 * per_axis, 1.0)
 
 
+def grid_of_frame(frame):
+    """The grid whose delay-time frame is ``frame``: the DFT along the
+    slot axis, the inverse of the spreading transform."""
+    return np.fft.fft(frame, axis=1) / np.sqrt(frame.shape[1])
+
+
 class TestGridTransforms:
     """Delay-time spreading."""
 
     def test_matches_explicit_sum(self):
-        """The transform equals the definitional per-element tone sum."""
+        """Without a CP, stream sample l*M + m equals the definitional
+        per-element tone sum X[m, l]."""
         params = OtfsParams(m=4, n=3, lcp=0)
         rng = np.random.default_rng(11)
         grid = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        frame = dd_to_dt(grid, params)
+        stream = build_stream(grid, params)
         for m in range(4):
             for l in range(3):
                 expected = sum(
                     grid[m, n] * np.exp(2j * np.pi * l * n / 3)
                     for n in range(3)) / np.sqrt(3)
-                assert_allclose(frame[m, l], expected, atol=1e-12)
+                assert_allclose(stream[l * 4 + m], expected, atol=1e-12)
 
     def test_unitary(self):
-        """Grid energy is preserved exactly by the spreading transform."""
+        """The block after the CP carries the grid's energy exactly."""
         params = OtfsParams(m=16, n=8, lcp=4)
         rng = np.random.default_rng(3)
         grid = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-        frame = dd_to_dt(grid, params)
-        assert_allclose(np.sum(np.abs(frame) ** 2),
+        stream = build_stream(grid, params)
+        assert_allclose(np.sum(np.abs(stream[params.lcp:]) ** 2),
                         np.sum(np.abs(grid) ** 2), rtol=1e-12)
 
     def test_shape_mismatch_raises(self):
         """A grid that disagrees with the configured geometry is refused."""
         params = OtfsParams(m=8, n=16, lcp=4)
-        with pytest.raises(ValueError):
-            dd_to_dt(np.zeros((16, 8)), params)
+        with pytest.raises(ValueError, match="does not match"):
+            build_stream(np.zeros((16, 8)), params)
 
 
 class TestSerialization:
     """Column-major stream layout."""
 
     def test_stream_index_convention(self):
-        """Sample l*M + m of the stream is frame entry [m, l]."""
+        """Sample l*M + m of the block is frame entry [m, l]."""
         params = OtfsParams(m=4, n=3, lcp=0)
         frame = np.arange(12, dtype=complex).reshape(4, 3)
-        stream = serialize_dt(frame, params)
+        stream = build_stream(grid_of_frame(frame), params)
         for l in range(3):
             for m in range(4):
-                assert stream[l * 4 + m] == frame[m, l]
+                assert_allclose(stream[l * 4 + m], frame[m, l], atol=1e-12)
 
 
 class TestCyclicPrefix:
     """Per-block CP insertion."""
 
     def test_prepends_tail(self):
-        """The CP is the last Lcp samples copied to the front."""
+        """The CP is the block's last Lcp samples copied to the front."""
         params = OtfsParams(m=2, n=2, lcp=2)
-        samples = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        assert_array_equal(add_cp(samples, params),
-                           np.array([3, 4, 1, 2, 3, 4], dtype=complex))
+        frame = np.array([[1.0, 3.0], [2.0, 4.0]], dtype=complex)
+        assert_allclose(build_stream(grid_of_frame(frame), params),
+                        np.array([3, 4, 1, 2, 3, 4], dtype=complex),
+                        atol=1e-12)
 
     def test_zero_length_is_identity(self):
-        """Lcp = 0 leaves the block unchanged (as a copy)."""
+        """Lcp = 0 adds no sample: the stream is the MN-sample block."""
         params = OtfsParams(m=2, n=2, lcp=0)
-        samples = np.arange(4, dtype=complex)
-        out = add_cp(samples, params)
-        assert_array_equal(out, samples)
-        assert out is not samples
+        frame = np.array([[1.0, 3.0], [2.0, 4.0]], dtype=complex)
+        assert_allclose(build_stream(grid_of_frame(frame), params),
+                        np.array([1, 2, 3, 4], dtype=complex), atol=1e-12)
 
 
 class TestBuildStream:
     """Transmit stream assembly."""
 
     def test_is_cp_prefixed_frame(self):
-        """The stream of one grid is its CP-prefixed serialized frame."""
-        params = OtfsParams(m=4, n=4, lcp=3)
+        """The stream of one grid is its Lcp-sample tail followed by the
+        CP-free block of the same grid, bit for bit."""
         rng = np.random.default_rng(13)
         grid = rng.standard_normal((4, 4)) + 0j
-        stream = build_stream(grid, params)
-        assert stream.shape == (params.n_t,)
-        expected = add_cp(serialize_dt(dd_to_dt(grid, params), params),
-                          params)
-        assert_allclose(stream, expected, atol=1e-15)
+        stream = build_stream(grid, OtfsParams(m=4, n=4, lcp=3))
+        block = build_stream(grid, OtfsParams(m=4, n=4, lcp=0))
+        assert stream.shape == (19,)
+        assert_array_equal(stream[3:], block)
+        assert_array_equal(stream[:3], block[-3:])
 
 
 class TestPapr:

@@ -1,11 +1,43 @@
 """The package holds the trial path; what only the tests use lives in
-``tests/reference.py``."""
+``tests/reference.py``.
+
+Run as a script, ``python tests/test_package.py`` prints the code lines
+(:func:`code_lines`) of each module under ``src/otfs_sync`` and their
+total.
+"""
 
 import ast
+import io
+import tokenize
 from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "otfs_sync"
+
+#: Token types that carry no code: layout, comments and file framing.
+NON_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path) -> int:
+    """Lines of ``path`` that hold code: each line a code token spans,
+    except the lines of module, class and function docstrings.  Blank
+    lines and comments hold no code token."""
+    source = Path(path).read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) \
+                    and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NON_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
 
 
 def mentions(node):
@@ -69,3 +101,27 @@ def test_guard_sees_methods_and_properties(tmp_path):
         "\n"
         "print(Grid().area)\n")
     assert uncalled_definitions(tmp_path) == ["mod.Grid.walk"]
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path):
+    """Docstrings, comments and blank lines are not code; a multi-line
+    string that is not a docstring is, one line per line it spans."""
+    path = tmp_path / "mod.py"
+    path.write_text('"""Module\n'
+                    'docstring."""\n'
+                    "\n"
+                    "# a comment\n"
+                    "def f(x):\n"
+                    '    """Function docstring."""\n'
+                    "\n"
+                    "    y = x + 1  # trailing comment\n"
+                    '    return y, """a\n'
+                    'b"""\n')
+    assert code_lines(path) == 4
+
+
+if __name__ == "__main__":
+    counts = {path.stem: code_lines(path) for path in sorted(SRC.glob("*.py"))}
+    for module, count in counts.items():
+        print(f"{module:10s} {count:5d}")
+    print(f"{'total':10s} {sum(counts.values()):5d}")

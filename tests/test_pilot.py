@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfs_sync.harness import ExperimentConfig, resolve_pilot
-from otfs_sync.modem import OtfsParams, build_stream, dd_to_dt, qam16_symbols
+from otfs_sync.modem import OtfsParams, build_stream, qam16_symbols
 from otfs_sync.pilot import (PILOT_AMPLITUDE, PcpSpec, _frame_layout,
-                             build_frame, embed_pcp, make_zc, pilot_dt_slots)
+                             build_frame, make_zc, pilot_dt_slots)
 from reference import build_impulse_frame, measure_papr
 
 
@@ -29,11 +29,6 @@ class TestZadoffChu:
             corr = np.vdot(z, np.roll(z, lag))
             assert abs(corr) < 1e-9 * length
 
-    def test_empty_length_raises(self):
-        """A sequence needs at least one sample."""
-        with pytest.raises(ValueError):
-            make_zc(0)
-
 
 class TestPcpSpec:
     """Pilot geometry bookkeeping."""
@@ -53,8 +48,8 @@ class TestPcpSpec:
         params = OtfsParams(m=128, n=32, lcp=32)
         spec = resolve_pilot(ExperimentConfig(pilot_length=21), params)
         assert spec.m_p == 64
-        assert_array_equal(np.unique(np.nonzero(embed_pcp(spec, params))[1]),
-                           [16])
+        pilot_grid = _frame_layout(params, spec)[0]
+        assert_array_equal(np.unique(np.nonzero(pilot_grid)[1]), [16])
 
     def test_validate_fit_rejects_overflow(self):
         """Pilot regions sticking out of the delay axis are refused."""
@@ -66,12 +61,12 @@ class TestPcpSpec:
 
 
 class TestEmbedPcp:
-    """Pilot plus delay-domain CP layout on the grid."""
+    """Pilot plus delay-domain CP layout on the cached pilot grid."""
 
     def setup_method(self):
         self.params = OtfsParams(m=32, n=8, lcp=8)
         self.spec = PcpSpec(length=5, m_p=16)
-        self.grid = embed_pcp(self.spec, self.params)
+        self.grid = _frame_layout(self.params, self.spec)[0]
 
     def test_pilot_rows_carry_sequence(self):
         """Rows m_p .. m_p+L-1 of column N/2 hold the scaled sequence."""
@@ -107,13 +102,15 @@ class TestPilotDtSlots:
     """Closed-form delay-time pilot versus the full transform."""
 
     def test_matches_grid_transform(self):
-        """The per-slot pilot formula equals dd_to_dt of the pilot grid."""
+        """The per-slot pilot formula equals rows m_p .. m_p+L-1 of every
+        slot of the stream built from the pilot grid."""
         params = OtfsParams(m=32, n=8, lcp=8)
         spec = PcpSpec(length=5, m_p=16)
-        frame = dd_to_dt(embed_pcp(spec, params), params)
+        stream = build_stream(_frame_layout(params, spec)[0], params)
         slots = pilot_dt_slots(spec, params)
         assert slots.shape == (8, 5)
-        assert_allclose(slots, frame[16:21, :].T, atol=1e-10)
+        assert_allclose(slots, stream[8:].reshape(8, 32)[:, 16:21],
+                        atol=1e-10)
 
     def test_constant_modulus_per_sample(self):
         """Every delay-time pilot sample has magnitude sqrt(P/N)."""
@@ -184,9 +181,16 @@ class TestFrameLayout:
 
     @staticmethod
     def _definitional_frame(params, spec, rng):
-        """Fresh data rows filled from rng on a fresh embed_pcp grid."""
+        """Fresh data rows filled from rng on a pilot grid written row by
+        row: sqrt(P) z[i] in row m_p + i of column N // 2, and its CP
+        copy z[L - k] in row m_p - k."""
+        z = PILOT_AMPLITUDE * make_zc(spec.length)
+        grid = np.zeros((params.m, params.n), dtype=complex)
+        for i in range(spec.length):
+            grid[spec.m_p + i, params.n // 2] = z[i]
+        for k in range(1, spec.length):
+            grid[spec.m_p - k, params.n // 2] = z[spec.length - k]
         data_rows = np.setdiff1d(np.arange(params.m), spec.guard_rows())
-        grid = embed_pcp(spec, params)
         grid[data_rows, :] = qam16_symbols(rng, (data_rows.size, params.n))
         return grid
 

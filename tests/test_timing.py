@@ -10,8 +10,7 @@ from otfs_sync.channel import (apply_impairments, mean_delay, realize_channel,
                                single_tap_model)
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame
-from otfs_sync.timing import (_slot_band, estimate_theta_d, estimate_theta_t,
-                              estimate_to, fold_offset,
+from otfs_sync.timing import (_slot_band, estimate_to, fold_offset,
                               metric_delay_iterative, metric_time_iterative)
 from reference import (delay_metric_multiplies, metric_delay, metric_time,
                        time_metric_multiplies)
@@ -71,12 +70,6 @@ class TestDelayMetric:
         """A buffer below the window reach is refused with the size."""
         with pytest.raises(ValueError, match="need"):
             metric_delay(self.buffer[:20], self.params, self.spec)
-
-    def test_unit_pilot_rejected(self):
-        """A length-1 pilot has no L-lag repetition to correlate on."""
-        spec = PcpSpec(length=1, m_p=4)
-        with pytest.raises(ValueError, match="length >= 2"):
-            metric_delay(self.buffer, self.params, spec)
 
 
 class TestSlotMetric:
@@ -160,27 +153,19 @@ class TestMetricProperties:
 class TestPeakBookkeeping:
     """Index arithmetic from metric peaks to offsets."""
 
-    def test_theta_d_offsets(self):
-        """The delay estimate subtracts the pilot anchor, CP, and the
-        integer mean delay from the peak row."""
+    def test_ties_take_the_smallest_index(self):
+        """On an all-zero buffer every metric value ties at zero, so both
+        peaks take index 0: the delay estimate is the peak row minus the
+        pilot anchor m_p - L, the CP and the integer mean delay, the slot
+        estimate is 0, and the slot window is anchored at mprime_p = L."""
         params = OtfsParams(m=16, n=4, lcp=5)
         spec = PcpSpec(length=3, m_p=8)
-        p_d = np.zeros(16)
-        p_d[11] = 2.0
-        assert estimate_theta_d(p_d, spec, params, mu_h=1.0) == \
-            11 - (8 - 3) - 5 - 1
-
-    def test_theta_d_tie_takes_smallest(self):
-        """Equal peaks resolve toward the smaller row index."""
-        params = OtfsParams(m=16, n=4, lcp=0)
-        spec = PcpSpec(length=3, m_p=8)
-        p_d = np.ones(16)
-        assert estimate_theta_d(p_d, spec, params, mu_h=0.0) == -5
-
-    def test_theta_t_argmax(self):
-        """The slot estimate is the plain magnitude argmax."""
-        p_t = np.array([1.0, -4.0, 2.0, 4.0])
-        assert estimate_theta_t(p_t) == 1
+        to, _ = estimate_to(np.zeros(2 * params.n_t, dtype=complex), params,
+                            spec, mu_h=1.5)
+        assert to.theta_d_hat == 0 - (8 - 3) - 5 - 1
+        assert to.theta_t_hat == 0
+        assert to.theta_hat == to.theta_d_hat
+        assert to.mprime_p == 3
 
 
 class TestNoiselessRecovery:
