@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from otfs_sync.channel import (apply_impairments, mean_delay, realize_channel,
                                single_tap_model)
 from otfs_sync.modem import OtfsParams, build_stream
+from otfs_sync import timing
 from otfs_sync.pilot import PcpSpec, build_frame
 from otfs_sync.timing import (_slot_band, estimate_to, fold_offset,
                               metric_delay_iterative, metric_time_iterative)
@@ -152,6 +153,46 @@ class TestMetricProperties:
 
 class TestPeakBookkeeping:
     """Index arithmetic from metric peaks to offsets."""
+
+    @staticmethod
+    def _estimate(monkeypatch, params, spec, mu_h, p_d=None, p_t=None):
+        """estimate_to on a zero buffer with either metric trace replaced."""
+        if p_d is not None:
+            monkeypatch.setattr(timing, "metric_delay_iterative",
+                                lambda *args: p_d)
+        if p_t is not None:
+            monkeypatch.setattr(timing, "metric_time_iterative",
+                                lambda *args: p_t)
+        to, _ = estimate_to(np.zeros(2 * params.n_t, dtype=complex), params,
+                            spec, mu_h)
+        return to
+
+    def test_theta_d_offsets(self, monkeypatch):
+        """The delay estimate subtracts the pilot anchor, CP, and the
+        integer mean delay from the peak row."""
+        params = OtfsParams(m=16, n=4, lcp=5)
+        spec = PcpSpec(length=3, m_p=8)
+        p_d = np.zeros(16)
+        p_d[11] = 2.0
+        to = self._estimate(monkeypatch, params, spec, 1.0, p_d=p_d)
+        assert to.theta_d_hat == 11 - (8 - 3) - 5 - 1
+        assert to.mprime_p == 11 + 3
+
+    def test_theta_d_tie_takes_smallest(self, monkeypatch):
+        """Equal peaks resolve toward the smaller row index."""
+        params = OtfsParams(m=16, n=4, lcp=0)
+        spec = PcpSpec(length=3, m_p=8)
+        to = self._estimate(monkeypatch, params, spec, 0.0, p_d=np.ones(16))
+        assert to.theta_d_hat == -5
+
+    def test_theta_t_argmax(self, monkeypatch):
+        """The slot estimate is the plain magnitude argmax."""
+        params = OtfsParams(m=16, n=4, lcp=5)
+        spec = PcpSpec(length=3, m_p=8)
+        p_t = np.array([1.0, -4.0, 2.0, 4.0])
+        to = self._estimate(monkeypatch, params, spec, 0.0, p_t=p_t)
+        assert to.theta_t_hat == 1
+        assert to.theta_hat == to.theta_d_hat + params.m * 1
 
     def test_ties_take_the_smallest_index(self):
         """On an all-zero buffer every metric value ties at zero, so both
