@@ -115,16 +115,16 @@ def _phase_advance_cfo(corr: np.ndarray, n: int) -> float:
     """
     corr = corr * np.exp(-2j * np.pi * (n // 2) / n)
     mags = np.abs(corr)
-    keep = mags > 1e-12 * max(mags.max(), 1e-300)
-    if not np.all(keep):
+    kept = corr[mags > 1e-12 * max(mags.max(), 1e-300)]
+    if kept.size < corr.size:
         logger.warning(
             "coarse CFO: skipping %d pilot rows with negligible "
-            "correlation magnitude", int(np.sum(~keep)))
-    if not np.any(keep):
+            "correlation magnitude", corr.size - kept.size)
+    if kept.size == 0:
         raise ValueError("coarse CFO: no pilot rows with usable energy")
-    pivot = float(np.angle(np.sum(corr[keep])))
-    spread = np.angle(corr[keep] * np.exp(-1j * pivot))
-    upsilon = pivot + float(np.mean(spread))
+    pivot = float(np.angle(kept.sum()))
+    spread = np.angle(kept * np.exp(-1j * pivot))
+    upsilon = pivot + float(spread.mean())
     eps = n / (2.0 * np.pi) * upsilon
     return float(fold_offset(eps, n))
 
@@ -378,11 +378,11 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
             counter.add(n * grid.size)
         rotated = beta * np.exp(_tone_ramp(n) * center / n)
         table = _phase_table(n, step, steps)
-        return grid, -beta[0].real + 2.0 * np.real(table @ rotated)
+        return grid, -beta[0].real + 2.0 * (table @ rotated).real
 
     grid1, costs1 = evaluate(eps_coarse, COARSE_STEP,
                              int(round(half_width / COARSE_STEP)))
-    best1 = int(np.argmax(costs1))
+    best1 = int(costs1.argmax())
     if best1 == 0 or best1 == grid1.size - 1:
         logger.warning(
             "fine CFO: cost peak on the search boundary at %.4f; the true "
@@ -390,9 +390,8 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
             grid1[best1], half_width)
     grid2, costs2 = evaluate(grid1[best1], FINE_STEP,
                              int(round(COARSE_STEP / FINE_STEP)))
-    eps_fine = float(grid2[int(np.argmax(costs2))])
-    trace = np.column_stack([
-        np.concatenate([grid1, grid2]),
-        np.concatenate([costs1, costs2]),
-    ])
+    eps_fine = float(grid2[costs2.argmax()])
+    trace = np.empty((grid1.size + grid2.size, 2))
+    trace[:grid1.size, 0], trace[grid1.size:, 0] = grid1, grid2
+    trace[:grid1.size, 1], trace[grid1.size:, 1] = costs1, costs2
     return CfoEstimate(eps_fine=eps_fine, cost_trace=trace)

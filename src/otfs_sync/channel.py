@@ -289,10 +289,13 @@ def unit_noise(length: int, seed) -> np.ndarray:
     """Noise shape w = a + j b, with a and b standard normal, in that order.
 
     This is the only draw the noise stream sees, so one seed gives the
-    same w at every SNR.
+    same w at every SNR.  Both parts come from one (2, length) draw,
+    written into the real and imaginary parts.
     """
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    draws = np.random.default_rng(seed).standard_normal((2, length))
+    w = np.empty(length, dtype=complex)
+    w.real, w.imag = draws
+    return w
 
 
 def apply_impairments(stream: np.ndarray, real: ChannelRealization,

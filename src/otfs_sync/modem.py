@@ -61,11 +61,12 @@ def qam16_symbols(rng: np.random.Generator, size) -> np.ndarray:
     """Draw unit-average-power 16-QAM symbols.
 
     Indexes the levels with ``rng.integers(0, 4, size)``, the draws that
-    ``rng.choice(QAM16_LEVELS, size=size)`` makes, without its checks.
+    ``rng.choice(QAM16_LEVELS, size=size)`` makes, without its checks:
+    the real parts first, then the imaginary parts, drawn as one array.
     """
-    re = QAM16_LEVELS[rng.integers(0, 4, size)]
-    im = QAM16_LEVELS[rng.integers(0, 4, size)]
-    return re + 1j * im
+    shape = size if isinstance(size, tuple) else (size,)
+    levels = QAM16_LEVELS[rng.integers(0, 4, (2, *shape))]
+    return levels[0] + 1j * levels[1]
 
 
 def build_stream(grid: np.ndarray, params: OtfsParams) -> np.ndarray:

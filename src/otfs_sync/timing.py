@@ -30,6 +30,7 @@ geometry.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,13 +201,13 @@ def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
     theta_t_hat .. theta_t_hat + N - 2.
     """
     p_d = metric_delay_iterative(received, params, spec)
-    peak = int(np.argmax(np.abs(p_d)))
+    peak = int(np.abs(p_d).argmax())
     mprime_p = peak + spec.length
     band = _slot_band(received, params, spec, mprime_p)
     p_t = metric_time_iterative(band)
     theta_d_hat = (peak - (spec.m_p - spec.length) - params.lcp
-                   - int(np.floor(mu_h)))
-    theta_t_hat = int(np.argmax(np.abs(p_t)))
+                   - math.floor(mu_h))
+    theta_t_hat = int(np.abs(p_t).argmax())
     return (
         ToEstimate(theta_d_hat=theta_d_hat, theta_t_hat=theta_t_hat,
                    theta_hat=theta_d_hat + params.m * theta_t_hat,

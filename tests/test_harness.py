@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfs_sync.cli import main
@@ -166,7 +168,8 @@ class TestTrialStreams:
 
     @staticmethod
     def _count_builds(monkeypatch):
-        """The (seed, trial, child) of every generator run_trial builds."""
+        """The (seed, trial, child) of every generator run_trial builds,
+        followed by the seed table it was given, if any."""
         built = []
         trial_rng = harness._trial_rng
 
@@ -188,19 +191,73 @@ class TestTrialStreams:
     def test_children_are_the_spawned_ones(self):
         """The data, channel, noise and offset generators, children 0 to
         3, are the children that SeedSequence([root, trial]).spawn(4)
-        makes: same states."""
+        makes: the same PCG64 state, whether numpy's SeedSequence seeds
+        them or a seed table does."""
         spawned = np.random.SeedSequence([5, 3]).spawn(4)
+        seeds = harness._SeedTable(harness._TABLE_MIN_TRIALS)
         for i, child in enumerate(spawned):
-            seq = harness._trial_rng(5, 3, i).bit_generator.seed_seq
-            assert_array_equal(seq.generate_state(8),
-                               child.generate_state(8))
+            expected = np.random.PCG64(child).state
+            assert harness._trial_rng(5, 3, i).bit_generator.state \
+                == expected
+            assert harness._trial_rng(5, 3, i, seeds).bit_generator.state \
+                == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+           | st.integers(0, 2 ** 100),
+           trials=st.sampled_from([harness._TABLE_MIN_TRIALS - 1,
+                                   harness._TABLE_MIN_TRIALS,
+                                   harness._TABLE_BLOCK + 2]),
+           trial=st.sampled_from([0, harness._TABLE_MIN_TRIALS - 1,
+                                  harness._TABLE_MIN_TRIALS,
+                                  harness._TABLE_BLOCK - 1,
+                                  harness._TABLE_BLOCK,
+                                  harness._TABLE_BLOCK + 1,
+                                  harness._TABLE_BLOCK + 2])
+           | st.integers(0, harness._TABLE_BLOCK + 9),
+           child=st.integers(0, 3))
+    @example(seed=2 ** 64 + 5, trials=harness._TABLE_BLOCK + 2,
+             trial=harness._TABLE_BLOCK + 1, child=3)
+    def test_table_generators_equal_numpys(self, seed, trials, trial,
+                                           child):
+        """A generator seeded from a run's table has the state and draws
+        of numpy's SeedSequence child, for one- to four-word seeds, on
+        both sides of the smallest run the table serves and of a block
+        edge, and past the table's trial indices, where numpy's
+        constructor takes over."""
+        seeds = harness._SeedTable(trials)
+        reference = np.random.default_rng(np.random.SeedSequence(
+            [seed, trial], spawn_key=(child,)))
+        rng = harness._trial_rng(seed, trial, child, seeds)
+        assert (seeds.words(seed, trial, child) is None) == (trial >= trials)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert_array_equal(rng.integers(0, 2 ** 63, 4),
+                           reference.integers(0, 2 ** 63, 4))
+
+    @pytest.mark.parametrize("trials", [harness._TABLE_MIN_TRIALS - 1,
+                                        harness._TABLE_MIN_TRIALS])
+    def test_runs_from_the_cut_seed_from_one_table(self, tmp_path,
+                                                   monkeypatch, trials):
+        """A run of ``_TABLE_MIN_TRIALS`` trial indices or more hands every
+        generator build one seed table; a shorter run uses numpy's
+        constructor.  Either way, each noiseless trial builds the data,
+        channel and offset generators once each."""
+        built = self._count_builds(monkeypatch)
+        run_single(dataclasses.replace(TINY, trials=trials), tmp_path)
+        assert sorted(b[:3] for b in built) == [
+            (TINY.seed, t, i) for t in range(trials) for i in (0, 1, 3)]
+        tables = {id(b[3]) for b in built}
+        assert len(tables) == 1
+        assert (built[0][3] is None) == \
+            (trials < harness._TABLE_MIN_TRIALS)
 
     def test_noise_stream_left_unbuilt(self, monkeypatch):
         """A noiseless trial builds the data, channel and offset
         generators once each and never the noise one."""
         built = self._count_builds(monkeypatch)
         run_trial([(TINY, build_point(TINY))], 4)
-        assert sorted(built) == [(TINY.seed, 4, i) for i in (0, 1, 3)]
+        assert sorted(b[:3] for b in built) == [(TINY.seed, 4, i)
+                                                for i in (0, 1, 3)]
 
     def test_noiseless_trial_builds_no_noise_seed(self, monkeypatch):
         """A point without noise never builds the noise stream; noisy
@@ -210,7 +267,7 @@ class TestTrialStreams:
         noisy = [(dataclasses.replace(TINY, snr_db=v), ctx)
                  for v in (0.0, 20.0)]
         run_trial([(TINY, ctx)] + noisy, 4)
-        assert [b for b in built if b[2] == 2] == [(TINY.seed, 4, 2)]
+        assert [b[:3] for b in built if b[2] == 2] == [(TINY.seed, 4, 2)]
 
 
 class TestRunTrial:
@@ -846,6 +903,8 @@ class TestCli:
             ("sub_step_half_width", VERBS, ["--cfo_half_width", "0.004"],
              "cfo_half_width must be at least"),
             ("zero_trials", VERBS, ["--trials", "0"], "trials must be >= 1"),
+            ("negative_seed", VERBS, ["--seed", "-1"],
+             "seed must be >= 0, got -1"),
             ("negative_trials", VERBS, ["--trials", "-2"],
              "trials must be >= 1"),
             ("unparsable_trials", VERBS, ["--trials", "x"],
@@ -888,6 +947,15 @@ class TestCli:
         [line] = error_lines(capsys)
         assert line.startswith(f"otfs-sync: error: {message}")
         assert not out.exists()
+
+    def test_seeds_past_32_bits_run(self, tmp_path, capsys):
+        """Seeds of 2^32 and above are valid: SeedSequence takes them as
+        several 32-bit words."""
+        for seed in (2 ** 32, 2 ** 64 + 5):
+            code = main(["run", "--out", str(tmp_path / str(seed))]
+                        + self._flags() + ["--seed", str(seed)])
+            assert code == 0
+            assert "to_err_var=0.0" in capsys.readouterr().out
 
     def test_unknown_config_file_key_exits_2(self, tmp_path, capsys):
         """An unknown key in a --config file is a usage error too, and

@@ -7,6 +7,7 @@ total.
 """
 
 import ast
+import importlib
 import io
 import tokenize
 from collections import Counter
@@ -64,18 +65,44 @@ def public_definitions(tree, module):
                     yield f"{module}.{node.name}.{member.name}", member
 
 
+def abstract_overrides(tree, module):
+    """``module.Class.name`` of each method of ``tree``'s top-level classes
+    that implements an abstract method of a base class the module imports
+    with ``from ... import``: the base class's callers call it, not the
+    package."""
+    imported = {alias.asname or alias.name: (node.module, alias.name)
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                for alias in node.names}
+    found = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for base in node.bases:
+            if isinstance(base, ast.Name) and base.id in imported:
+                source, name = imported[base.id]
+                cls = getattr(importlib.import_module(source), name)
+                found.update(f"{module}.{node.name}.{method}" for method
+                             in getattr(cls, "__abstractmethods__", ()))
+    return found
+
+
 def uncalled_definitions(src):
     """Each public definition under ``src`` (see
     :func:`public_definitions`) that no code in ``src`` names outside the
-    definition itself; ``__init__.py`` is not read, so a name it imported
-    would not count as a caller."""
+    definition itself, except an implementation of an imported abstract
+    method (:func:`abstract_overrides`); ``__init__.py`` is not read, so
+    a name it imported would not count as a caller."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))
              if path.name != "__init__.py"}
     everywhere = sum((mentions(tree) for tree in trees.values()), Counter())
+    exempt = set().union(*(abstract_overrides(tree, module)
+                           for module, tree in trees.items()))
     return sorted(name for module, tree in trees.items()
                   for name, node in public_definitions(tree, module)
-                  if everywhere[node.name] == mentions(node)[node.name])
+                  if everywhere[node.name] == mentions(node)[node.name]
+                  and name not in exempt)
 
 
 def test_every_public_definition_has_a_caller_in_src():
@@ -101,6 +128,23 @@ def test_guard_sees_methods_and_properties(tmp_path):
         "\n"
         "print(Grid().area)\n")
     assert uncalled_definitions(tmp_path) == ["mod.Grid.walk"]
+
+
+def test_guard_exempts_only_abstract_method_implementations(tmp_path):
+    """A method that implements an imported base class's abstract method
+    is called by that base class's users, so it needs no caller; any
+    other method of the same class still does."""
+    (tmp_path / "mod.py").write_text(
+        "from numpy.random.bit_generator import ISeedSequence\n"
+        "\n"
+        "class Words(ISeedSequence):\n"
+        "    def generate_state(self, n_words, dtype=None):\n"
+        "        return n_words\n"
+        "    def spare(self):\n"
+        "        return 0\n"
+        "\n"
+        "print(Words())\n")
+    assert uncalled_definitions(tmp_path) == ["mod.Words.spare"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path):
