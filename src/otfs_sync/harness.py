@@ -223,14 +223,6 @@ _INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
 _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
 _POOL = 4
 
-#: A run of at least this many trial indices seeds its generators from a
-#: :class:`_SeedTable`.  A pass costs about 130 us plus 1 us per trial
-#: index, and a table generator saves 15-25 us on numpy's constructor;
-#: a trial index builds 3 (noiseless) to 7 of them.  Measured on whole
-#: noiseless runs (2-CPU box, one BLAS thread), the table loses 73 us at
-#: one trial index, breaks even at two and gains 300 us at four.
-_TABLE_MIN_TRIALS = 4
-
 #: Trial indices per table pass: it bounds the table at 128 kB per seed.
 _TABLE_BLOCK = 1024
 
@@ -322,14 +314,11 @@ class _SeedTable:
     kept."""
 
     def __init__(self, trials: int):
-        # A trial index takes one 32-bit entropy word only below 2^32.
-        self.trials = min(trials, 2 ** 32)
+        self.trials = trials
         self.key, self.block = None, None
 
-    def words(self, seed: int, trial_idx: int, child: int):
-        """The words of that child, or ``None`` past the table."""
-        if not 0 <= trial_idx < self.trials:
-            return None
+    def words(self, seed: int, trial_idx: int, child: int) -> np.ndarray:
+        """The words of child ``child`` of trial ``trial_idx`` < trials."""
         start = trial_idx - trial_idx % _TABLE_BLOCK
         if (seed, start) != self.key:
             self.key, self.block = (seed, start), _child_words(
@@ -345,16 +334,16 @@ def _trial_rng(seed: int, trial_idx: int, child: int,
 
     It is ``default_rng(SeedSequence([seed, trial_idx],
     spawn_key=(child,)))``, the spawned child built directly.  With
-    ``seeds``, a table that holds the trial index, the ``PCG64`` is
-    seeded from its words instead (:class:`_Words`), the words that
-    SeedSequence would generate, so the state is the same; numpy keeps
-    both streams fixed across releases.
+    ``seeds``, the run's table, the ``PCG64`` is seeded from its words
+    instead (:class:`_Words`), the words that SeedSequence would
+    generate, so the state is the same; numpy keeps both streams fixed
+    across releases.
     """
-    words = None if seeds is None else seeds.words(seed, trial_idx, child)
-    if words is None:
+    if seeds is None:
         return np.random.default_rng(np.random.SeedSequence(
             [int(seed), int(trial_idx)], spawn_key=(child,)))
-    return np.random.Generator(np.random.PCG64(_Words(words)))
+    return np.random.Generator(np.random.PCG64(_Words(
+        seeds.words(seed, trial_idx, child))))
 
 
 def _draw_offsets(seed: int, trial_idx: int, theta: int | None,
@@ -640,10 +629,9 @@ def _run_tables(tables: dict) -> dict:
     distinct :func:`context_key`, so an input error stops the run before
     any trial.  Then one :func:`run_trial` call per trial index covers
     every point of every file, which makes each trial artefact once per
-    distinct input; a run of ``_TABLE_MIN_TRIALS`` trial indices or more
-    seeds their generators from one :class:`_SeedTable`.  The run logs
-    one INFO line; failure warnings and aggregation follow in point
-    order.
+    distinct input and seeds its generators from one :class:`_SeedTable`.
+    The run logs one INFO line; failure warnings and aggregation follow
+    in point order.
     """
     contexts, labels, points = {}, [], []
     for filename, rows in tables.items():
@@ -654,7 +642,7 @@ def _run_tables(tables: dict) -> dict:
             labels.append((filename, value))
             points.append((config, contexts[key]))
     trials = points[0][0].trials
-    seeds = _SeedTable(trials) if trials >= _TABLE_MIN_TRIALS else None
+    seeds = _SeedTable(trials)
     tic = time.perf_counter()
     results = [[] for _ in points]
     for t in range(trials):

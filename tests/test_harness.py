@@ -194,7 +194,7 @@ class TestTrialStreams:
         makes: the same PCG64 state, whether numpy's SeedSequence seeds
         them or a seed table does."""
         spawned = np.random.SeedSequence([5, 3]).spawn(4)
-        seeds = harness._SeedTable(harness._TABLE_MIN_TRIALS)
+        seeds = harness._SeedTable(4)
         for i, child in enumerate(spawned):
             expected = np.random.PCG64(child).state
             assert harness._trial_rng(5, 3, i).bit_generator.state \
@@ -205,11 +205,8 @@ class TestTrialStreams:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
            | st.integers(0, 2 ** 100),
-           trials=st.sampled_from([harness._TABLE_MIN_TRIALS - 1,
-                                   harness._TABLE_MIN_TRIALS,
-                                   harness._TABLE_BLOCK + 2]),
-           trial=st.sampled_from([0, harness._TABLE_MIN_TRIALS - 1,
-                                  harness._TABLE_MIN_TRIALS,
+           trials=st.sampled_from([1, 4, harness._TABLE_BLOCK + 2]),
+           trial=st.sampled_from([0, 1, 3, 4,
                                   harness._TABLE_BLOCK - 1,
                                   harness._TABLE_BLOCK,
                                   harness._TABLE_BLOCK + 1,
@@ -221,35 +218,30 @@ class TestTrialStreams:
     def test_table_generators_equal_numpys(self, seed, trials, trial,
                                            child):
         """A generator seeded from a run's table has the state and draws
-        of numpy's SeedSequence child, for one- to four-word seeds, on
-        both sides of the smallest run the table serves and of a block
-        edge, and past the table's trial indices, where numpy's
-        constructor takes over."""
-        seeds = harness._SeedTable(trials)
+        of numpy's SeedSequence child, for one- to four-word seeds, in
+        one-trial runs and on both sides of a block edge.  A trial index
+        past the run's trials is built without a table, by numpy's
+        constructor."""
+        seeds = harness._SeedTable(trials) if trial < trials else None
         reference = np.random.default_rng(np.random.SeedSequence(
             [seed, trial], spawn_key=(child,)))
         rng = harness._trial_rng(seed, trial, child, seeds)
-        assert (seeds.words(seed, trial, child) is None) == (trial >= trials)
         assert rng.bit_generator.state == reference.bit_generator.state
         assert_array_equal(rng.integers(0, 2 ** 63, 4),
                            reference.integers(0, 2 ** 63, 4))
 
-    @pytest.mark.parametrize("trials", [harness._TABLE_MIN_TRIALS - 1,
-                                        harness._TABLE_MIN_TRIALS])
-    def test_runs_from_the_cut_seed_from_one_table(self, tmp_path,
-                                                   monkeypatch, trials):
-        """A run of ``_TABLE_MIN_TRIALS`` trial indices or more hands every
-        generator build one seed table; a shorter run uses numpy's
-        constructor.  Either way, each noiseless trial builds the data,
-        channel and offset generators once each."""
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_run_seeds_from_one_table(self, tmp_path, monkeypatch, trials):
+        """A run hands every generator build one seed table, whatever its
+        length, and each noiseless trial builds the data, channel and
+        offset generators once each."""
         built = self._count_builds(monkeypatch)
         run_single(dataclasses.replace(TINY, trials=trials), tmp_path)
         assert sorted(b[:3] for b in built) == [
             (TINY.seed, t, i) for t in range(trials) for i in (0, 1, 3)]
         tables = {id(b[3]) for b in built}
         assert len(tables) == 1
-        assert (built[0][3] is None) == \
-            (trials < harness._TABLE_MIN_TRIALS)
+        assert isinstance(built[0][3], harness._SeedTable)
 
     def test_noise_stream_left_unbuilt(self, monkeypatch):
         """A noiseless trial builds the data, channel and offset
