@@ -3,16 +3,16 @@
 An experiment is a sweep along one axis (data SNR or normalized
 Doppler), optionally repeated per grid geometry; each sweep point runs
 independent trials through the full chain: frame build -> channel ->
-impairments -> timing sync -> coarse CFO -> fine CFO.  Per-trial random
-seeds are derived from the root seed by trial index alone, so a trial
-reuses the same data, channel, offsets, and unit-variance noise shape at
-every sweep point; sweep points then differ only through the swept
-quantity (common-random-numbers pairing), which makes trend comparisons
-across points far less noisy than independent draws would.  A run is
-trial-major: every point's context is built first, then one
-:func:`run_trial` call per trial index covers every point of every
-results file in one pass, making each artefact on the first point that
-needs it.
+impairments -> timing sync -> coarse CFO -> fine CFO.  A trial's seeding
+words are derived from the root seed and the trial index alone, so a
+trial reuses the same data, channel, offsets, and unit-variance noise
+shape at every sweep point; sweep points then differ only through the
+swept quantity (common-random-numbers pairing), which makes trend
+comparisons across points far less noisy than independent draws would.
+A run is trial-major: every point's context is built first, then one
+:func:`run_trial` call per trial index, handed that trial's words,
+covers every point of every results file in one pass, making each
+artefact on the first point that needs it.
 
 Outputs are flat text: a results CSV with one row per sweep point, a
 manifest echoing every resolved config key, and (for snapshots) the raw
@@ -223,7 +223,8 @@ _INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
 _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
 _POOL = 4
 
-#: Trial indices per table pass: it bounds the table at 128 kB per seed.
+#: Trial indices per seeding pass of a run: it bounds a pass's words at
+#: 128 kB.
 _TABLE_BLOCK = 1024
 
 
@@ -307,75 +308,44 @@ class _Words(ISeedSequence):
         return self.words
 
 
-class _SeedTable:
-    """Seeding words of every child of a run's trial indices [0, trials),
-    made by :func:`_child_words` on first use, one block of
-    ``_TABLE_BLOCK`` trial indices per pass; only the latest block is
-    kept."""
-
-    def __init__(self, trials: int):
-        self.trials = trials
-        self.key, self.block = None, None
-
-    def words(self, seed: int, trial_idx: int, child: int) -> np.ndarray:
-        """The words of child ``child`` of trial ``trial_idx`` < trials."""
-        start = trial_idx - trial_idx % _TABLE_BLOCK
-        if (seed, start) != self.key:
-            self.key, self.block = (seed, start), _child_words(
-                seed, start, min(_TABLE_BLOCK, self.trials - start))
-        return self.block[trial_idx - start, child]
+def _child_rng(words: np.ndarray, child: int) -> np.random.Generator:
+    """Generator of child ``child`` of a trial from its seeding words, a
+    (4, 4) row of :func:`_child_words`: 0 draws the data, 1 the channel,
+    2 the noise and 3 the offsets."""
+    return np.random.Generator(np.random.PCG64(_Words(words[child])))
 
 
-def _trial_rng(seed: int, trial_idx: int, child: int,
-               seeds: _SeedTable | None = None):
-    """Generator of child ``child`` of ``SeedSequence([seed,
-    trial_idx]).spawn(4)``: 0 draws the data, 1 the channel, 2 the noise
-    and 3 the offsets.  No child depends on the sweep point.
-
-    It is ``default_rng(SeedSequence([seed, trial_idx],
-    spawn_key=(child,)))``, the spawned child built directly.  With
-    ``seeds``, the run's table, the ``PCG64`` is seeded from its words
-    instead (:class:`_Words`), the words that SeedSequence would
-    generate, so the state is the same; numpy keeps both streams fixed
-    across releases.
-    """
-    if seeds is None:
-        return np.random.default_rng(np.random.SeedSequence(
-            [int(seed), int(trial_idx)], spawn_key=(child,)))
-    return np.random.Generator(np.random.PCG64(_Words(
-        seeds.words(seed, trial_idx, child))))
-
-
-def _draw_offsets(seed: int, trial_idx: int, theta: int | None,
-                  mn: int, seeds: _SeedTable | None) -> tuple:
+def _draw_offsets(words: np.ndarray, theta: int | None, mn: int) -> tuple:
     """(theta, u) from child 3: theta drawn over [-MN/2, MN/2) unless
     fixed, then the uniform u that sets epsilon unless that is fixed."""
-    rng = _trial_rng(seed, trial_idx, 3, seeds)
+    rng = _child_rng(words, 3)
     if theta is None:
         theta = rng.integers(-mn // 2, mn // 2)
     return int(theta), float(rng.uniform(0.0, 1.0))
 
 
-def run_trial(points: list, trial_idx: int, traces: dict | None = None,
-              seeds: _SeedTable | None = None) -> list:
+def run_trial(points: list, words: np.ndarray,
+              traces: dict | None = None) -> list:
     """One trial index at every (config, ctx) pair of ``points``: a result
     per point.
 
-    This is the only place the receive chain is written out and the only
-    place noise is added.  Each artefact is keyed by exactly the values
-    it is computed from and made on its key's first use, from a
-    generator (:func:`_trial_rng`, seeded from ``seeds`` when given)
+    ``words`` are the trial's seeding words, its (4, 4) row of
+    :func:`_child_words`, which fix the seed and the trial index; every
+    point of a call shares that seed.  This is the only place the receive
+    chain is written out and the only place noise is added.  Each
+    artefact is keyed by exactly the values it is computed from and made
+    on its key's first use, from a child generator (:func:`_child_rng`)
     built only then:
 
-    * offset draws (child 3): seed, theta setting, MN.  theta is drawn
-      over [-MN/2, MN/2) unless fixed, then a uniform u sets epsilon
-      unless that is fixed;
-    * frame and stream (child 0): seed, geometry, pilot;
-    * channel realization (child 1): seed, the channel model's pdp and
-      nu*T, MN, and the window [lo, hi) of the 2 n_t buffer that the
-      shifted stream reaches (:func:`stream_reach`);
-    * unit noise shape w (child 2): seed and buffer length, drawn only
-      for a noisy point;
+    * offset draws (child 3): theta setting, MN.  theta is drawn over
+      [-MN/2, MN/2) unless fixed, then a uniform u sets epsilon unless
+      that is fixed;
+    * frame and stream (child 0): geometry, pilot;
+    * channel realization (child 1): the channel model's pdp and nu*T,
+      MN, and the window [lo, hi) of the 2 n_t buffer that the shifted
+      stream reaches (:func:`stream_reach`);
+    * unit noise shape w (child 2): buffer length, drawn only for a noisy
+      point;
     * noiseless received buffer, read-only: stream, realization, shift,
       epsilon.  Only the latest one is kept, and a point with another
       key replaces it.  In a run, points share it only when they differ
@@ -402,35 +372,33 @@ def run_trial(points: list, trial_idx: int, traces: dict | None = None,
         return made[key]
 
     for config, ctx in points:
-        params, spec, seed = ctx.params, ctx.spec, config.seed
-        theta, u = once(("offsets", seed, config.theta, params.mn),
-                        lambda: _draw_offsets(seed, trial_idx, config.theta,
-                                              params.mn, seeds))
+        params, spec = ctx.params, ctx.spec
+        theta, u = once(("offsets", config.theta, params.mn),
+                        lambda: _draw_offsets(words, config.theta, params.mn))
         eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
             else float(config.epsilon)
         shift, length = theta + ctx.advance, 2 * params.n_t
         lo, hi = stream_reach(shift, params.n_t, ctx.model.n_taps, length)
         # Plain values, not the params and spec objects: a tuple of them
         # hashes without a Python call.
-        stream_key = ("stream", seed, params.m, params.n, params.lcp,
-                      spec.length, spec.m_p)
-        real_key = ("realization", seed, ctx.model.pdp.tobytes(),
+        stream_key = ("stream", params.m, params.n, params.lcp, spec.length,
+                      spec.m_p)
+        real_key = ("realization", ctx.model.pdp.tobytes(),
                     ctx.model.nu_max_t, params.mn, lo, hi)
         real = traces["realization"] = once(real_key, lambda: realize_channel(
-            ctx.model, params, hi - lo, _trial_rng(seed, trial_idx, 1, seeds),
-            start=lo))
+            ctx.model, params, hi - lo, _child_rng(words, 1), start=lo))
         if (stream_key, real_key, shift, eps) != clean_key:
             clean_key = (stream_key, real_key, shift, eps)
             stream = once(stream_key, lambda: build_stream(build_frame(
-                params, spec, _trial_rng(seed, trial_idx, 0, seeds)), params))
+                params, spec, _child_rng(words, 0)), params))
             clean = apply_impairments(stream, real, shift, eps, params,
                                       length=length)
             # Every noiseless point that shares it receives this array.
             clean.flags.writeable = False
         received = clean
         if config.snr_db is not None:
-            w = once(("noise", seed, length), lambda: unit_noise(
-                length, _trial_rng(seed, trial_idx, 2, seeds)))
+            w = once(("noise", length),
+                     lambda: unit_noise(length, _child_rng(words, 2)))
             received = clean + noise_sigma(config.snr_db) * w
 
         result = TrialResult(theta_true=theta, eps_true=eps)
@@ -629,9 +597,11 @@ def _run_tables(tables: dict) -> dict:
     distinct :func:`context_key`, so an input error stops the run before
     any trial.  Then one :func:`run_trial` call per trial index covers
     every point of every file, which makes each trial artefact once per
-    distinct input and seeds its generators from one :class:`_SeedTable`.
-    The run logs one INFO line; failure warnings and aggregation follow
-    in point order.
+    distinct input.  The points share the seed and trial count of the
+    first one; the trials' seeding words come from one
+    :func:`_child_words` pass per block of ``_TABLE_BLOCK`` trial
+    indices.  The run logs one INFO line; failure warnings and
+    aggregation follow in point order.
     """
     contexts, labels, points = {}, [], []
     for filename, rows in tables.items():
@@ -641,13 +611,14 @@ def _run_tables(tables: dict) -> dict:
                 contexts[key] = build_point(config)
             labels.append((filename, value))
             points.append((config, contexts[key]))
-    trials = points[0][0].trials
-    seeds = _SeedTable(trials)
+    seed, trials = points[0][0].seed, points[0][0].trials
     tic = time.perf_counter()
     results = [[] for _ in points]
-    for t in range(trials):
-        for point, result in zip(results, run_trial(points, t, seeds=seeds)):
-            point.append(result)
+    for start in range(0, trials, _TABLE_BLOCK):
+        for words in _child_words(seed, start,
+                                  min(_TABLE_BLOCK, trials - start)):
+            for point, result in zip(results, run_trial(points, words)):
+                point.append(result)
     if logger.isEnabledFor(logging.INFO):
         logger.info("%s done in %.3f s (%d trials each)",
                     "; ".join(f"{filename}: {rows[0][1].sweep}="
@@ -665,6 +636,21 @@ def _run_tables(tables: dict) -> dict:
     return summaries
 
 
+def _run_and_write(tables: dict, config: ExperimentConfig,
+                   out_dir) -> dict:
+    """:func:`_run_tables` of ``tables``, then one results CSV per file
+    and the manifest of ``config`` in ``out_dir``; returns the
+    summaries."""
+    emitted = _run_tables(tables)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for filename, summaries in emitted.items():
+        write_csv(out / filename, RESULT_COLUMNS,
+                  [dataclasses.astuple(s) for s in summaries])
+    write_manifest(out / "manifest.txt", config)
+    return emitted
+
+
 def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     """Full sweep; returns {csv filename: [PointSummary, ...]}.
 
@@ -679,28 +665,18 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     variants = [(f"results_{m}x{n}.csv", replace(config, m=m, n=n))
                 for m, n in config.geometries] \
         or [("results.csv", config)]
-    emitted = _run_tables({filename: list(sweep_axis_configs(variant))
-                           for filename, variant in variants})
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for filename, summaries in emitted.items():
-        write_csv(out / filename, RESULT_COLUMNS,
-                  [dataclasses.astuple(s) for s in summaries])
-    write_manifest(out / "manifest.txt", config)
-    return emitted
+    return _run_and_write({filename: list(sweep_axis_configs(variant))
+                           for filename, variant in variants},
+                          config, out_dir)
 
 
 def run_single(config: ExperimentConfig, out_dir) -> PointSummary:
     """One sweep point at the config's scalar settings: a one-point table
     whose sweep value is the config's value of the :func:`sweep_axis`."""
     axis = sweep_axis(config)
-    [summary] = _run_tables(
-        {"results.csv": [(getattr(config, axis), config)]})["results.csv"]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "results.csv", RESULT_COLUMNS,
-              [dataclasses.astuple(summary)])
-    write_manifest(out / "manifest.txt", config)
+    [summary] = _run_and_write(
+        {"results.csv": [(getattr(config, axis), config)]},
+        config, out_dir)["results.csv"]
     return summary
 
 
@@ -708,8 +684,9 @@ def run_snapshot(config: ExperimentConfig, out_dir) -> dict:
     """Single-trial deep dive: trial 0 of :func:`run_trial`, traced.
 
     Emits the raw metric, cost, and channel traces of the same pipeline
-    that ``run`` and ``sweep`` execute; a failed trial raises
-    ``ValueError`` naming its stage.
+    that ``run`` and ``sweep`` execute, seeded from a one-trial
+    :func:`_child_words` pass as a run's trial 0 is; a failed trial
+    raises ``ValueError`` naming its stage.
 
     Files: ``metric_delay.csv`` and ``metric_time.csv`` with columns
     (index, abs, angle); ``cost_trace.csv`` with the evaluated fine-CFO
@@ -717,7 +694,8 @@ def run_snapshot(config: ExperimentConfig, out_dir) -> dict:
     ``estimate.txt`` with the trial's truths and estimates.
     """
     traces = {}
-    [result] = run_trial([(config, build_point(config))], 0, traces)
+    [result] = run_trial([(config, build_point(config))],
+                         _child_words(config.seed, 0, 1)[0], traces)
     if result.failure is not None:
         raise ValueError(f"snapshot trial failed at {result.failure}")
     out = Path(out_dir)

@@ -25,7 +25,9 @@ trial path:
   and ``bem_fit_nmse`` measures how well a tone set fits known taps
   (criterion 8b);
 * ``measure_papr``, ``build_impulse_frame`` and ``read_csv`` are the
-  yardsticks of the PAPR comparison and of the CSV round trip.
+  yardsticks of the PAPR comparison and of the CSV round trip;
+* ``trial_words`` hands a direct ``harness.run_trial`` call the seeding
+  words that a run gives its trial.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from otfs_sync.cfo import OpCounter, _phase_advance_cfo, pilot_sample_indices
+from otfs_sync.harness import _child_words
 from otfs_sync.modem import OtfsParams, qam16_symbols
 from otfs_sync.pilot import (PILOT_AMPLITUDE, PcpSpec, _frame_layout,
                              pilot_dt_slots)
@@ -262,7 +265,13 @@ def build_impulse_frame(params: OtfsParams, spec: PcpSpec,
     grid[spec.m_p, params.n // 2] = np.sqrt(total_energy)
     return grid
 
-# Output files (otfs_sync.harness).
+# Trials and output files (otfs_sync.harness).
+
+
+def trial_words(seed: int, trial_idx: int) -> np.ndarray:
+    """The (4, 4) seeding words of trial ``trial_idx`` of a run at
+    ``seed``: its row of a one-trial :func:`_child_words` pass."""
+    return _child_words(seed, trial_idx, 1)[0]
 
 
 def read_csv(path) -> tuple:

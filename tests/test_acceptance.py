@@ -22,13 +22,15 @@ import pytest
 from otfs_sync.cfo import (OpCounter, build_workspace, fine_cfo, ml_cost,
                            pilot_sample_indices, projection)
 from otfs_sync.channel import EVA_TS, eva_model, realize_channel
-from otfs_sync.harness import build_point, load_config, run_sweep, run_trial
+from otfs_sync.harness import (_child_words, build_point, load_config,
+                               run_sweep, run_trial)
 from otfs_sync.modem import OtfsParams
 from otfs_sync.pilot import PcpSpec
 from otfs_sync.timing import (_slot_band, metric_delay_iterative,
                               metric_time_iterative)
 from reference import (bem_basis, bem_fit_nmse, bem_order, beta_coefficients,
-                       build_g, metric_delay, metric_time, ml_cost_fast)
+                       build_g, metric_delay, metric_time, ml_cost_fast,
+                       trial_words)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,10 +119,11 @@ class TestCriterion3:
         config = load_config(CONFIG_DIR / "noiseless_recovery.cfg")
         ctx = build_point(config)
         span = config.m * config.n // 2
+        words = _child_words(config.seed, 0, 2 * span)
         theta_misses = []
         for idx, theta in enumerate(range(-span, span)):
             [r] = run_trial([(dataclasses.replace(config, theta=theta), ctx)],
-                            trial_idx=idx)
+                            words[idx])
             if r.failure is not None or r.theta_hat != theta:
                 theta_misses.append((theta, r.theta_hat, r.failure))
         rng = np.random.default_rng(3)
@@ -128,7 +131,7 @@ class TestCriterion3:
         for trial in range(50):
             eps = float(rng.uniform(-config.n / 2, config.n / 2))
             [r] = run_trial([(dataclasses.replace(config, epsilon=eps), ctx)],
-                            trial_idx=trial)
+                            words[trial])
             eps_worst = max(eps_worst, abs(r.eps_fine - eps))
         elapsed = time.perf_counter() - tic
         ok = not theta_misses and eps_worst <= 1e-4 and elapsed < 60.0
@@ -201,8 +204,8 @@ class TestCriterion5:
         delay_hits = slot_hits = 0
         for seed in range(100):
             traces = {}
-            run_trial([(dataclasses.replace(config, seed=seed), ctx)], 0,
-                      traces)
+            run_trial([(dataclasses.replace(config, seed=seed), ctx)],
+                      trial_words(seed, 0), traces)
             metrics = traces["metrics"]
             if abs(int(np.argmax(np.abs(metrics.p_d))) - 118) <= 2:
                 delay_hits += 1

@@ -25,7 +25,8 @@ from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
 from otfs_sync.timing import estimate_to, fold_offset
 from reference import (bem_basis, bem_fit_nmse, bem_order, beta_coefficients,
-                       build_g, coarse_cfo_gather, ml_cost_fast)
+                       build_g, coarse_cfo_gather, ml_cost_fast,
+                       trial_words)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -178,7 +179,8 @@ class TestReadSet:
 
         monkeypatch.setattr(harness, "estimate_to", capture)
         for trial in range(4):
-            [result] = run_trial([(config, ctx)], trial)
+            [result] = run_trial([(config, ctx)],
+                                 trial_words(config.seed, trial))
             assert result.failure is None
             received = seen[-1]
             whole = self.chain(received, ctx, config.cfo_half_width)

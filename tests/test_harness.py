@@ -19,7 +19,7 @@ from otfs_sync.harness import (ExperimentConfig, TrialResult, aggregate,
                                load_config, parse_config, run_single,
                                run_snapshot, run_sweep, run_trial,
                                write_csv, write_manifest)
-from reference import read_csv
+from reference import read_csv, trial_words
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -163,22 +163,42 @@ class TestTrialStreams:
 
     @staticmethod
     def _draws(root, trial):
-        return [harness._trial_rng(root, trial, i).uniform()
-                for i in range(4)]
+        words = trial_words(root, trial)
+        return [harness._child_rng(words, i).uniform() for i in range(4)]
 
     @staticmethod
     def _count_builds(monkeypatch):
-        """The (seed, trial, child) of every generator run_trial builds,
-        followed by the seed table it was given, if any."""
+        """The (seeding words as bytes, child) of every generator
+        run_trial builds."""
         built = []
-        trial_rng = harness._trial_rng
+        child_rng = harness._child_rng
+
+        def counting(words, child):
+            built.append((words.tobytes(), child))
+            return child_rng(words, child)
+
+        monkeypatch.setattr(harness, "_child_rng", counting)
+        return built
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """The (seed, start, count) of every seeding pass a run makes."""
+        passes = []
+        child_words = harness._child_words
 
         def counting(*args):
-            built.append(args)
-            return trial_rng(*args)
+            passes.append(args)
+            return child_words(*args)
 
-        monkeypatch.setattr(harness, "_trial_rng", counting)
-        return built
+        monkeypatch.setattr(harness, "_child_words", counting)
+        return passes
+
+    @staticmethod
+    def _builds(seed, trials, children):
+        """What :meth:`_count_builds` records when each of ``trials``
+        builds each of ``children`` once, sorted."""
+        return sorted((trial_words(seed, t).tobytes(), i)
+                      for t in trials for i in children)
 
     def test_deterministic_per_index(self):
         """The same (root, trial) pair reproduces identical draws."""
@@ -191,65 +211,87 @@ class TestTrialStreams:
     def test_children_are_the_spawned_ones(self):
         """The data, channel, noise and offset generators, children 0 to
         3, are the children that SeedSequence([root, trial]).spawn(4)
-        makes: the same PCG64 state, whether numpy's SeedSequence seeds
-        them or a seed table does."""
+        makes: the same PCG64 state."""
         spawned = np.random.SeedSequence([5, 3]).spawn(4)
-        seeds = harness._SeedTable(4)
+        words = trial_words(5, 3)
         for i, child in enumerate(spawned):
-            expected = np.random.PCG64(child).state
-            assert harness._trial_rng(5, 3, i).bit_generator.state \
-                == expected
-            assert harness._trial_rng(5, 3, i, seeds).bit_generator.state \
-                == expected
+            assert harness._child_rng(words, i).bit_generator.state \
+                == np.random.PCG64(child).state
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
            | st.integers(0, 2 ** 100),
-           trials=st.sampled_from([1, 4, harness._TABLE_BLOCK + 2]),
            trial=st.sampled_from([0, 1, 3, 4,
                                   harness._TABLE_BLOCK - 1,
                                   harness._TABLE_BLOCK,
                                   harness._TABLE_BLOCK + 1,
                                   harness._TABLE_BLOCK + 2])
            | st.integers(0, harness._TABLE_BLOCK + 9),
+           before=st.integers(0, 3), after=st.integers(0, 3),
            child=st.integers(0, 3))
-    @example(seed=2 ** 64 + 5, trials=harness._TABLE_BLOCK + 2,
-             trial=harness._TABLE_BLOCK + 1, child=3)
-    def test_table_generators_equal_numpys(self, seed, trials, trial,
+    @example(seed=2 ** 64 + 5, trial=harness._TABLE_BLOCK + 1, before=2,
+             after=0, child=3)
+    def test_table_generators_equal_numpys(self, seed, trial, before, after,
                                            child):
-        """A generator seeded from a run's table has the state and draws
-        of numpy's SeedSequence child, for one- to four-word seeds, in
-        one-trial runs and on both sides of a block edge.  A trial index
-        past the run's trials is built without a table, by numpy's
-        constructor."""
-        seeds = harness._SeedTable(trials) if trial < trials else None
+        """A generator built on a trial's row of a seeding pass has the
+        state and draws of numpy's SeedSequence child, for one- to
+        four-word seeds, wherever the row lies in the pass, in passes of
+        one to eight trial indices on both sides of a block edge."""
+        start = max(0, trial - before)
+        rows = harness._child_words(seed, start, trial - start + 1 + after)
         reference = np.random.default_rng(np.random.SeedSequence(
             [seed, trial], spawn_key=(child,)))
-        rng = harness._trial_rng(seed, trial, child, seeds)
+        rng = harness._child_rng(rows[trial - start], child)
         assert rng.bit_generator.state == reference.bit_generator.state
         assert_array_equal(rng.integers(0, 2 ** 63, 4),
                            reference.integers(0, 2 ** 63, 4))
 
     @pytest.mark.parametrize("trials", [1, 4])
     def test_run_seeds_from_one_table(self, tmp_path, monkeypatch, trials):
-        """A run hands every generator build one seed table, whatever its
-        length, and each noiseless trial builds the data, channel and
-        offset generators once each."""
+        """A run below one block seeds every generator from one pass over
+        its trial indices, whatever its length, and each noiseless trial
+        builds the data, channel and offset generators once each, from
+        its own words."""
         built = self._count_builds(monkeypatch)
+        passes = self._count_passes(monkeypatch)
         run_single(dataclasses.replace(TINY, trials=trials), tmp_path)
-        assert sorted(b[:3] for b in built) == [
-            (TINY.seed, t, i) for t in range(trials) for i in (0, 1, 3)]
-        tables = {id(b[3]) for b in built}
-        assert len(tables) == 1
-        assert isinstance(built[0][3], harness._SeedTable)
+        assert passes == [(TINY.seed, 0, trials)]
+        assert sorted(built) == self._builds(TINY.seed, range(trials),
+                                             (0, 1, 3))
+
+    def test_run_past_a_block_makes_one_pass_per_block(self, tmp_path,
+                                                       monkeypatch):
+        """A run of two trial indices past one block makes exactly two
+        passes, the full first block and the two-trial rest, and its
+        trials on both sides of the block edge equal direct run_trial
+        calls, field for field."""
+        trials = harness._TABLE_BLOCK + 2
+        config = dataclasses.replace(TINY, trials=trials)
+        passes = self._count_passes(monkeypatch)
+        seen = []
+        record = harness.aggregate
+
+        def recording(value, results, ctx):
+            seen.append(list(results))
+            return record(value, results, ctx)
+
+        monkeypatch.setattr(harness, "aggregate", recording)
+        run_single(config, tmp_path)
+        assert passes == [(TINY.seed, 0, harness._TABLE_BLOCK),
+                          (TINY.seed, harness._TABLE_BLOCK, 2)]
+        [results] = seen
+        ctx = build_point(config)
+        edge = range(harness._TABLE_BLOCK - 1, trials)
+        assert results[edge.start:] == [
+            run_trial([(config, ctx)], trial_words(TINY.seed, t))[0]
+            for t in edge]
 
     def test_noise_stream_left_unbuilt(self, monkeypatch):
         """A noiseless trial builds the data, channel and offset
         generators once each and never the noise one."""
         built = self._count_builds(monkeypatch)
-        run_trial([(TINY, build_point(TINY))], 4)
-        assert sorted(b[:3] for b in built) == [(TINY.seed, 4, i)
-                                                for i in (0, 1, 3)]
+        run_trial([(TINY, build_point(TINY))], trial_words(TINY.seed, 4))
+        assert sorted(built) == self._builds(TINY.seed, [4], (0, 1, 3))
 
     def test_noiseless_trial_builds_no_noise_seed(self, monkeypatch):
         """A point without noise never builds the noise stream; noisy
@@ -258,8 +300,9 @@ class TestTrialStreams:
         ctx = build_point(TINY)
         noisy = [(dataclasses.replace(TINY, snr_db=v), ctx)
                  for v in (0.0, 20.0)]
-        run_trial([(TINY, ctx)] + noisy, 4)
-        assert [b[:3] for b in built if b[2] == 2] == [(TINY.seed, 4, 2)]
+        run_trial([(TINY, ctx)] + noisy, trial_words(TINY.seed, 4))
+        assert [b for b in built if b[1] == 2] == \
+            self._builds(TINY.seed, [4], (2,))
 
 
 class TestRunTrial:
@@ -268,8 +311,8 @@ class TestRunTrial:
     def test_deterministic(self):
         """A repeated trial reproduces every field bit for bit."""
         ctx = build_point(TINY)
-        [one] = run_trial([(TINY, ctx)], 0)
-        [two] = run_trial([(TINY, ctx)], 0)
+        [one] = run_trial([(TINY, ctx)], trial_words(TINY.seed, 0))
+        [two] = run_trial([(TINY, ctx)], trial_words(TINY.seed, 0))
         assert one.theta_true == two.theta_true
         assert one.eps_true == two.eps_true
         assert one.theta_hat == two.theta_hat
@@ -281,7 +324,7 @@ class TestRunTrial:
         """The tiny noiseless link recovers both offsets in every trial."""
         ctx = build_point(TINY)
         for t in range(5):
-            [r] = run_trial([(TINY, ctx)], t)
+            [r] = run_trial([(TINY, ctx)], trial_words(TINY.seed, t))
             assert r.theta_hat == r.theta_true
             assert abs(r.eps_fine - r.eps_true) <= 1e-4
 
@@ -291,8 +334,8 @@ class TestRunTrial:
         noisy = dataclasses.replace(TINY, snr_db=0.0)
         ctx_a = build_point(TINY)
         ctx_b = build_point(noisy)
-        [a] = run_trial([(TINY, ctx_a)], 2)
-        [b] = run_trial([(noisy, ctx_b)], 2)
+        [a] = run_trial([(TINY, ctx_a)], trial_words(TINY.seed, 2))
+        [b] = run_trial([(noisy, ctx_b)], trial_words(TINY.seed, 2))
         assert a.theta_true == b.theta_true
         assert a.eps_true == b.eps_true
 
@@ -300,7 +343,7 @@ class TestRunTrial:
         """Explicit theta/epsilon settings pin every trial."""
         fixed = dataclasses.replace(TINY, theta=11, epsilon=0.375)
         ctx = build_point(fixed)
-        [r] = run_trial([(fixed, ctx)], 4)
+        [r] = run_trial([(fixed, ctx)], trial_words(TINY.seed, 4))
         assert r.theta_true == 11
         assert r.eps_true == 0.375
 
@@ -310,7 +353,8 @@ class TestRunTrial:
         extremes come within 0.1 of both ends."""
         fading = dataclasses.replace(TINY, nu_max_t=1.5)
         ctx = build_point(fading)
-        eps = [run_trial([(fading, ctx)], t)[0].eps_true for t in range(200)]
+        eps = [run_trial([(fading, ctx)], trial_words(TINY.seed, t))[0]
+               .eps_true for t in range(200)]
         assert all(-2.5 <= e < 2.5 for e in eps)
         assert min(eps) < -2.4 and max(eps) > 2.4
 
@@ -326,7 +370,7 @@ class TestRunTrial:
         monkeypatch.setattr(harness, stage, refuse)
         label = {"estimate_to": "timing", "coarse_cfo": "coarse",
                  "fine_cfo": "fine"}[stage]
-        [r] = run_trial([(TINY, ctx)], 0)
+        [r] = run_trial([(TINY, ctx)], trial_words(TINY.seed, 0))
         assert r.failure == f"{label}: no lock"
 
     @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
@@ -339,7 +383,7 @@ class TestRunTrial:
         ctx = build_point(TINY)
         monkeypatch.setattr(harness, stage, broken)
         with pytest.raises(TypeError, match="bad call"):
-            run_trial([(TINY, ctx)], 0)
+            run_trial([(TINY, ctx)], trial_words(TINY.seed, 0))
 
     def test_every_traced_stage_called_once(self, monkeypatch):
         """One trial on a fading point calls each stage whose time
@@ -361,7 +405,8 @@ class TestRunTrial:
             monkeypatch.setattr(harness, name,
                                 counting(name, getattr(harness, name)))
         fading = dataclasses.replace(TINY, nu_max_t=0.5, snr_db=20.0)
-        [r] = run_trial([(fading, build_point(fading))], 0)
+        [r] = run_trial([(fading, build_point(fading))],
+                        trial_words(TINY.seed, 0))
         assert r.failure is None
         assert calls == dict.fromkeys(stages, 1)
 
@@ -375,7 +420,7 @@ class TestRunTrial:
         config = dataclasses.replace(TINY, theta=theta, epsilon=0.25)
         ctx = build_point(config)
         traces = {}
-        run_trial([(config, ctx)], 0, traces)
+        run_trial([(config, ctx)], trial_words(TINY.seed, 0), traces)
         real = traces["realization"]
         shift, n_t = theta + ctx.advance, ctx.params.n_t
         assert ctx.advance == 97
@@ -397,7 +442,7 @@ class TestRunTrial:
         monkeypatch.setattr(harness, "estimate_to", capture)
         noisy = dataclasses.replace(TINY, snr_db=snr_db)
         ctx = build_point(TINY)
-        run_trial([(TINY, ctx), (noisy, ctx)], 2)
+        run_trial([(TINY, ctx), (noisy, ctx)], trial_words(TINY.seed, 2))
         clean, received = seen
         w = channel.unit_noise(
             2 * ctx.params.n_t,
@@ -588,7 +633,8 @@ class TestRunners:
     def test_snapshot_reports_trial_zero(self, tmp_path):
         """The snapshot's truths and estimates are trial 0 of run_trial."""
         report = run_snapshot(TINY, tmp_path)
-        [trial] = run_trial([(TINY, build_point(TINY))], 0)
+        [trial] = run_trial([(TINY, build_point(TINY))],
+                            trial_words(TINY.seed, 0))
         assert (report["theta_true"], report["eps_true"]) == \
             (trial.theta_true, trial.eps_true)
         assert (report["theta_hat"], report["eps_coarse"],
@@ -636,7 +682,7 @@ class TestSharedLink:
             point = dataclasses.replace(config, snr_db=value)
             ctx = build_point(point)
             expected.append(aggregate(
-                value, [run_trial([(point, ctx)], t)[0]
+                value, [run_trial([(point, ctx)], trial_words(TINY.seed, t))[0]
                         for t in range(config.trials)], ctx))
         assert summaries == expected
         assert [s.failures for s in summaries] == [0] * len(values)
@@ -678,7 +724,8 @@ class TestSharedLink:
                 point = dataclasses.replace(config, m=m, n=n,
                                             **{sweep: value})
                 ctx = build_point(point)
-                results.append([run_trial([(point, ctx)], t)[0]
+                results.append([run_trial([(point, ctx)],
+                                          trial_words(TINY.seed, t))[0]
                                 for t in range(config.trials)])
                 summaries.append(aggregate(value, results[-1], ctx))
         assert seen == results
@@ -739,9 +786,10 @@ class TestSharedLink:
                   for config in (self.FADING, other, noisy)]
         for t in range(self.FADING.trials):
             calls.clear()
-            got = run_trial(points, t)
+            words = trial_words(TINY.seed, t)
+            got = run_trial(points, words)
             assert len(calls) == 3 and calls[0] == calls[2]
-            assert got == [run_trial([point], t)[0] for point in points]
+            assert got == [run_trial([point], words)[0] for point in points]
 
     def test_noisy_only_failures_stay_at_their_points(self, tmp_path,
                                                       monkeypatch, caplog):
@@ -779,7 +827,7 @@ class TestSharedLink:
 
         monkeypatch.setattr(harness, "estimate_to", scribble)
         ctx = build_point(self.FADING)
-        [r] = run_trial([(self.FADING, ctx)], 0)
+        [r] = run_trial([(self.FADING, ctx)], trial_words(TINY.seed, 0))
         assert r.failure.startswith("timing: ")
         assert "read-only" in r.failure
 
@@ -941,8 +989,8 @@ class TestCli:
         assert not out.exists()
 
     def test_seeds_past_32_bits_run(self, tmp_path, capsys):
-        """Seeds of 2^32 and above are valid: SeedSequence takes them as
-        several 32-bit words."""
+        """Seeds of 2^32 and above are valid: the seeding pass takes them
+        as several 32-bit words, as SeedSequence does."""
         for seed in (2 ** 32, 2 ** 64 + 5):
             code = main(["run", "--out", str(tmp_path / str(seed))]
                         + self._flags() + ["--seed", str(seed)])

@@ -112,6 +112,15 @@ def test_every_public_definition_has_a_caller_in_src():
     assert uncalled_definitions(SRC) == []
 
 
+def test_no_seed_sequence_in_src():
+    """A trial's generators are built from the seeding words of a run's
+    vectorised pass, on one path; numpy's ``SeedSequence``, which that
+    pass reproduces, is only the tests' reference."""
+    named = sum((mentions(ast.parse(path.read_text()))
+                 for path in sorted(SRC.glob("*.py"))), Counter())
+    assert named["SeedSequence"] == 0
+
+
 def test_guard_sees_methods_and_properties(tmp_path):
     """A method or property is caught like a function, and a use from a
     sibling member counts as a caller while recursion does not."""
