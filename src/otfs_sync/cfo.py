@@ -5,7 +5,7 @@ Two stages:
 * ``coarse_cfo`` reads the CFO from the mean phase advance between
   adjacent pilot slots (ambiguity window of one Doppler-axis width N),
   summed from the lag-M products the slot timing metric formed (the
-  slot band of ``timing.TimingMetrics``), so it reads no buffer sample;
+  slot band of ``timing.ToEstimate``), so it reads no buffer sample;
 * ``fine_cfo`` refines it by maximizing a maximum-likelihood cost built
   on a generalized complex-exponential basis expansion (GCE-BEM) of the
   channel taps over the pilot region.
@@ -46,7 +46,7 @@ import numpy as np
 
 from .modem import OtfsParams
 from .pilot import PcpSpec, pilot_dt_slots
-from .timing import TimingMetrics, ToEstimate, fold_offset
+from .timing import ToEstimate, fold_offset
 
 logger = logging.getLogger(__name__)
 
@@ -78,8 +78,7 @@ class CfoEstimate:
     cost_trace: np.ndarray
 
 
-def coarse_cfo(to: ToEstimate, metrics: TimingMetrics, params: OtfsParams,
-               spec: PcpSpec) -> float:
+def coarse_cfo(to: ToEstimate, params: OtfsParams, spec: PcpSpec) -> float:
     """Slot-to-slot phase-advance CFO estimate.
 
     Averages, over the 2L-1 energy-bearing pilot rows located by the
@@ -87,18 +86,18 @@ def coarse_cfo(to: ToEstimate, metrics: TimingMetrics, params: OtfsParams,
     pilot's designed per-slot phase step 2*pi*(N//2)/N.  The row
     correlations are sums of the timing stage's own lag-M products: rows
     theta_t_hat .. theta_t_hat + N - 2 and the first 2L-1 columns of
-    ``metrics.slot_band``, so no sample of the buffer is read again.  Its
-    columns start at row mprime_p - L, the delay-metric peak, which is
-    where the first energy-bearing pilot row lands; the band's last
-    column carries no pilot energy and is excluded.  The definition,
-    which gathers the same products from the buffer, is
-    ``coarse_cfo_gather`` in ``tests/reference.py``.
+    ``to.slot_band``, so no sample of the buffer is read again.  Its
+    columns start at the delay-metric peak, which is where the first
+    energy-bearing pilot row lands; the band's last column carries no
+    pilot energy and is excluded.  The definition, which gathers the same
+    products from the buffer, is ``coarse_cfo_gather`` in
+    ``tests/reference.py``.
 
     The per-row angles are taken on the branch centered at the angle of
     the summed row correlations (``_phase_advance_cfo``).
     """
-    rows = metrics.slot_band[to.theta_t_hat:to.theta_t_hat + params.n - 1,
-                             :2 * spec.length - 1]
+    rows = to.slot_band[to.theta_t_hat:to.theta_t_hat + params.n - 1,
+                        :2 * spec.length - 1]
     return _phase_advance_cfo(rows.sum(axis=0), params.n)
 
 

@@ -347,17 +347,14 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     return out
 
 
-def export_taps(real: ChannelRealization, path) -> None:
-    """Write the realization as columnar text: k, ell, re, im.
+def tap_rows(real: ChannelRealization):
+    """Yield the realization's gains as (k, ell, re, im) rows.
 
     One block of rows per tap the realization holds, ``ell`` its delay
     bin, so bins without power are not listed.  ``k`` is the absolute
-    sample index, so a windowed realization exports only its window,
+    sample index, so a windowed realization yields only its window,
     [start, start + duration).
     """
-    with open(path, "w") as fh:
-        fh.write("k,ell,re,im\n")
-        for ell, row in zip(real.delays, real.taps):
-            for j in range(real.duration):
-                fh.write(f"{real.start + j},{ell},{float(row[j].real)!r},"
-                         f"{float(row[j].imag)!r}\n")
+    for ell, row in zip(real.delays, real.taps):
+        for j, tap in enumerate(row):
+            yield real.start + j, ell, float(tap.real), float(tap.imag)

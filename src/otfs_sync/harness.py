@@ -16,7 +16,7 @@ artefact on the first point that needs it.
 
 Outputs are flat text: a results CSV with one row per sweep point, a
 manifest echoing every resolved config key, and (for snapshots) the raw
-metric traces, ML cost trace, and channel tap export.  Floats are written
+metric traces, ML cost trace, and channel tap gains.  Floats are written
 with ``repr`` so a round trip through the CSV is exact.
 """
 
@@ -37,8 +37,8 @@ from . import __version__
 from .cfo import (COARSE_STEP, MlWorkspace, build_workspace, coarse_cfo,
                   extract_pilot, fine_cfo, matched_order)
 from .channel import (ChannelModel, apply_impairments, eva_model,
-                      export_taps, mean_delay, noise_sigma, realize_channel,
-                      single_tap_model, stream_reach, unit_noise)
+                      mean_delay, noise_sigma, realize_channel,
+                      single_tap_model, stream_reach, tap_rows, unit_noise)
 from .modem import OtfsParams, build_stream
 from .pilot import PcpSpec, build_frame
 from .timing import estimate_to, fold_offset
@@ -135,15 +135,21 @@ RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(PointSummary))
 
 @dataclass(frozen=True)
 class PointContext:
-    """Per-sweep-point objects built once and shared read-only by trials."""
+    """Per-sweep-point objects built once and shared read-only by trials.
+
+    ``footprint`` = Lcp + m_p - L + floor(mu), mu the channel's mean
+    delay, is the delay-metric row of the first energised pilot row of a
+    block that starts at sample 0: ``timing.estimate_to`` subtracts it
+    from the delay peak.  ``advance`` = MN/2 - footprint is the
+    receiver's acquisition offset (:func:`build_point`).
+    """
 
     params: OtfsParams
     spec: PcpSpec
     model: ChannelModel
-    mu_est: float
+    footprint: int
     workspace: MlWorkspace
     advance: int
-    eps_span: float
 
 
 def resolve_pilot(config: ExperimentConfig, params: OtfsParams) -> PcpSpec:
@@ -174,11 +180,11 @@ def build_point(config: ExperimentConfig) -> PointContext:
     power, must stay at or below row M - 1, or the delay metric wraps
     into the next slot.
 
-    The receiver's acquisition offset ``advance`` = MN/2 - (Lcp + m_p - L
-    + floor(mu)) is derived, not set: a trial shifts the stream by theta
-    + advance and subtracts advance from the estimate again, which keeps
-    the whole correlation footprint inside the 2 n_t buffer for every
-    theta in [-MN/2, MN/2).
+    The receiver's acquisition offset ``advance`` = MN/2 - ``footprint``
+    (:class:`PointContext`) is derived, not set: a trial shifts the
+    stream by theta + advance and subtracts advance from the estimate
+    again, which keeps the whole correlation footprint inside the 2 n_t
+    buffer for every theta in [-MN/2, MN/2).
     """
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
@@ -198,7 +204,6 @@ def build_point(config: ExperimentConfig) -> PointContext:
             f"theta must lie in [-MN/2, MN/2) = [{-params.mn // 2}, "
             f"{params.mn // 2}), got {config.theta}")
     model = resolve_channel(config)
-    mu_est = mean_delay(model)
     spec = resolve_pilot(config, params)
     reach = spec.m_p + spec.length - 1 + int(model.delays[-1])
     if reach > params.m - 1:
@@ -206,14 +211,13 @@ def build_point(config: ExperimentConfig) -> PointContext:
             f"received pilot footprint reaches delay row {reach} (m_p + L "
             f"- 1 + largest tap delay), past the last row {params.m - 1} "
             f"of the slot; lower pilot_m_p")
-    footprint = params.lcp + (spec.m_p - spec.length) + math.floor(mu_est)
-    advance = params.mn // 2 - footprint
+    footprint = (params.lcp + (spec.m_p - spec.length)
+                 + math.floor(mean_delay(model)))
     workspace = build_workspace(params, spec,
                                 matched_order(config.nu_max_t))
-    eps_span = params.n - 2.0 * config.nu_max_t
     return PointContext(params=params, spec=spec, model=model,
-                        mu_est=mu_est, workspace=workspace,
-                        advance=advance, eps_span=eps_span)
+                        footprint=footprint, workspace=workspace,
+                        advance=params.mn // 2 - footprint)
 
 
 #: numpy's ``SeedSequence`` constants (``numpy/random/bit_generator.pyx``):
@@ -360,8 +364,8 @@ def run_trial(points: list, words: np.ndarray,
 
     A ``traces`` dict, when given, receives each stage's artifacts as they
     are made: the channel ``realization`` (that window), the timing
-    estimate ``to`` and its ``metrics``, and the fine-CFO ``estimate``;
-    with several points, the last point's.
+    estimate ``to`` with its metric traces and slot band, and the
+    fine-CFO ``estimate``; with several points, the last point's.
     """
     traces = {} if traces is None else traces
     made, results, clean_key = {}, [], None
@@ -375,8 +379,8 @@ def run_trial(points: list, words: np.ndarray,
         params, spec = ctx.params, ctx.spec
         theta, u = once(("offsets", config.theta, params.mn),
                         lambda: _draw_offsets(words, config.theta, params.mn))
-        eps = (u - 0.5) * ctx.eps_span if config.epsilon is None \
-            else float(config.epsilon)
+        eps = (u - 0.5) * (params.n - 2.0 * config.nu_max_t) \
+            if config.epsilon is None else float(config.epsilon)
         shift, length = theta + ctx.advance, 2 * params.n_t
         lo, hi = stream_reach(shift, params.n_t, ctx.model.n_taps, length)
         # Plain values, not the params and spec objects: a tuple of them
@@ -404,12 +408,12 @@ def run_trial(points: list, words: np.ndarray,
         result = TrialResult(theta_true=theta, eps_true=eps)
         stage = "timing"
         try:
-            to, metrics = estimate_to(received, params, spec, ctx.mu_est)
-            traces.update(to=to, metrics=metrics)
+            to = traces["to"] = estimate_to(received, params, spec,
+                                            ctx.footprint)
             result.theta_hat = int(fold_offset(to.theta_hat - ctx.advance,
                                                params.n_t))
             stage = "coarse"
-            result.eps_coarse = coarse_cfo(to, metrics, params, spec)
+            result.eps_coarse = coarse_cfo(to, params, spec)
             stage = "fine"
             r_p = extract_pilot(received, to.theta_hat, params, spec)
             estimate = fine_cfo(r_p, ctx.workspace, result.eps_coarse,
@@ -690,7 +694,8 @@ def run_snapshot(config: ExperimentConfig, out_dir) -> dict:
 
     Files: ``metric_delay.csv`` and ``metric_time.csv`` with columns
     (index, abs, angle); ``cost_trace.csv`` with the evaluated fine-CFO
-    grid (eps, cost); ``channel_taps.csv`` from the tap export; and
+    grid (eps, cost); ``channel_taps.csv`` with the realization's gains
+    (k, ell, re, im) (:func:`channel.tap_rows`); and
     ``estimate.txt`` with the trial's truths and estimates.
     """
     traces = {}
@@ -700,24 +705,24 @@ def run_snapshot(config: ExperimentConfig, out_dir) -> dict:
         raise ValueError(f"snapshot trial failed at {result.failure}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    to, metrics = traces["to"], traces["metrics"]
-
-    for name, trace in (("metric_delay.csv", metrics.p_d),
-                        ("metric_time.csv", metrics.p_t)):
+    to = traces["to"]
+    for name, trace in (("metric_delay.csv", to.p_d),
+                        ("metric_time.csv", to.p_t)):
         rows = [(i, float(np.abs(v)), float(np.angle(v)))
                 for i, v in enumerate(trace)]
         write_csv(out / name, ("index", "abs", "angle"), rows)
     write_csv(out / "cost_trace.csv", ("eps", "cost"),
               [(float(e), float(c))
                for e, c in traces["estimate"].cost_trace])
-    export_taps(traces["realization"], out / "channel_taps.csv")
+    write_csv(out / "channel_taps.csv", ("k", "ell", "re", "im"),
+              tap_rows(traces["realization"]))
     report = {
         "theta_true": result.theta_true,
         "theta_hat": result.theta_hat,
         "theta_d_hat": to.theta_d_hat,
         "theta_t_hat": to.theta_t_hat,
-        "metric_delay_argmax": int(np.argmax(np.abs(metrics.p_d))),
-        "metric_time_argmax": int(np.argmax(np.abs(metrics.p_t))),
+        "metric_delay_argmax": int(np.argmax(np.abs(to.p_d))),
+        "metric_time_argmax": int(np.argmax(np.abs(to.p_t))),
         "eps_true": result.eps_true,
         "eps_coarse": result.eps_coarse,
         "eps_fine": result.eps_fine,

@@ -19,18 +19,17 @@ them, ``metric_delay`` and ``metric_time``, live in
 ``tests/reference.py``, where the tests compare the two.
 
 Each metric forms only the lag products it reads.  The delay metric
-reads samples [0, MN + 2L - 2).  The slot metric reads the 2L located
-pilot rows of slots 0 .. 2N - 2, and its lag-M products, the
-(2N - 2, 2L) slot band, are handed on in ``TimingMetrics`` so that
-``cfo.coarse_cfo`` sums its correlations from them instead of the
-buffer.  The index grids of both gathers are cached read-only per
-geometry.
+reads samples [0, MN + 2L - 2).  The slot metric reads the 2L pilot
+rows of slots 0 .. 2N - 2 that start at the delay peak, and its lag-M
+products, the (2N - 2, 2L) slot band, are handed on in ``ToEstimate``
+with both traces, so that ``cfo.coarse_cfo`` sums its correlations from
+them instead of the buffer.  The index grids of both gathers are cached
+read-only per geometry.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,29 +39,22 @@ from .pilot import PcpSpec
 
 
 @dataclass
-class TimingMetrics:
-    """Raw complex metric traces for one buffer, and the slot band
-    (``_slot_band``, shape (2N - 2, 2L)) that P_t sums."""
-
-    p_d: np.ndarray
-    p_t: np.ndarray
-    slot_band: np.ndarray
-
-
-@dataclass
 class ToEstimate:
-    """Timing-offset estimate and its intermediate quantities.
+    """Timing-offset estimate of one buffer, with the traces it came from.
 
     theta_hat = theta_d_hat + M * theta_t_hat locates the block start
     relative to the observation buffer (unfolded; callers fold modulo
-    N_T as needed).  mprime_p - L is the row at which |P_d| peaked and
-    anchors the slot-domain search window.
+    N_T as needed).  ``p_d`` and ``p_t`` are the raw complex metric
+    traces; ``slot_band`` (``_slot_band``, shape (2N - 2, 2L)) holds the
+    lag-M products P_t sums, its first row at the |P_d| peak.
     """
 
     theta_d_hat: int
     theta_t_hat: int
     theta_hat: int
-    mprime_p: int
+    p_d: np.ndarray
+    p_t: np.ndarray
+    slot_band: np.ndarray
 
 
 def fold_offset(value, width):
@@ -95,6 +87,17 @@ def _delay_products(received: np.ndarray, params: OtfsParams,
     return np.conj(received[:span]) * received[length:span + length]
 
 
+def _window_sums(x: np.ndarray, width: int) -> np.ndarray:
+    """Sums of every ``width``-long window of ``x``, x.size - width + 1 of
+    them: the first window, then the running sum of the exchanges
+    x[k + width] - x[k] that slide it one step."""
+    count = x.size - width + 1
+    steps = np.empty(count, dtype=complex)
+    steps[0] = x[:width].sum()
+    steps[1:] = x[width:] - x[:count - 1]
+    return np.cumsum(steps)
+
+
 def metric_delay_iterative(received: np.ndarray, params: OtfsParams,
                            spec: PcpSpec) -> np.ndarray:
     """Delay-domain metric via the sliding update.
@@ -112,14 +115,10 @@ def metric_delay_iterative(received: np.ndarray, params: OtfsParams,
 
     is ``metric_delay`` in ``tests/reference.py``.
     """
-    m, length = params.m, spec.length
     prods = _delay_products(received, params, spec)
     # lag products summed over the N slots, at each delay offset
     sums = prods[_delay_grid(params, spec)].sum(axis=0)
-    steps = np.empty(m, dtype=complex)
-    steps[0] = sums[:length - 1].sum()
-    steps[1:] = sums[length - 1:] - sums[:m - 1]
-    return np.cumsum(steps)
+    return _window_sums(sums, spec.length - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,21 +132,14 @@ def _slot_grid(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
 
 
 def _slot_band(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
-               mprime_p: int) -> np.ndarray:
-    """D[w, i] = conj(r[wM + lo + i]) r[(w+1)M + lo + i], lo = mprime_p - L.
+               lo: int) -> np.ndarray:
+    """D[w, i] = conj(r[wM + lo + i]) r[(w+1)M + lo + i], lo >= 0.
 
     The lag-M products of the 2L pilot rows lo .. lo + 2L - 1 over the
     2N - 2 slot lags w that the sliding window reaches, shape
     (2N - 2, 2L): every product the slot metric and the coarse CFO read.
     """
-    length = spec.length
-    lo = mprime_p - length
-    if lo < 0:
-        raise ValueError(
-            f"slot metric window starts at row {lo}; mprime_p={mprime_p} "
-            f"must be >= pilot length {length}"
-        )
-    needed = (2 * params.n - 2) * params.m + mprime_p + length
+    needed = (2 * params.n - 2) * params.m + lo + 2 * spec.length
     received = np.asarray(received)
     if received.size < needed:
         raise ValueError(
@@ -177,40 +169,31 @@ def metric_time_iterative(band: np.ndarray) -> np.ndarray:
     windows that straddle the following block, is ``metric_time`` in
     ``tests/reference.py``.
     """
-    rowsums = band.sum(axis=1)
-    n = band.shape[0] // 2 + 1
-    steps = np.empty(n, dtype=complex)
-    steps[0] = rowsums[:n - 1].sum()
-    steps[1:] = rowsums[n - 1:] - rowsums[:n - 1]
-    return np.cumsum(steps)
+    return _window_sums(band.sum(axis=1), band.shape[0] // 2)
 
 
 def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
-                mu_h: float) -> tuple[ToEstimate, TimingMetrics]:
+                footprint: int) -> ToEstimate:
     """Run the full dual-domain timing estimate on one buffer.
 
     Both metrics use their iterative forms; the direct forms that define
     them are ``metric_delay`` and ``metric_time`` in
     ``tests/reference.py``.  The delay stage takes the peak row argmax
-    |P_d|, and theta_d_hat = peak - (m_p - L) - Lcp - floor(mu_h).  The
-    slot-domain window is anchored at that peak, mprime_p = peak + L, and
-    the slot stage takes theta_t_hat = argmax |P_t|.  Both argmaxes
-    resolve ties to the smallest index, and theta_hat is reported without
-    range folding.  The slot band the slot metric is summed from is
-    returned with the traces for ``cfo.coarse_cfo``, which reads its rows
-    theta_t_hat .. theta_t_hat + N - 2.
+    |P_d|, and theta_d_hat = peak - footprint, where ``footprint`` is
+    the row at which the first energised pilot row of a block that starts
+    at sample 0 lands (``harness.PointContext``).  The slot band starts
+    at the peak row, and the slot stage takes theta_t_hat = argmax |P_t|.
+    Both argmaxes resolve ties to the smallest index, and theta_hat is
+    reported without range folding.  The estimate carries both traces
+    and the slot band, whose rows theta_t_hat .. theta_t_hat + N - 2
+    ``cfo.coarse_cfo`` reads.
     """
     p_d = metric_delay_iterative(received, params, spec)
     peak = int(np.abs(p_d).argmax())
-    mprime_p = peak + spec.length
-    band = _slot_band(received, params, spec, mprime_p)
+    band = _slot_band(received, params, spec, peak)
     p_t = metric_time_iterative(band)
-    theta_d_hat = (peak - (spec.m_p - spec.length) - params.lcp
-                   - math.floor(mu_h))
+    theta_d_hat = peak - footprint
     theta_t_hat = int(np.abs(p_t).argmax())
-    return (
-        ToEstimate(theta_d_hat=theta_d_hat, theta_t_hat=theta_t_hat,
-                   theta_hat=theta_d_hat + params.m * theta_t_hat,
-                   mprime_p=mprime_p),
-        TimingMetrics(p_d=p_d, p_t=p_t, slot_band=band),
-    )
+    return ToEstimate(theta_d_hat=theta_d_hat, theta_t_hat=theta_t_hat,
+                      theta_hat=theta_d_hat + params.m * theta_t_hat,
+                      p_d=p_d, p_t=p_t, slot_band=band)

@@ -71,9 +71,16 @@ def metric_time(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
              conj(r[(l+v)M + i]) r[(l+v+1)M + i],   l = 0 .. N-1.
 
     All N-1 slot-lag terms are summed for every candidate l, including
-    windows that straddle the following block.
+    windows that straddle the following block.  The row window cannot
+    start before row 0: mprime_p < L raises ``ValueError``.
     """
-    rowsums = _slot_band(received, params, spec, mprime_p).sum(axis=1)
+    lo = mprime_p - spec.length
+    if lo < 0:
+        raise ValueError(
+            f"slot metric window starts at row {lo}; mprime_p={mprime_p} "
+            f"must be >= pilot length {spec.length}"
+        )
+    rowsums = _slot_band(received, params, spec, lo).sum(axis=1)
     n = params.n
     return sliding_window_view(rowsums, n - 1).sum(axis=-1)
 
@@ -107,13 +114,14 @@ def coarse_cfo_gather(received: np.ndarray, to: ToEstimate,
     corr[i] = sum_{v=0}^{N-2} conj(r[(theta_t + v) M + i])
               r[(theta_t + v + 1) M + i]
 
-    over the 2L-1 rows i = mprime_p - L .. mprime_p + L - 2, turned into
-    a CFO as ``cfo.coarse_cfo`` does; ``cfo.coarse_cfo`` sums the same
-    products from the timing stage's slot band instead.
+    over the 2L-1 rows i = lo .. lo + 2L - 2, lo = argmax |P_d| the delay
+    peak, turned into a CFO as ``cfo.coarse_cfo`` does; ``cfo.coarse_cfo``
+    sums the same products from the timing stage's slot band instead.
     """
     received = np.asarray(received)
     m, n, length = params.m, params.n, spec.length
-    rows = np.arange(to.mprime_p - length, to.mprime_p + length - 1)
+    lo = int(np.abs(to.p_d).argmax())
+    rows = np.arange(lo, lo + 2 * length - 1)
     idx = (to.theta_t_hat + np.arange(n - 1))[:, None] * m + rows[None, :]
     if idx.min() < 0 or idx.max() + m >= received.size:
         raise ValueError(

@@ -63,7 +63,8 @@ class TestCriterion1:
             worst_d = max(worst_d, float(np.max(np.abs(p_d_it - p_d))
                                          / np.max(np.abs(p_d))))
             p_t = metric_time(buf, params, spec, mprime_p=32)
-            p_t_it = metric_time_iterative(_slot_band(buf, params, spec, 32))
+            p_t_it = metric_time_iterative(
+                _slot_band(buf, params, spec, 32 - spec.length))
             worst_t = max(worst_t, float(np.max(np.abs(p_t_it - p_t))
                                          / np.max(np.abs(p_t))))
         elapsed = time.perf_counter() - tic
@@ -206,10 +207,10 @@ class TestCriterion5:
             traces = {}
             run_trial([(dataclasses.replace(config, seed=seed), ctx)],
                       trial_words(seed, 0), traces)
-            metrics = traces["metrics"]
-            if abs(int(np.argmax(np.abs(metrics.p_d))) - 118) <= 2:
+            to = traces["to"]
+            if abs(int(np.argmax(np.abs(to.p_d))) - 118) <= 2:
                 delay_hits += 1
-            if int(np.argmax(np.abs(metrics.p_t))) == 15:
+            if int(np.argmax(np.abs(to.p_t))) == 15:
                 slot_hits += 1
         elapsed = time.perf_counter() - tic
         ok = delay_hits >= 95 and slot_hits >= 95

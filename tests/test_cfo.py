@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -32,23 +33,26 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def chain_setup(seed=0):
-    """Noiseless single-tap link at (32, 8) used by the coarse tests."""
+    """Noiseless single-tap link at (32, 8) used by the coarse tests, and
+    its acquisition footprint Lcp + m_p - L + floor(mu)."""
     params = OtfsParams(m=32, n=8, lcp=16)
     spec = PcpSpec(length=2, m_p=16)
     rng = np.random.default_rng(seed)
     stream = build_stream(build_frame(params, spec, rng), params)
     model = single_tap_model()
     real = realize_channel(model, params, 2 * params.n_t, seed=1)
-    return params, spec, stream, real, mean_delay(model)
+    footprint = (params.lcp + spec.m_p - spec.length
+                 + math.floor(mean_delay(model)))
+    return params, spec, stream, real, footprint
 
 
-def receive_and_time(params, spec, stream, real, mu, eps, snr_db=None,
-                     noise_seed=None):
+def receive_and_time(params, spec, stream, real, footprint, eps,
+                     snr_db=None, noise_seed=None):
     received = apply_impairments(stream, real, 0, eps, params)
     if snr_db is not None:
         received += noise_sigma(snr_db) * unit_noise(received.size,
                                                      noise_seed)
-    return estimate_to(received, params, spec, mu)
+    return estimate_to(received, params, spec, footprint)
 
 
 def model_matrix(params, spec, q):
@@ -76,27 +80,26 @@ class TestCoarseCfo:
     @pytest.mark.parametrize("eps", [0.0, 0.25, -3.7, 2.83])
     def test_noiseless_exact(self, eps):
         """On a clean static channel the estimate is exact to rounding."""
-        params, spec, stream, real, mu = chain_setup()
-        to, metrics = receive_and_time(params, spec, stream, real, mu, eps)
-        assert abs(coarse_cfo(to, metrics, params, spec) - eps) < 1e-9
+        params, spec, stream, real, footprint = chain_setup()
+        to = receive_and_time(params, spec, stream, real, footprint, eps)
+        assert abs(coarse_cfo(to, params, spec) - eps) < 1e-9
 
     def test_ambiguity_window(self):
         """Offsets are resolved modulo N into [-N/2, N/2)."""
-        params, spec, stream, real, mu = chain_setup()
+        params, spec, stream, real, footprint = chain_setup()
         eps = 2.3 + params.n
-        to, metrics = receive_and_time(params, spec, stream, real, mu, eps)
-        assert abs(coarse_cfo(to, metrics, params, spec) - 2.3) < 1e-9
+        to = receive_and_time(params, spec, stream, real, footprint, eps)
+        assert abs(coarse_cfo(to, params, spec) - 2.3) < 1e-9
 
     def test_stable_at_wrap_point(self):
         """Near eps = N/2 the per-row phases straddle the +-pi branch cut;
         the branch-centered average must not mix wrapped rows."""
-        params, spec, stream, real, mu = chain_setup()
+        params, spec, stream, real, footprint = chain_setup()
         eps = params.n / 2 - 0.01
         for noise_seed in range(10):
-            to, metrics = receive_and_time(params, spec, stream, real, mu,
-                                           eps, snr_db=30.0,
-                                           noise_seed=noise_seed)
-            got = coarse_cfo(to, metrics, params, spec)
+            to = receive_and_time(params, spec, stream, real, footprint,
+                                  eps, snr_db=30.0, noise_seed=noise_seed)
+            got = coarse_cfo(to, params, spec)
             assert abs(fold_offset(got - eps, params.n)) < 0.05
 
     @settings(max_examples=100, deadline=None, derandomize=True,
@@ -107,19 +110,19 @@ class TestCoarseCfo:
         """On a noiseless static link, any offset in the whole ambiguity
         window [-N/2, N/2) (N = 8), its edge -N/2 included, is recovered
         to rounding, modulo N, as a value inside the window."""
-        params, spec, stream, real, mu = chain_setup(seed)
-        to, metrics = receive_and_time(params, spec, stream, real, mu, eps)
-        got = coarse_cfo(to, metrics, params, spec)
+        params, spec, stream, real, footprint = chain_setup(seed)
+        to = receive_and_time(params, spec, stream, real, footprint, eps)
+        got = coarse_cfo(to, params, spec)
         assert -params.n / 2 <= got < params.n / 2
         assert abs(fold_offset(got - eps, params.n)) < 1e-9
 
     def test_dead_buffer_raises(self):
         """A buffer with no pilot energy cannot produce an estimate."""
-        params, spec, stream, real, mu = chain_setup()
+        params, spec, stream, real, footprint = chain_setup()
         dead = np.zeros(2 * params.n_t, dtype=complex)
-        to, metrics = estimate_to(dead, params, spec, mu)
+        to = estimate_to(dead, params, spec, footprint)
         with pytest.raises(ValueError, match="usable"):
-            coarse_cfo(to, metrics, params, spec)
+            coarse_cfo(to, params, spec)
 
     @settings(max_examples=120, deadline=None, derandomize=True,
               database=None)
@@ -137,9 +140,9 @@ class TestCoarseCfo:
         rng = np.random.default_rng(seed)
         received = rng.standard_normal(2 * params.n_t) \
             + 1j * rng.standard_normal(2 * params.n_t)
-        to, metrics = estimate_to(received, params, spec, 0.0)
+        to = estimate_to(received, params, spec, 0)
         to = dataclasses.replace(to, theta_t_hat=int(theta_t_frac * (n - 1)))
-        assert coarse_cfo(to, metrics, params, spec) == \
+        assert coarse_cfo(to, params, spec) == \
             coarse_cfo_gather(received, to, params, spec)
 
 
@@ -149,12 +152,12 @@ class TestReadSet:
     @staticmethod
     def chain(received, ctx, half_width):
         params, spec = ctx.params, ctx.spec
-        to, metrics = estimate_to(received, params, spec, ctx.mu_est)
-        eps_coarse = coarse_cfo(to, metrics, params, spec)
+        to = estimate_to(received, params, spec, ctx.footprint)
+        eps_coarse = coarse_cfo(to, params, spec)
         r_p = extract_pilot(received, to.theta_hat, params, spec)
         estimate = fine_cfo(r_p, ctx.workspace, eps_coarse,
                             half_width=half_width)
-        return to, metrics, eps_coarse, r_p, estimate
+        return to, eps_coarse, r_p, estimate
 
     @pytest.mark.parametrize("config_name, overrides", [
         ("noiseless_recovery.cfg", dict(theta=None, epsilon=None)),
@@ -163,8 +166,8 @@ class TestReadSet:
     def test_unread_samples_do_not_matter(self, monkeypatch, config_name,
                                           overrides):
         """Every sample outside the delay window [0, MN + 2L - 2), the
-        slot band (rows mprime_p - L .. mprime_p + L - 1 of slots 0 ..
-        2N - 2) and the pilot rows at theta_hat is set to NaN; the
+        slot band (the 2L rows from the delay peak argmax |P_d|, of slots
+        0 .. 2N - 2) and the pilot rows at theta_hat is set to NaN; the
         timing estimate, its traces, both CFO estimates, the pilot vector
         and the cost trace stay bit for bit those of the whole buffer."""
         config = dataclasses.replace(load_config(CONFIG_DIR / config_name),
@@ -188,20 +191,22 @@ class TestReadSet:
             read = np.zeros(received.size, dtype=bool)
             read[:params.mn + 2 * length - 2] = True
             band = (np.arange(2 * params.n - 1)[:, None] * params.m
-                    + to.mprime_p - length + np.arange(2 * length))
+                    + int(np.argmax(np.abs(to.p_d)))
+                    + np.arange(2 * length))
             read[band] = True
             read[to.theta_hat + pilot_sample_indices(params, spec)] = True
             assert 0 < read.sum() < received.size
             poisoned = np.where(read, received, np.nan)
             part = self.chain(poisoned, ctx, config.cfo_half_width)
-            assert part[0] == to
+            for name in ("theta_d_hat", "theta_t_hat", "theta_hat"):
+                assert getattr(part[0], name) == getattr(to, name)
             for name in ("p_d", "p_t", "slot_band"):
-                assert_array_equal(getattr(part[1], name),
-                                   getattr(whole[1], name))
-            assert part[2] == whole[2]
-            assert_array_equal(part[3], whole[3])
-            assert part[4].eps_fine == whole[4].eps_fine
-            assert_array_equal(part[4].cost_trace, whole[4].cost_trace)
+                assert_array_equal(getattr(part[0], name),
+                                   getattr(to, name))
+            assert part[1] == whole[1]
+            assert_array_equal(part[2], whole[2])
+            assert part[3].eps_fine == whole[3].eps_fine
+            assert_array_equal(part[3].cost_trace, whole[3].cost_trace)
 
 
 class TestBemOrder:

@@ -12,9 +12,10 @@ from scipy.special import j0
 from otfs_sync import channel
 from otfs_sync.channel import (JAKES_SINUSOIDS, MAX_BLOCK, TAYLOR_TERMS,
                                ChannelModel, ChannelRealization,
-                               apply_impairments, eva_model, export_taps,
-                               mean_delay, noise_sigma, realize_channel,
-                               single_tap_model, stream_reach, unit_noise)
+                               apply_impairments, eva_model, mean_delay,
+                               noise_sigma, realize_channel, single_tap_model,
+                               stream_reach, tap_rows, unit_noise)
+from otfs_sync.harness import write_csv
 from otfs_sync.modem import OtfsParams
 
 #: The shipped 128x32 geometry with its 2 n_t observation buffer.
@@ -501,15 +502,16 @@ class TestApplyImpairments:
 
 
 class TestExportTaps:
-    """Columnar tap-gain export."""
+    """Tap-gain rows (``tap_rows``), written as the snapshot writes
+    ``channel_taps.csv``."""
 
     def test_round_trip(self, tmp_path):
-        """The exported text reproduces every gain exactly, and lists
-        exactly the realization's delay bins as ``ell``."""
+        """The written rows reproduce every gain exactly, and list exactly
+        the realization's delay bins as ``ell``."""
         taps = np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0 - 1.0j]])
         real = ChannelRealization(taps=taps, delays=np.array([1, 4]))
         path = tmp_path / "taps.csv"
-        export_taps(real, path)
+        write_csv(path, ("k", "ell", "re", "im"), tap_rows(real))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,ell,re,im"
         parsed = {}
@@ -521,13 +523,13 @@ class TestExportTaps:
                             for ell in (1, 4)], taps)
 
     def test_round_trip_windowed(self, tmp_path):
-        """A window exports absolute sample indices k = start + j and only
+        """A window yields absolute sample indices k = start + j and only
         the samples it covers."""
         taps = np.array([[1.0 + 2.0j, -0.5j, 7.0], [0.25, 3.0 - 1.0j, 0.0]])
         real = ChannelRealization(taps=taps, delays=np.array([0, 2]),
                                   start=40)
         path = tmp_path / "taps.csv"
-        export_taps(real, path)
+        write_csv(path, ("k", "ell", "re", "im"), tap_rows(real))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,ell,re,im"
         assert len(lines) == 1 + taps.size

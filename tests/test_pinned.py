@@ -4,8 +4,9 @@ Each case reruns one command through ``cli.main`` and compares its files
 with ``tests/data/pinned/<case>/``.  The manifest and the estimate's
 integers match exactly, and so do the results' sweep value, timing error
 and count columns.  The CFO values (``cfo_*`` columns, ``eps_*`` keys,
-and the snapshot cost trace's ``eps`` and ``cost`` columns) match to
-1e-12 relative, so the check also holds on another BLAS build.
+and the snapshot cost trace's ``eps`` and ``cost`` columns) and the
+snapshot metric traces' ``abs`` and ``angle`` columns match to 1e-12
+relative, so the check also holds on another BLAS build.
 
 A change that moves a pinned number on purpose regenerates the files with
 
@@ -39,7 +40,8 @@ CASES = {
         ("results*.csv", "manifest.txt")),
     "snapshot_timing": (["snapshot", "--config",
                          "configs/snapshot_timing.cfg"],
-                        ("estimate.txt", "cost_trace.csv")),
+                        ("estimate.txt", "cost_trace.csv",
+                         "metric_delay.csv", "metric_time.csv")),
 }
 
 
@@ -53,9 +55,10 @@ def run_case(name, out_dir):
 
 
 def same_value(key, got, want):
-    """Exact text, except CFO values, which match to 1e-12 relative."""
+    """Exact text, except CFO values and metric traces, which match to
+    1e-12 relative."""
     if got == want or not (key.startswith(("cfo_", "eps_"))
-                           or key in ("eps", "cost")):
+                           or key in ("eps", "cost", "abs", "angle")):
         return got == want
     return math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=0.0)
 

@@ -100,7 +100,7 @@ class TestSlotMetric:
             buf = random_buffer(rng, 80)
             assert_allclose(
                 metric_time_iterative(_slot_band(buf, self.params,
-                                                 self.spec, 4)),
+                                                 self.spec, 4 - 2)),
                 metric_time(buf, self.params, self.spec, 4), rtol=1e-12)
 
     def test_window_anchor_below_length_raises(self):
@@ -140,7 +140,7 @@ class TestMetricProperties:
         p_d = metric_delay(buf, params, spec)
         assert_allclose(metric_delay_iterative(buf, params, spec), p_d,
                         rtol=0, atol=1e-10 * np.max(np.abs(p_d)))
-        band = _slot_band(buf, params, spec, mprime_p)
+        band = _slot_band(buf, params, spec, mprime_p - length)
         w, i = np.meshgrid(np.arange(2 * n - 2),
                            mprime_p - length + np.arange(2 * length),
                            indexing="ij")
@@ -155,7 +155,7 @@ class TestPeakBookkeeping:
     """Index arithmetic from metric peaks to offsets."""
 
     @staticmethod
-    def _estimate(monkeypatch, params, spec, mu_h, p_d=None, p_t=None):
+    def _estimate(monkeypatch, params, spec, footprint, p_d=None, p_t=None):
         """estimate_to on a zero buffer with either metric trace replaced."""
         if p_d is not None:
             monkeypatch.setattr(timing, "metric_delay_iterative",
@@ -163,26 +163,41 @@ class TestPeakBookkeeping:
         if p_t is not None:
             monkeypatch.setattr(timing, "metric_time_iterative",
                                 lambda *args: p_t)
-        to, _ = estimate_to(np.zeros(2 * params.n_t, dtype=complex), params,
-                            spec, mu_h)
-        return to
+        return estimate_to(np.zeros(2 * params.n_t, dtype=complex), params,
+                           spec, footprint)
+
+    @staticmethod
+    def _band_starts(monkeypatch):
+        """The first row of every slot band estimate_to forms, recorded."""
+        starts = []
+
+        def band(received, params, spec, lo):
+            starts.append(lo)
+            return _slot_band(received, params, spec, lo)
+
+        monkeypatch.setattr(timing, "_slot_band", band)
+        return starts
 
     def test_theta_d_offsets(self, monkeypatch):
-        """The delay estimate subtracts the pilot anchor, CP, and the
-        integer mean delay from the peak row."""
+        """The delay estimate subtracts the acquisition footprint, pilot
+        anchor plus CP plus integer mean delay, from the peak row, and
+        the slot band starts at the peak row."""
         params = OtfsParams(m=16, n=4, lcp=5)
         spec = PcpSpec(length=3, m_p=8)
         p_d = np.zeros(16)
         p_d[11] = 2.0
-        to = self._estimate(monkeypatch, params, spec, 1.0, p_d=p_d)
+        starts = self._band_starts(monkeypatch)
+        to = self._estimate(monkeypatch, params, spec, (8 - 3) + 5 + 1,
+                            p_d=p_d)
         assert to.theta_d_hat == 11 - (8 - 3) - 5 - 1
-        assert to.mprime_p == 11 + 3
+        assert starts == [11]
 
     def test_theta_d_tie_takes_smallest(self, monkeypatch):
         """Equal peaks resolve toward the smaller row index."""
         params = OtfsParams(m=16, n=4, lcp=0)
         spec = PcpSpec(length=3, m_p=8)
-        to = self._estimate(monkeypatch, params, spec, 0.0, p_d=np.ones(16))
+        to = self._estimate(monkeypatch, params, spec, 8 - 3,
+                            p_d=np.ones(16))
         assert to.theta_d_hat == -5
 
     def test_theta_t_argmax(self, monkeypatch):
@@ -190,23 +205,24 @@ class TestPeakBookkeeping:
         params = OtfsParams(m=16, n=4, lcp=5)
         spec = PcpSpec(length=3, m_p=8)
         p_t = np.array([1.0, -4.0, 2.0, 4.0])
-        to = self._estimate(monkeypatch, params, spec, 0.0, p_t=p_t)
+        to = self._estimate(monkeypatch, params, spec, (8 - 3) + 5, p_t=p_t)
         assert to.theta_t_hat == 1
         assert to.theta_hat == to.theta_d_hat + params.m * 1
 
-    def test_ties_take_the_smallest_index(self):
+    def test_ties_take_the_smallest_index(self, monkeypatch):
         """On an all-zero buffer every metric value ties at zero, so both
         peaks take index 0: the delay estimate is the peak row minus the
-        pilot anchor m_p - L, the CP and the integer mean delay, the slot
-        estimate is 0, and the slot window is anchored at mprime_p = L."""
+        footprint, pilot anchor m_p - L plus CP plus integer mean delay,
+        the slot estimate is 0, and the slot band starts at row 0."""
         params = OtfsParams(m=16, n=4, lcp=5)
         spec = PcpSpec(length=3, m_p=8)
-        to, _ = estimate_to(np.zeros(2 * params.n_t, dtype=complex), params,
-                            spec, mu_h=1.5)
+        starts = self._band_starts(monkeypatch)
+        to = estimate_to(np.zeros(2 * params.n_t, dtype=complex), params,
+                         spec, footprint=(8 - 3) + 5 + 1)
         assert to.theta_d_hat == 0 - (8 - 3) - 5 - 1
         assert to.theta_t_hat == 0
         assert to.theta_hat == to.theta_d_hat
-        assert to.mprime_p == 3
+        assert starts == [0]
 
 
 class TestNoiselessRecovery:
@@ -222,6 +238,9 @@ class TestNoiselessRecovery:
         self.real = realize_channel(self.model, self.params,
                                     2 * self.params.n_t, seed=1)
         self.mu = mean_delay(self.model)
+        self.footprint = (self.params.lcp
+                          + (self.spec.m_p - self.spec.length)
+                          + int(np.floor(self.mu)))
 
     def test_peak_row_at_zero_offset(self):
         """With theta = 0 the delay metric peaks at the first energized
@@ -233,19 +252,20 @@ class TestNoiselessRecovery:
 
     @pytest.mark.parametrize("theta", [-128, -1, 0, 37, 127])
     def test_exact_offset_recovery(self, theta):
-        """The assembled estimate matches the injected offset exactly."""
-        advance = self.params.mn // 2 - (self.params.lcp
-                                         + (self.spec.m_p - self.spec.length)
-                                         + int(np.floor(self.mu)))
+        """The assembled estimate matches the injected offset exactly, and
+        its slot band starts at the delay peak."""
+        advance = self.params.mn // 2 - self.footprint
         received = apply_impairments(
             self.stream, self.real, theta + advance, 0.0,
             self.params)
-        to, metrics = estimate_to(received, self.params, self.spec, self.mu)
+        to = estimate_to(received, self.params, self.spec, self.footprint)
         got = int(fold_offset(to.theta_hat - advance, self.params.n_t))
         assert got == theta
         assert to.theta_hat == to.theta_d_hat + self.params.m * to.theta_t_hat
-        assert to.mprime_p == int(np.argmax(np.abs(metrics.p_d))) \
-            + self.spec.length
+        assert_array_equal(
+            to.slot_band,
+            _slot_band(received, self.params, self.spec,
+                       int(np.argmax(np.abs(to.p_d)))))
 
     def test_shift_equivariance(self):
         """Moving the whole pattern by k samples moves the estimate by k."""
@@ -254,8 +274,8 @@ class TestNoiselessRecovery:
                                  base, 0.0, self.params)
         rec1 = apply_impairments(self.stream, self.real,
                                  base + shift, 0.0, self.params)
-        to0, _ = estimate_to(rec0, self.params, self.spec, self.mu)
-        to1, _ = estimate_to(rec1, self.params, self.spec, self.mu)
+        to0 = estimate_to(rec0, self.params, self.spec, self.footprint)
+        to1 = estimate_to(rec1, self.params, self.spec, self.footprint)
         assert to1.theta_hat - to0.theta_hat == shift
 
 
