@@ -307,15 +307,6 @@ def ml_cost(r_p: np.ndarray, lam: np.ndarray, params: OtfsParams,
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_offsets(step: float, steps: int) -> np.ndarray:
-    """Read-only offsets (k - steps) step, k = 0 .. 2 steps, of a stage's
-    grid points from its center."""
-    offsets = np.arange(-steps, steps + 1) * step
-    offsets.flags.writeable = False
-    return offsets
-
-
-@functools.lru_cache(maxsize=None)
 def _tone_ramp(n: int) -> np.ndarray:
     """Read-only 2 pi j m, m = 0 .. N-1: the exponent of the phasors
     e^{j 2 pi m eps / N} before the factor eps / N."""
@@ -325,13 +316,15 @@ def _tone_ramp(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _phase_table(n: int, step: float, steps: int) -> np.ndarray:
-    """Read-only T[k, m] = e^{j 2 pi m (k - steps) step / N}: the phasors
-    of the 2 steps + 1 grid offsets (k - steps) step, m = 0 .. N-1."""
-    offsets = _grid_offsets(step, steps)
+def _phase_table(n: int, step: float, steps: int) -> tuple:
+    """One fine-search stage's grid, read-only: the offsets (k - steps)
+    step, k = 0 .. 2 steps, of its points from the stage center, and
+    their phasors T[k, m] = e^{j 2 pi m (k - steps) step / N}, m = 0 ..
+    N-1."""
+    offsets = np.arange(-steps, steps + 1) * step
     table = np.exp(2j * np.pi * offsets[:, None] * np.arange(n)[None, :] / n)
-    table.flags.writeable = False
-    return table
+    offsets.flags.writeable = table.flags.writeable = False
+    return offsets, table
 
 
 def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
@@ -348,12 +341,12 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
     The fast path evaluates a whole stage at once.  Its grid points are
     eps_c + k step around the stage center eps_c, so a point's phasors
     factor as e^{j 2 pi m eps_c / N} times row k of the table
-    T[k, m] = e^{j 2 pi m k step / N}, cached read-only per
-    (N, step, steps) (``_phase_table``), as are the grid offsets and the
-    exponent 2 pi j m of the center phasors.  A stage's costs are
-    -beta[0] + 2 Re(T @ (beta * e^{j 2 pi m eps_c / N})): N exponentials
-    per stage instead of N per grid point, with beta from the workspace's
-    slot projector.  They agree to rounding, not bit for bit, with the
+    T[k, m] = e^{j 2 pi m k step / N}.  The table and the grid offsets
+    are cached read-only together per (N, step, steps), one lookup per
+    stage (``_phase_table``), as is the exponent 2 pi j m of the center
+    phasors.  A stage's costs are -beta[0] + 2 Re(T @ (beta * e^{j 2 pi
+    m eps_c / N})): N exponentials per stage instead of N per grid point,
+    with beta from the workspace's slot projector.  They agree to rounding, not bit for bit, with the
     cost evaluated one point at a time, -beta[0] + 2 Re sum_m beta[m]
     e^{j 2 pi m eps / N} (``ml_cost_fast`` in ``tests/reference.py``).
     The counter keeps the convention of N multiplies per grid point, the
@@ -367,7 +360,8 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
         lam = workspace.lam
 
     def evaluate(center: float, step: float, steps: int) -> tuple:
-        grid = center + _grid_offsets(step, steps)
+        offsets, table = _phase_table(n, step, steps)
+        grid = center + offsets
         if not use_fast:
             return grid, np.array([
                 ml_cost(r_p, lam, params, spec, e, counter=counter)
@@ -376,7 +370,6 @@ def fine_cfo(r_p: np.ndarray, workspace: MlWorkspace, eps_coarse: float,
         if counter is not None:
             counter.add(n * grid.size)
         rotated = beta * np.exp(_tone_ramp(n) * center / n)
-        table = _phase_table(n, step, steps)
         return grid, -beta[0].real + 2.0 * (table @ rotated).real
 
     grid1, costs1 = evaluate(eps_coarse, COARSE_STEP,

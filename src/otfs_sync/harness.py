@@ -156,9 +156,7 @@ def resolve_pilot(config: ExperimentConfig, params: OtfsParams) -> PcpSpec:
     """Pilot spec from config: the delay anchor at the grid center unless
     ``pilot_m_p`` sets it."""
     m_p = params.m // 2 if config.pilot_m_p is None else config.pilot_m_p
-    spec = PcpSpec(length=config.pilot_length, m_p=m_p)
-    spec.validate_fit(params)
-    return spec
+    return PcpSpec(length=config.pilot_length, m_p=m_p)
 
 
 def resolve_channel(config: ExperimentConfig) -> ChannelModel:
@@ -175,10 +173,12 @@ def build_point(config: ExperimentConfig) -> PointContext:
     Refuses, with ``ValueError``, a config that would run no trial, a
     negative seed, a fine search with less than one ``COARSE_STEP`` per
     side, a pilot shorter than 2, a fixed theta outside [-MN/2, MN/2),
-    or a pilot whose received footprint leaves its slot: the last pilot
-    row m_p + L - 1, spread by the largest delay d_max that carries
-    power, must stay at or below row M - 1, or the delay metric wraps
-    into the next slot.
+    or a pilot whose received footprint leaves its slot: its rows, from
+    the first reserved row m_p - L to the last pilot row m_p + L - 1
+    spread by the largest delay d_max that carries power, must lie in
+    the slot's rows [0, M - 1], or the pilot does not fit the grid and
+    the delay metric wraps into the next slot.  No other place checks
+    the pilot's fit.
 
     The receiver's acquisition offset ``advance`` = MN/2 - ``footprint``
     (:class:`PointContext`) is derived, not set: a trial shifts the
@@ -205,14 +205,14 @@ def build_point(config: ExperimentConfig) -> PointContext:
             f"{params.mn // 2}), got {config.theta}")
     model = resolve_channel(config)
     spec = resolve_pilot(config, params)
+    first = spec.m_p - spec.length
     reach = spec.m_p + spec.length - 1 + int(model.delays[-1])
-    if reach > params.m - 1:
+    if first < 0 or reach > params.m - 1:
         raise ValueError(
-            f"received pilot footprint reaches delay row {reach} (m_p + L "
-            f"- 1 + largest tap delay), past the last row {params.m - 1} "
-            f"of the slot; lower pilot_m_p")
-    footprint = (params.lcp + (spec.m_p - spec.length)
-                 + math.floor(mean_delay(model)))
+            f"received pilot footprint spans delay rows [{first}, {reach}] "
+            f"(m_p - L to m_p + L - 1 + largest tap delay), outside the "
+            f"slot's rows [0, {params.m - 1}]; move pilot_m_p")
+    footprint = params.lcp + first + math.floor(mean_delay(model))
     workspace = build_workspace(params, spec,
                                 matched_order(config.nu_max_t))
     return PointContext(params=params, spec=spec, model=model,
@@ -496,15 +496,25 @@ def write_manifest(path, config: ExperimentConfig) -> None:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
+def _finite(text: str) -> float:
+    """The float ``text`` spells; nan and +-inf raise ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_value(name: str, text: str):
-    """Convert one config value of a known key from its text form."""
+    """Convert one config value of a known key from its text form.  Every
+    key that is not an int, a tuple, ``channel`` or ``sweep`` is a float,
+    and a float must be finite."""
     text = text.strip()
     low = text.lower()
     kind = _FIELD_TYPES[name]
     if low in _NONE_WORDS.get(name, ()):
         return None
     if name == "sweep_values":
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        return tuple(_finite(v) for v in text.split(",") if v.strip())
     if name == "geometries":
         pairs = []
         for part in text.split(","):
@@ -518,9 +528,7 @@ def _parse_value(name: str, text: str):
         return low
     if kind.startswith("int"):
         return int(text)
-    if kind.startswith("float"):
-        return float(text)
-    return text
+    return _finite(text)
 
 
 def _parse_item(key: str, text: str):
@@ -574,13 +582,6 @@ def sweep_axis(config: ExperimentConfig) -> str:
     if config.sweep not in ("snr_db", "nu_max_t"):
         raise ValueError(f"unknown sweep axis {config.sweep!r}")
     return config.sweep
-
-
-def sweep_axis_configs(config: ExperimentConfig):
-    """Yield (sweep_value, point config) pairs along the configured axis."""
-    axis = sweep_axis(config)
-    for value in config.sweep_values:
-        yield value, replace(config, **{axis: value})
 
 
 def context_key(config: ExperimentConfig) -> tuple:
@@ -660,16 +661,20 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
     With ``geometries`` set, the whole axis is swept once per geometry and
     written to ``results_{M}x{N}.csv`` each; otherwise everything lands in
-    ``results.csv``.  All files run as one :func:`_run_tables`, and
-    nothing is written before every trial has run.
+    ``results.csv``.  A point is its file's config with the
+    :func:`sweep_axis` key set to the point's sweep value.  All files run
+    as one :func:`_run_tables`, and nothing is written before every trial
+    has run.
     """
     if not config.sweep_values:
         raise ValueError("sweep_values is empty: a sweep needs at least "
                          "one point")
+    axis = sweep_axis(config)
     variants = [(f"results_{m}x{n}.csv", replace(config, m=m, n=n))
                 for m, n in config.geometries] \
         or [("results.csv", config)]
-    return _run_and_write({filename: list(sweep_axis_configs(variant))
+    return _run_and_write({filename: [(v, replace(variant, **{axis: v}))
+                                      for v in config.sweep_values]
                            for filename, variant in variants},
                           config, out_dir)
 

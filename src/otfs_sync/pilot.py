@@ -9,6 +9,11 @@ delay-dimension timing metric correlates on, and the delay-domain CP is
 what makes the channel act circularly over the protected rows
 m_p .. m_p+L-1.  Doppler bin N/2 gives adjacent time slots a phase step
 of pi, the conventional placement.
+
+The reserved rows m_p-L .. m_p+L-1, spread by the channel's largest
+delay, must stay in the slot's rows [0, M-1].  ``harness.build_point``
+refuses a pilot that does not, so the builders here take the spec as
+given.
 """
 
 from __future__ import annotations
@@ -40,14 +45,6 @@ class PcpSpec:
 
     length: int
     m_p: int
-
-    def validate_fit(self, params: OtfsParams) -> None:
-        """Check the pilot plus its delay-domain CP fit the grid."""
-        if self.m_p - self.length < 0 or self.m_p + self.length - 1 > params.m - 1:
-            raise ValueError(
-                f"pilot region [{self.m_p - self.length}, {self.m_p + self.length - 1}]"
-                f" does not fit delay axis of size {params.m}"
-            )
 
     def guard_rows(self) -> np.ndarray:
         """Delay rows reserved for the pilot: m_p-L .. m_p+L-1."""
@@ -81,10 +78,8 @@ def _frame_layout(params: OtfsParams, spec: PcpSpec) -> tuple:
     c = N // 2, and the CP copies in rows m_p-k via
     D[m_p-k, c] = D[m_p+L-k, c] for k = 1..L-1.
 
-    Every frame of a sweep point shares them; a spec that does not fit
-    raises here on every call, since a raising call is not cached.
+    Every frame of a sweep point shares them.
     """
-    spec.validate_fit(params)
     z = PILOT_AMPLITUDE * make_zc(spec.length)
     pilot_grid = np.zeros((params.m, params.n), dtype=complex)
     pilot_grid[spec.m_p - spec.length + 1:spec.m_p + spec.length,

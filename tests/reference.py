@@ -24,6 +24,8 @@ trial path:
   ``cfo.matched_order`` replaces on the trial path (criteria 8a and 8b),
   and ``bem_fit_nmse`` measures how well a tone set fits known taps
   (criterion 8b);
+* ``crb_cfo`` is the Cramer-Rao bound the fine CFO is held to on a
+  static link;
 * ``measure_papr``, ``build_impulse_frame`` and ``read_csv`` are the
   yardsticks of the PAPR comparison and of the CSV round trip;
 * ``trial_words`` hands a direct ``harness.run_trial`` call the seeding
@@ -133,7 +135,8 @@ def coarse_cfo_gather(received: np.ndarray, to: ToEstimate,
 
 # ML cost (otfs_sync.cfo): the paper's model-order rule, the dense model
 # matrix, the banded reduction of the NL x NL projector, the per-point
-# trigonometric cost, and the least-squares fit that measures the basis.
+# trigonometric cost, the least-squares fit that measures the basis, and
+# the fine CFO's Cramer-Rao bound.
 
 
 def bem_order(k: int, nu_max_t: float) -> int:
@@ -241,6 +244,30 @@ def bem_fit_nmse(taps: np.ndarray, params: OtfsParams, spec: PcpSpec,
     coef, *_ = np.linalg.lstsq(basis, targets, rcond=None)
     resid = basis @ coef - targets
     return float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(targets) ** 2))
+
+
+def crb_cfo(s_tilde: np.ndarray, lam: np.ndarray, params: OtfsParams,
+            spec: PcpSpec, noise_var: float) -> float:
+    """Cramer-Rao bound on the CFO, in squared Doppler bins, of one block.
+
+    CRB(eps) = sigma^2 (MN / 2 pi)^2 / (2 ||(I - Lambda)(k - kbar) s||^2)
+
+    ``s_tilde`` is the block's noiseless received pilot rows de-rotated
+    by the true CFO, ordered as ``cfo.extract_pilot`` stacks them; k is
+    their sample indices (``pilot_sample_indices``; a common offset
+    cancels), ``lam`` the model projector Lambda = P kron I_L and
+    ``noise_var`` the complex noise variance sigma^2.  The model's
+    coefficients are the nuisance parameters, so the bound holds exactly
+    where s_tilde lies in col(Lambda), as on a static single tap with
+    Q = 1 (Kay, *Fundamentals of Statistical Signal Processing:
+    Estimation Theory*, 1993, ch. 3; Rife & Boorstyn, IEEE Trans. Inf.
+    Theory 1974, for one tone).
+    """
+    k = pilot_sample_indices(params, spec).ravel()
+    d = (k - k.mean()) * s_tilde
+    resid = d - lam @ d
+    return noise_var * (params.mn / (2.0 * np.pi)) ** 2 \
+        / (2.0 * float(np.vdot(resid, resid).real))
 
 # Stream statistics (otfs_sync.modem).
 

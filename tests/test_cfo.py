@@ -26,7 +26,7 @@ from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
 from otfs_sync.timing import estimate_to, fold_offset
 from reference import (bem_basis, bem_fit_nmse, bem_order, beta_coefficients,
-                       build_g, coarse_cfo_gather, ml_cost_fast,
+                       build_g, coarse_cfo_gather, crb_cfo, ml_cost_fast,
                        trial_words)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -447,7 +447,6 @@ class TestFactoredWorkspace:
         params = OtfsParams(m=m, n=n, lcp=int(lcp_frac * m))
         spec = PcpSpec(length=length,
                        m_p=length + int(mp_frac * (m - 2 * length)))
-        spec.validate_fit(params)
         ws = build_workspace(params, spec, q)
         rng = np.random.default_rng(seed)
         nl = n * length
@@ -748,9 +747,13 @@ class TestFineCfo:
         assert counter.multiplies == length * n * (n + 1) + n * (201 + 201)
 
     def test_phase_table_is_read_only(self):
-        """The cached phasor table refuses writes."""
-        table = _phase_table(64, 1e-2, 100)
+        """Both cached arrays of a stage, its grid offsets and their
+        phasor table, refuse writes."""
+        offsets, table = _phase_table(64, 1e-2, 100)
+        assert offsets.shape == (201,)
         assert table.shape == (201, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
 
@@ -760,6 +763,57 @@ class TestFineCfo:
         with caplog.at_level("WARNING", logger="otfs_sync.cfo"):
             fine_cfo(r_p, ws, eps_coarse=0.0, half_width=0.5)
         assert any("boundary" in rec.message for rec in caplog.records)
+
+
+class TestCramerRaoBound:
+    """The fine CFO against its Cramer-Rao bound on a static link."""
+
+    TRIALS = 300
+
+    def test_fine_cfo_is_efficient_on_a_static_link(self):
+        """On ``sweep_snr.cfg`` with a static single tap the Q = 1 model
+        holds exactly, so the bound (``crb_cfo``) is exact.  At 10, 20 and
+        30 dB the mean over trials of err^2 / (CRB + FINE_STEP^2 / 12), the
+        last term the error of rounding to the fine grid, lies within three
+        standard deviations of 1.  An efficient estimator's normalized
+        error is about unit normal, so each ratio is about chi-square with
+        one degree of freedom and their mean over T trials spreads by
+        sqrt(2 / T).  theta = -1000 keeps clear of the timing misses at
+        small residues theta mod M; 0 dB is left out, where one threshold
+        outlier dominates the mean."""
+        config = dataclasses.replace(
+            load_config(CONFIG_DIR / "sweep_snr.cfg"), channel="single_tap",
+            nu_max_t=0.0, theta=-1000, seed=11, trials=self.TRIALS)
+        snrs = (10.0, 20.0, 30.0)
+        ctx = build_point(config)
+        points = [(dataclasses.replace(config, snr_db=snr), ctx)
+                  for snr in snrs]
+        params, spec = ctx.params, ctx.spec
+        lam = np.kron(ctx.workspace.p, np.eye(spec.length))
+        shift, length = config.theta + ctx.advance, 2 * params.n_t
+        lo, hi = harness.stream_reach(shift, params.n_t, ctx.model.n_taps,
+                                      length)
+        ratios = np.empty((self.TRIALS, len(snrs)))
+        for t, words in enumerate(harness._child_words(11, 0, self.TRIALS)):
+            results = run_trial(points, words)
+            # The trial's own frame and channel, received without CFO.
+            stream = build_stream(build_frame(
+                params, spec, harness._child_rng(words, 0)), params)
+            real = realize_channel(ctx.model, params, hi - lo,
+                                   harness._child_rng(words, 1), start=lo)
+            s_tilde = extract_pilot(apply_impairments(
+                stream, real, shift, 0.0, params, length=length), shift,
+                params, spec)
+            for i, (snr, result) in enumerate(zip(snrs, results)):
+                assert result.failure is None
+                err = fold_offset(result.eps_fine - result.eps_true,
+                                  params.n)
+                crb = crb_cfo(s_tilde, lam, params, spec,
+                              10.0 ** (-snr / 10.0))
+                ratios[t, i] = err ** 2 / (crb + FINE_STEP ** 2 / 12.0)
+        means = ratios.mean(axis=0)
+        assert np.all(np.abs(means - 1.0)
+                      <= 3.0 * math.sqrt(2.0 / self.TRIALS)), means
 
 
 class TestChannelEstimation:

@@ -955,12 +955,38 @@ class TestCli:
             ("pilot_footprint_past_slot", VERBS,
              ["--m", "64", "--n", "64", "--lcp", "20", "--pilot_length",
               "21", "--channel", "eva"],
-             "received pilot footprint reaches delay row 72"),
+             "received pilot footprint spans delay rows [11, 72] (m_p - L "
+             "to m_p + L - 1 + largest tap delay), outside the slot's rows "
+             "[0, 63]; move pilot_m_p"),
+            # The reserved row m_p - L = -1 lies before the slot.
+            ("pilot_before_row_zero", VERBS, ["--pilot_m_p", "1"],
+             "received pilot footprint spans delay rows [-1, 2] (m_p - L "
+             "to m_p + L - 1 + largest tap delay), outside the slot's rows "
+             "[0, 31]; move pilot_m_p"),
             # The first grid builds; the second does not fit the pilot.
             ("pilot_past_later_geometry", ("sweep",),
              ["--sweep", "snr_db", "--sweep_values", "50", "--pilot_m_p",
               "20", "--geometries", "32x8,16x16"],
-             "pilot region [18, 21] does not fit delay axis of size 16"),
+             "received pilot footprint spans delay rows [18, 21] (m_p - L "
+             "to m_p + L - 1 + largest tap delay), outside the slot's rows "
+             "[0, 15]; move pilot_m_p"),
+            # Non-finite floats are refused as they are parsed.
+            ("nan_snr", VERBS, ["--snr_db", "nan"],
+             "config key snr_db: 'nan' is not a finite number"),
+            ("nan_epsilon", VERBS, ["--epsilon", "nan"],
+             "config key epsilon: 'nan' is not a finite number"),
+            ("inf_epsilon", VERBS, ["--epsilon", "inf"],
+             "config key epsilon: 'inf' is not a finite number"),
+            ("inf_doppler", VERBS, ["--nu_max_t", "inf"],
+             "config key nu_max_t: 'inf' is not a finite number"),
+            ("nan_doppler", VERBS, ["--nu_max_t", "nan"],
+             "config key nu_max_t: 'nan' is not a finite number"),
+            ("overflowing_doppler", VERBS, ["--nu_max_t", "1e999"],
+             "config key nu_max_t: '1e999' is not a finite number"),
+            ("inf_half_width", VERBS, ["--cfo_half_width", "inf"],
+             "config key cfo_half_width: 'inf' is not a finite number"),
+            ("nan_sweep_value", ("sweep",), ["--sweep_values", "0,nan"],
+             "config key sweep_values: 'nan' is not a finite number"),
             ("empty_sweep_values", ("sweep",), ["--sweep_values", ""],
              "sweep_values is empty"),
             ("one_sample_pilot", VERBS, ["--pilot_length", "1"],

@@ -1,10 +1,12 @@
 """Tests for pilot construction: ZC sequences, embedding, delay-time form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfs_sync.harness import ExperimentConfig, resolve_pilot
+from otfs_sync.harness import ExperimentConfig, build_point, resolve_pilot
 from otfs_sync.modem import OtfsParams, build_stream, qam16_symbols
 from otfs_sync.pilot import (PILOT_AMPLITUDE, PcpSpec, _frame_layout,
                              build_frame, make_zc, pilot_dt_slots)
@@ -52,12 +54,14 @@ class TestPcpSpec:
         assert_array_equal(np.unique(np.nonzero(pilot_grid)[1]), [16])
 
     def test_validate_fit_rejects_overflow(self):
-        """Pilot regions sticking out of the delay axis are refused."""
-        params = OtfsParams(m=16, n=8, lcp=4)
-        with pytest.raises(ValueError):
-            PcpSpec(length=4, m_p=2).validate_fit(params)
-        with pytest.raises(ValueError):
-            PcpSpec(length=4, m_p=14).validate_fit(params)
+        """Pilot regions sticking out of the delay axis, below row 0 or past
+        row M - 1, are refused when the point is built."""
+        base = ExperimentConfig(m=16, n=8, lcp=4, pilot_length=4,
+                                channel="single_tap", nu_max_t=0.0)
+        for m_p, rows in ((2, r"\[-2, 5\]"), (14, r"\[10, 17\]")):
+            with pytest.raises(ValueError,
+                               match=rf"delay rows {rows}.*rows \[0, 15\]"):
+                build_point(replace(base, pilot_m_p=m_p))
 
 
 class TestEmbedPcp:
@@ -222,12 +226,3 @@ class TestFrameLayout:
             pilot_grid[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             data_rows[0] = 5
-
-    def test_out_of_grid_spec_raises_every_call(self):
-        """A spec that does not fit raises on the first and second build;
-        the failure is not cached as a layout."""
-        params = OtfsParams(m=16, n=8, lcp=4)
-        spec = PcpSpec(length=4, m_p=14)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="does not fit"):
-                build_frame(params, spec, np.random.default_rng(0))
