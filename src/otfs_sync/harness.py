@@ -65,9 +65,9 @@ class ExperimentConfig:
 
     ``theta``/``epsilon`` of ``None`` draw uniformly per trial (theta over
     [-MN/2, MN/2) integer, epsilon over +-(N/2 - nu_max_t)); fixed values
-    make every trial use that offset, and a fixed theta must lie in the
-    same range.  theta counts from the centred acquisition point that
-    :func:`build_point` derives.
+    make every trial use that offset; a fixed theta must lie in the same
+    range, and a fixed epsilon in [-N/2, N/2).  theta counts from the
+    centred acquisition point that :func:`build_point` derives.
 
     Each trial transmits one block, and the fine-CFO search evaluates the
     trigonometric-polynomial ML cost over a BEM of order
@@ -172,7 +172,8 @@ def build_point(config: ExperimentConfig) -> PointContext:
 
     Refuses, with ``ValueError``, a config that would run no trial, a
     negative seed, a fine search with less than one ``COARSE_STEP`` per
-    side, a pilot shorter than 2, a fixed theta outside [-MN/2, MN/2),
+    side, a pilot shorter than 2, a fixed theta outside [-MN/2, MN/2), a
+    fixed epsilon outside the coarse stage's ambiguity window [-N/2, N/2),
     or a pilot whose received footprint leaves its slot: its rows, from
     the first reserved row m_p - L to the last pilot row m_p + L - 1
     spread by the largest delay d_max that carries power, must lie in
@@ -203,6 +204,11 @@ def build_point(config: ExperimentConfig) -> PointContext:
         raise ValueError(
             f"theta must lie in [-MN/2, MN/2) = [{-params.mn // 2}, "
             f"{params.mn // 2}), got {config.theta}")
+    if config.epsilon is not None \
+            and not -params.n / 2 <= config.epsilon < params.n / 2:
+        raise ValueError(
+            f"epsilon must lie in [-N/2, N/2) = [{-params.n / 2:g}, "
+            f"{params.n / 2:g}), got {config.epsilon!r}")
     model = resolve_channel(config)
     spec = resolve_pilot(config, params)
     first = spec.m_p - spec.length

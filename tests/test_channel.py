@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import j0
 
 from otfs_sync import channel
-from otfs_sync.channel import (JAKES_SINUSOIDS, MAX_BLOCK, TAYLOR_TERMS,
-                               ChannelModel, ChannelRealization,
-                               apply_impairments, eva_model, mean_delay,
-                               noise_sigma, realize_channel, single_tap_model,
+from otfs_sync.channel import (JAKES_SINUSOIDS, MAX_BLOCK, ChannelModel,
+                               ChannelRealization, apply_impairments,
+                               eva_model, mean_delay, noise_sigma,
+                               realize_channel, single_tap_model,
                                stream_reach, tap_rows, unit_noise)
 from otfs_sync.harness import write_csv
 from otfs_sync.modem import OtfsParams
@@ -281,14 +281,43 @@ class TestRealizeChannel:
         _, omega_max = self._model_at(1.36)
         table = channel._power_table(480, omega_max)
         assert channel._power_table(480, omega_max) is table
-        assert table.shape == (TAYLOR_TERMS, 480)
+        assert table.shape == (15, 480)
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
         x = np.arange(480) - 239.5
         assert np.max(np.abs(omega_max * x)) <= 0.5
-        for p in range(TAYLOR_TERMS):
+        for p in range(15):
             assert_allclose(table[p], (1j * omega_max * x) ** p
                             / math.factorial(p), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("nu_t, width, terms", [(0.14, MAX_BLOCK, 9),
+                                                     (1.36, 480, 15)])
+    def test_term_count_sized_to_block(self, nu_t, width, terms):
+        """The power table keeps the fewest terms P whose first dropped
+        term reach^P / P! is at most 2^-53, reach = omega_max (W - 1) / 2
+        the largest |omega x| of a block: 9 at nu*T = 0.14 (W = 512) and
+        15 at nu*T = 1.36 (W = 480) on the 128x32 grid."""
+        _, omega_max = self._model_at(nu_t)
+        assert width == min(MAX_BLOCK, int(1.0 / omega_max) + 1)
+        assert channel._power_table(width, omega_max).shape == (terms, width)
+        reach = omega_max * (width - 1) / 2.0
+        assert reach ** terms / math.factorial(terms) <= 2.0 ** -53
+        assert reach ** (terms - 1) / math.factorial(terms - 1) > 2.0 ** -53
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 9, 10, 273, 4148])
+    def test_phasor_rows_match_exact_exp(self, count):
+        """The two-level phasor table holds exp(j (base + step i)),
+        count-major, within 1e-13 of exact exponentials, for scalar and
+        array phases."""
+        rng = np.random.default_rng(count)
+        for shape in [(), (3, 5)]:
+            base = rng.uniform(0.0, 2.0 * np.pi, shape)
+            step = rng.uniform(-0.05, 0.05, shape)
+            table = channel._phasor_rows(base, step, count)
+            assert table.shape == (count,) + shape
+            exact = np.exp(1j * (base + np.multiply.outer(np.arange(count),
+                                                          step)))
+            assert_allclose(table, exact, rtol=0, atol=1e-13)
 
     def test_only_powered_taps_have_rows(self):
         """Taps without PDP power get no row: at EVA L = 21 the
@@ -450,9 +479,25 @@ class TestApplyImpairments:
             lo, hi = max(0, shift), min(real.duration, stream.size + shift)
             expected[lo:hi] += dense[ell, lo:hi] \
                 * stream[lo - shift:hi - shift]
-        expected *= np.exp(2j * np.pi * 0.37
-                           * np.arange(real.duration) / params.mn)
+        # The code's own ramp over the stream's reach, so the tap loop is
+        # checked bit for bit; test_ramp_matches_exact_exp checks the ramp.
+        lo, hi = stream_reach(theta, stream.size, model.n_taps,
+                              real.duration)
+        step = 2.0 * np.pi * 0.37 / params.mn
+        expected[lo:hi] *= channel._phasor_rows(step * lo, step, hi - lo)
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("eps", [-16.0, 15.999])
+    def test_ramp_matches_exact_exp(self, eps):
+        """Over a full 128x32 2 n_t buffer, at the edges of the CFO window
+        [-N/2, N/2), the ramp is within 1e-13 of exact exponentials
+        exp(j 2 pi eps k / (M N))."""
+        length = 2 * PARAMS.n_t
+        ones = np.ones((1, length), dtype=complex)
+        real = ChannelRealization(taps=ones, delays=np.array([0]))
+        out = apply_impairments(ones[0], real, 0, eps, PARAMS)
+        ramp = np.exp(2j * np.pi * eps * np.arange(length) / PARAMS.mn)
+        assert_allclose(out, ramp, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("theta", [-300, 7000, 1960])
     def test_window_matches_full_realization(self, theta):

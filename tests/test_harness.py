@@ -1000,6 +1000,11 @@ class TestCli:
              "theta must lie in [-MN/2, MN/2) = [-128, 128), got 128"),
             ("theta_below_half_block", VERBS, ["--theta", "-129"],
              "theta must lie in [-MN/2, MN/2) = [-128, 128), got -129"),
+            # N = 8: the coarse stage's ambiguity window is [-4, 4).
+            ("epsilon_far_outside_window", VERBS, ["--epsilon", "1e16"],
+             "epsilon must lie in [-N/2, N/2) = [-4, 4), got 1e+16"),
+            ("epsilon_at_half_n", VERBS, ["--epsilon", "4"],
+             "epsilon must lie in [-N/2, N/2) = [-4, 4), got 4.0"),
         ] for verb in verbs])
     def test_config_errors_exit_2(self, tmp_path, capsys, verb, flags,
                                   message):
@@ -1012,6 +1017,22 @@ class TestCli:
         assert exc.value.code == 2
         [line] = error_lines(capsys)
         assert line.startswith(f"otfs-sync: error: {message}")
+        assert not out.exists()
+
+    def test_epsilon_past_later_geometry_exits_2(self, tmp_path, capsys):
+        """A fixed epsilon is checked against each geometry's window
+        [-N/2, N/2): on the shipped geometry sweep, 10 fits 64x64 and
+        128x32 but not 256x16, so the sweep is refused before any trial
+        and writes nothing."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config",
+                  str(CONFIG_DIR / "sweep_doppler_geometries.cfg"),
+                  "--epsilon", "10", "--out", str(out)])
+        assert exc.value.code == 2
+        assert error_lines(capsys) == [
+            "otfs-sync: error: epsilon must lie in [-N/2, N/2) = [-8, 8), "
+            "got 10.0"]
         assert not out.exists()
 
     def test_seeds_past_32_bits_run(self, tmp_path, capsys):
