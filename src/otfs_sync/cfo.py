@@ -166,8 +166,9 @@ def extract_pilot(received: np.ndarray, block_start: int,
     """Stack the received pilot rows of the block at ``block_start``.
 
     Returns the length-N*L vector ordered slot-major (slot 0 rows first).
+    Rows outside ``received`` raise ``ValueError``: a negative index
+    would otherwise wrap silently.
     """
-    received = np.asarray(received)
     idx = pilot_sample_indices(params, spec)
     if block_start + idx[0, 0] < 0 \
             or block_start + idx[-1, -1] >= received.size:
@@ -234,10 +235,11 @@ class MlWorkspace:
         (N x L) @ (L x N) product of slot rows, then the lag-m
         subdiagonal sums of P times it.  That is N^2 L + N (N + 1) / 2
         complex multiplies; the counter keeps the definition's
-        convention L N (N + 1).
+        convention L N (N + 1).  ``r_p`` is the length-N L array
+        :func:`extract_pilot` returns.
         """
         n = self.params.n
-        rows = np.asarray(r_p).reshape(n, -1)
+        rows = r_p.reshape(n, -1)
         if counter is not None:
             counter.add(rows.shape[1] * n * (n + 1))
         terms = (self.p * (rows.conj() @ rows.T)).ravel()

@@ -46,25 +46,20 @@ class ChannelModel:
     Attributes
     ----------
     pdp : ndarray
-        Per-tap average powers, normalized to sum to one.  Length sets
-        the channel length in taps.
+        Per-tap average powers, nonnegative and normalized to sum to one
+        by the builders, :func:`eva_model` and :func:`single_tap_model`,
+        which the model takes as given.  Length sets the channel length
+        in taps.
     nu_max_t : float
         Maximum Doppler frequency times the block duration, nu_max M N Ts;
-        0 freezes each tap at its initial value.
+        0 freezes each tap at its initial value, and a negative value is
+        refused with ``ValueError``.
     """
 
     pdp: np.ndarray
     nu_max_t: float = 0.0
 
     def __post_init__(self) -> None:
-        pdp = np.asarray(self.pdp, dtype=float)
-        object.__setattr__(self, "pdp", pdp)
-        if pdp.ndim != 1 or pdp.size < 1:
-            raise ValueError("pdp must be a nonempty 1-D power sequence")
-        if np.any(pdp < 0):
-            raise ValueError("pdp powers must be nonnegative")
-        if abs(pdp.sum() - 1.0) > 1e-12:
-            raise ValueError(f"pdp must sum to 1, got {pdp.sum()!r}")
         if self.nu_max_t < 0:
             raise ValueError("nu_max_t must be >= 0")
 
@@ -198,7 +193,8 @@ def _power_table(width: int, omega_max: float) -> np.ndarray:
 
 def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
                     seed, start: int = 0) -> ChannelRealization:
-    """Draw one channel realization over samples [start, start + duration).
+    """Draw one channel realization over samples [start, start + duration),
+    duration >= 1.
 
     Each tap is an independent sum of S = JAKES_SINUSOIDS equal-power
     complex sinusoids with arrival angles psi and phases phi uniform on
@@ -239,8 +235,6 @@ def realize_channel(model: ChannelModel, params: OtfsParams, duration: int,
     each sample is within a few ulps of the exact exp(j (phi + omega k))
     sum.
     """
-    if duration < 1:
-        raise ValueError("duration must be >= 1")
     rng = np.random.default_rng(seed)
     delays, gains = model.delays, model.gains
     draws = rng.uniform(0.0, 2.0 * np.pi,
@@ -317,8 +311,9 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     r[k] = e^{j 2 pi eps k / (M N)} * sum_ell h[ell, k] s[k - ell - theta]
 
     for k = 0 .. length-1, with s taken as zero outside its support.
-    ``theta`` is the integer timing offset in samples (delay-resolution
-    units) and ``epsilon`` the CFO normalized by the Doppler resolution
+    ``stream`` is the 1-D complex array ``modem.build_stream`` makes,
+    ``theta`` the int timing offset in samples (delay-resolution units)
+    and ``epsilon`` the CFO normalized by the Doppler resolution
     1/(M N Ts).  The CFO phase index k counts received samples from the
     start of the observation buffer.  ``length`` defaults to the end of the
     realization, ``real.stop``.
@@ -333,13 +328,7 @@ def apply_impairments(stream: np.ndarray, real: ChannelRealization,
     sample's phasor is a product of two exactly rounded ones, within a few
     ulps of exp(j 2 pi eps k / (M N)) for eps in [-N/2, N/2).
     """
-    stream = np.asarray(stream, dtype=complex)
-    if stream.ndim != 1:
-        raise ValueError("stream must be 1-D")
-    if not float(theta).is_integer():
-        raise ValueError(f"timing offset must be an integer, got {theta!r}")
-    theta = int(theta)
-    length = real.stop if length is None else int(length)
+    length = real.stop if length is None else length
     lo, hi = stream_reach(theta, stream.size, int(real.delays[-1]) + 1,
                           length)
     if lo < hi and (lo < real.start or hi > real.stop):

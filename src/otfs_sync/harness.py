@@ -47,9 +47,13 @@ logger = logging.getLogger(__name__)
 
 #: Errors the estimators raise on inputs they cannot handle; a trial that
 #: hits one is counted as failed.  Anything else is a bug and propagates.
-#: A config that cannot run (too many model tones for the slots, no trial,
-#: a search window narrower than one coarse step) fails in
-#: :func:`build_point`, before any trial.
+#: The one a trial can reach is ``cfo.coarse_cfo``'s refusal of a buffer
+#: whose pilot rows carry no usable energy, which depends on the data;
+#: ``cfo.extract_pilot``'s bounds check guards reads that
+#: ``tests/test_cfo.py::TestReadSet`` shows stay inside the 2 n_t buffer.
+#: A config that cannot run (one slot, too many model tones for the slots,
+#: no trial, a search window narrower than one coarse step or wider than
+#: N/2) fails in :func:`build_point`, before any trial.
 ESTIMATOR_ERRORS = (ValueError,)
 
 
@@ -171,21 +175,27 @@ def build_point(config: ExperimentConfig) -> PointContext:
     """Resolve one sweep point's geometry, channel, and ML workspace.
 
     Refuses, with ``ValueError``, a config that would run no trial, a
-    negative seed, a fine search with less than one ``COARSE_STEP`` per
-    side, a pilot shorter than 2, a fixed theta outside [-MN/2, MN/2), a
-    fixed epsilon outside the coarse stage's ambiguity window [-N/2, N/2),
-    or a pilot whose received footprint leaves its slot: its rows, from
-    the first reserved row m_p - L to the last pilot row m_p + L - 1
-    spread by the largest delay d_max that carries power, must lie in
-    the slot's rows [0, M - 1], or the pilot does not fit the grid and
-    the delay metric wraps into the next slot.  No other place checks
-    the pilot's fit.
+    negative seed, a pilot shorter than 2, a grid of one slot (N < 2:
+    the coarse CFO reads the phase advance between adjacent slots), a
+    fine search with less than one ``COARSE_STEP`` per side or a half
+    width past N/2 (the ML cost repeats every N bins, so a wider search
+    only revisits aliases while its phase table grows), a fixed theta
+    outside [-MN/2, MN/2), a fixed epsilon outside the coarse stage's
+    ambiguity window [-N/2, N/2), or a pilot whose received footprint
+    leaves its slot: its rows, from the first reserved row m_p - L to
+    the last pilot row m_p + L - 1 spread by the largest delay d_max
+    that carries power, must lie in the slot's rows [0, M - 1], or the
+    pilot does not fit the grid and the delay metric wraps into the next
+    slot.  No other place checks the pilot's fit.  These are the checks
+    on a trial's inputs: the functions a trial calls take the arrays
+    :func:`run_trial` builds as they are, without checking them again.
 
     The receiver's acquisition offset ``advance`` = MN/2 - ``footprint``
     (:class:`PointContext`) is derived, not set: a trial shifts the
     stream by theta + advance and subtracts advance from the estimate
     again, which keeps the whole correlation footprint inside the 2 n_t
-    buffer for every theta in [-MN/2, MN/2).
+    buffer for every theta in [-MN/2, MN/2), and the channel window the
+    stream reaches nonempty.
     """
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
@@ -194,11 +204,17 @@ def build_point(config: ExperimentConfig) -> PointContext:
     if config.pilot_length < 2:
         raise ValueError("the delay metric needs a pilot of length >= 2 "
                          "(its window sums L-1 lag products)")
-    if round(config.cfo_half_width / COARSE_STEP) < 1:
+    params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp)
+    if params.n < 2:
+        raise ValueError(f"N must be at least 2, got N={params.n}: the coarse "
+                         f"CFO reads the phase advance between adjacent slots")
+    if round(config.cfo_half_width / COARSE_STEP) < 1 \
+            or config.cfo_half_width > params.n / 2:
         raise ValueError(
             f"cfo_half_width must be at least one coarse step "
-            f"({COARSE_STEP}), got {config.cfo_half_width!r}")
-    params = OtfsParams(m=config.m, n=config.n, lcp=config.lcp)
+            f"({COARSE_STEP}) and at most N/2 = {params.n / 2:g}, as the "
+            f"fine-CFO cost repeats every N bins, got "
+            f"{config.cfo_half_width!r}")
     if config.theta is not None \
             and not -params.mn // 2 <= config.theta < params.mn // 2:
         raise ValueError(

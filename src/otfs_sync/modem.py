@@ -57,15 +57,14 @@ class OtfsParams:
         return self.mn + self.lcp
 
 
-def qam16_symbols(rng: np.random.Generator, size) -> np.ndarray:
-    """Draw unit-average-power 16-QAM symbols.
+def qam16_symbols(rng: np.random.Generator, size: tuple) -> np.ndarray:
+    """Draw unit-average-power 16-QAM symbols, an array of shape ``size``.
 
     Indexes the levels with ``rng.integers(0, 4, size)``, the draws that
     ``rng.choice(QAM16_LEVELS, size=size)`` makes, without its checks:
     the real parts first, then the imaginary parts, drawn as one array.
     """
-    shape = size if isinstance(size, tuple) else (size,)
-    levels = QAM16_LEVELS[rng.integers(0, 4, (2, *shape))]
+    levels = QAM16_LEVELS[rng.integers(0, 4, (2, *size))]
     return levels[0] + 1j * levels[1]
 
 
@@ -77,13 +76,9 @@ def build_stream(grid: np.ndarray, params: OtfsParams) -> np.ndarray:
         x[l*M + m] = X[m, l],
 
     unitary, so the block carries the grid's energy exactly; the stream
-    is x[MN - Lcp:] followed by x.
+    is x[MN - Lcp:] followed by x.  ``grid`` is the (M, N) array
+    ``pilot.build_frame`` makes for the same ``params``.
     """
-    grid = np.asarray(grid)
-    if grid.shape != (params.m, params.n):
-        raise ValueError(
-            f"grid shape {grid.shape} does not match ({params.m}, {params.n})"
-        )
     samples = (np.fft.ifft(grid, axis=1) * np.sqrt(params.n)).reshape(
         -1, order="F")
     return np.concatenate([samples[params.mn - params.lcp:], samples])

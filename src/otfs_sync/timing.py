@@ -75,15 +75,10 @@ def _delay_grid(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
 def _delay_products(received: np.ndarray, params: OtfsParams,
                     spec: PcpSpec) -> np.ndarray:
     """c[y] = conj(r[y]) * r[y + L] for y < MN + L - 2, the L-lag sample
-    products the delay metric reads: samples [0, MN + 2L - 2)."""
-    received = np.asarray(received)
+    products the delay metric reads: samples [0, MN + 2L - 2), which the
+    2 N_T buffer of a trial holds."""
     length = spec.length
     span = params.mn + length - 2
-    if received.size < span + length:
-        raise ValueError(
-            f"buffer too short for the delay metric: need {span + length} "
-            f"samples, got {received.size}"
-        )
     return np.conj(received[:span]) * received[length:span + length]
 
 
@@ -138,14 +133,10 @@ def _slot_band(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
     The lag-M products of the 2L pilot rows lo .. lo + 2L - 1 over the
     2N - 2 slot lags w that the sliding window reaches, shape
     (2N - 2, 2L): every product the slot metric and the coarse CFO read.
+    They reach sample (2N - 2)M + lo + 2L - 1, inside a trial's 2 N_T
+    buffer for every delay peak lo < M; a shorter buffer raises numpy's
+    ``IndexError``.
     """
-    needed = (2 * params.n - 2) * params.m + lo + 2 * spec.length
-    received = np.asarray(received)
-    if received.size < needed:
-        raise ValueError(
-            f"buffer too short for the slot metric: need {needed} samples, "
-            f"got {received.size}"
-        )
     rows = received[lo:][_slot_grid(params, spec)]
     return np.conj(rows[:-1]) * rows[1:]
 

@@ -21,10 +21,12 @@ from otfs_sync.cfo import (BEM_K, COARSE_STEP, FINE_STEP, OpCounter,
 from otfs_sync.channel import (apply_impairments, mean_delay, noise_sigma,
                                realize_channel, single_tap_model, unit_noise)
 from otfs_sync import harness
-from otfs_sync.harness import build_point, load_config, run_trial
+from otfs_sync.harness import (ExperimentConfig, build_point, load_config,
+                               run_trial)
 from otfs_sync.modem import OtfsParams, build_stream
 from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
-from otfs_sync.timing import estimate_to, fold_offset
+from otfs_sync.timing import (_slot_band, estimate_to, fold_offset,
+                              metric_delay_iterative)
 from reference import (bem_basis, bem_fit_nmse, bem_order, beta_coefficients,
                        build_g, coarse_cfo_gather, crb_cfo, ml_cost_fast,
                        trial_words)
@@ -207,6 +209,64 @@ class TestReadSet:
             assert_array_equal(part[2], whole[2])
             assert part[3].eps_fine == whole[3].eps_fine
             assert_array_equal(part[3].cost_trace, whole[3].cost_trace)
+
+    @staticmethod
+    def random_configs(count, seed):
+        """``count`` random configs that ``build_point`` accepts, as (config,
+        context) pairs: 2 <= L <= 8, 2 <= N <= 12, either channel, every
+        fourth draw with lcp = 0, and the pilot centred or anywhere."""
+        rng = np.random.default_rng(seed)
+        accepted, draws = [], 0
+        while len(accepted) < count:
+            length = int(rng.integers(2, 9))
+            m = 2 * length + int(rng.integers(0, 3 * length + 1))
+            config = ExperimentConfig(
+                m=m, n=int(rng.integers(2, 13)),
+                lcp=0 if draws % 4 == 0 else int(rng.integers(0, m + 1)),
+                pilot_length=length,
+                pilot_m_p=None if rng.random() < 0.5
+                else int(rng.integers(length, m - length + 1)),
+                channel=("eva", "single_tap")[int(rng.integers(0, 2))],
+                nu_max_t=float(rng.choice([0.0, 0.14, 0.5, 1.36])),
+                cfo_half_width=0.5)
+            draws += 1
+            try:
+                accepted.append((config, build_point(config)))
+            except ValueError:
+                continue
+        return accepted
+
+    def test_buffer_holds_every_read(self, caplog):
+        """A trial's 2 N_T buffer holds every read of the chain, for every
+        delay peak and slot candidate, so no stage needs a length check.
+        On a zero buffer, at each shipped geometry and at 200 random
+        configs that ``build_point`` accepts (both channels, lcp = 0
+        among them): the delay metric has M outputs; the slot band at
+        every peak row in [0, M) has shape (2N - 2, 2L); and
+        ``extract_pilot`` at every (peak, slot), block start peak -
+        footprint + M slot, does not raise.  Small random L clips the
+        EVA profile, whose warnings are silenced."""
+        shipped = []
+        for path in sorted(CONFIG_DIR.glob("*.cfg")):
+            config = load_config(path)
+            shipped += [dataclasses.replace(config, m=m, n=n)
+                        for m, n in config.geometries] or [config]
+        with caplog.at_level(logging.ERROR, logger="otfs_sync.channel"):
+            points = [(c, build_point(c)) for c in shipped] \
+                + self.random_configs(200, seed=2)
+        assert {c.channel for c, _ in points} == {"eva", "single_tap"}
+        assert any(c.lcp == 0 for c, _ in points)
+        for _, ctx in points:
+            params, spec = ctx.params, ctx.spec
+            buffer = np.zeros(2 * params.n_t, dtype=complex)
+            assert metric_delay_iterative(buffer, params, spec).shape \
+                == (params.m,)
+            for peak in range(params.m):
+                assert _slot_band(buffer, params, spec, peak).shape \
+                    == (2 * params.n - 2, 2 * spec.length)
+                for slot in range(params.n):
+                    extract_pilot(buffer, peak - ctx.footprint
+                                  + params.m * slot, params, spec)
 
 
 class TestBemOrder:

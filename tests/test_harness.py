@@ -942,6 +942,17 @@ class TestCli:
              "cfo_half_width must be at least"),
             ("sub_step_half_width", VERBS, ["--cfo_half_width", "0.004"],
              "cfo_half_width must be at least"),
+            # N = 8: past N/2 the fine search only revisits aliases of the
+            # N-periodic cost, while its phase table keeps growing.
+            ("half_width_past_half_n", VERBS, ["--cfo_half_width", "4.5"],
+             "cfo_half_width must be at least one coarse step (0.01) and at "
+             "most N/2 = 4, as the fine-CFO cost repeats every N bins, got "
+             "4.5"),
+            # One slot has no slot-to-slot phase advance: every trial
+            # used to fail at the coarse stage, and the run exited 0.
+            ("one_slot", VERBS, ["--n", "1"],
+             "N must be at least 2, got N=1: the coarse CFO reads the phase "
+             "advance between adjacent slots"),
             ("zero_trials", VERBS, ["--trials", "0"], "trials must be >= 1"),
             ("negative_seed", VERBS, ["--seed", "-1"],
              "seed must be >= 0, got -1"),
@@ -1019,21 +1030,38 @@ class TestCli:
         assert line.startswith(f"otfs-sync: error: {message}")
         assert not out.exists()
 
+    @staticmethod
+    def _geometry_sweep_refused(tmp_path, capsys, flags, message):
+        """The shipped geometry sweep with ``flags`` exits 2 with the one
+        error line ``message`` and writes nothing."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config",
+                  str(CONFIG_DIR / "sweep_doppler_geometries.cfg"),
+                  "--out", str(out)] + flags)
+        assert exc.value.code == 2
+        assert error_lines(capsys) == [f"otfs-sync: error: {message}"]
+        assert not out.exists()
+
     def test_epsilon_past_later_geometry_exits_2(self, tmp_path, capsys):
         """A fixed epsilon is checked against each geometry's window
         [-N/2, N/2): on the shipped geometry sweep, 10 fits 64x64 and
         128x32 but not 256x16, so the sweep is refused before any trial
         and writes nothing."""
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config",
-                  str(CONFIG_DIR / "sweep_doppler_geometries.cfg"),
-                  "--epsilon", "10", "--out", str(out)])
-        assert exc.value.code == 2
-        assert error_lines(capsys) == [
-            "otfs-sync: error: epsilon must lie in [-N/2, N/2) = [-8, 8), "
-            "got 10.0"]
-        assert not out.exists()
+        self._geometry_sweep_refused(
+            tmp_path, capsys, ["--epsilon", "10"],
+            "epsilon must lie in [-N/2, N/2) = [-8, 8), got 10.0")
+
+    def test_half_width_past_later_geometry_exits_2(self, tmp_path, capsys):
+        """The fine search's half width is checked against each
+        geometry's N/2: on the shipped geometry sweep, 9 fits 64x64 and
+        128x32 but not 256x16, so the sweep is refused before any trial
+        and writes nothing."""
+        self._geometry_sweep_refused(
+            tmp_path, capsys, ["--cfo_half_width", "9"],
+            "cfo_half_width must be at least one coarse step (0.01) and at "
+            "most N/2 = 8, as the fine-CFO cost repeats every N bins, got "
+            "9.0")
 
     def test_seeds_past_32_bits_run(self, tmp_path, capsys):
         """Seeds of 2^32 and above are valid: the seeding pass takes them

@@ -37,7 +37,7 @@ class TestQam16:
     def test_levels_and_mean_power(self):
         """Symbols use the four scaled levels per axis at unit mean power."""
         rng = np.random.default_rng(7)
-        symbols = qam16_symbols(rng, 20000)
+        symbols = qam16_symbols(rng, (20000,))
         assert np.all(np.isin(np.round(symbols.real * np.sqrt(10)),
                               [-3, -1, 1, 3]))
         assert np.all(np.isin(np.round(symbols.imag * np.sqrt(10)),
@@ -81,12 +81,6 @@ class TestGridTransforms:
         stream = build_stream(grid, params)
         assert_allclose(np.sum(np.abs(stream[params.lcp:]) ** 2),
                         np.sum(np.abs(grid) ** 2), rtol=1e-12)
-
-    def test_shape_mismatch_raises(self):
-        """A grid that disagrees with the configured geometry is refused."""
-        params = OtfsParams(m=8, n=16, lcp=4)
-        with pytest.raises(ValueError, match="does not match"):
-            build_stream(np.zeros((16, 8)), params)
 
 
 class TestSerialization:

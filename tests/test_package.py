@@ -49,6 +49,12 @@ def mentions(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def src_mentions():
+    """:func:`mentions` summed over the modules under ``src/otfs_sync``."""
+    return sum((mentions(ast.parse(path.read_text()))
+                for path in sorted(SRC.glob("*.py"))), Counter())
+
+
 def public_definitions(tree, module):
     """(``module.name``, node) of each public top-level function and class
     of ``tree``, and (``module.Class.name``, node) of each public method
@@ -116,9 +122,15 @@ def test_no_seed_sequence_in_src():
     """A trial's generators are built from the seeding words of a run's
     vectorised pass, on one path; numpy's ``SeedSequence``, which that
     pass reproduces, is only the tests' reference."""
-    named = sum((mentions(ast.parse(path.read_text()))
-                 for path in sorted(SRC.glob("*.py"))), Counter())
-    assert named["SeedSequence"] == 0
+    assert src_mentions()["SeedSequence"] == 0
+
+
+def test_no_asarray_in_src():
+    """The trial path takes the arrays it builds as they are: inputs from
+    outside the program are checked where they enter, by config parsing
+    and ``harness.build_point``, and no function coerces its arguments
+    again."""
+    assert src_mentions()["asarray"] == 0
 
 
 def test_guard_sees_methods_and_properties(tmp_path):

@@ -67,11 +67,6 @@ class TestDelayMetric:
         scaled = metric_delay(3.0j * self.buffer, self.params, self.spec)
         assert_allclose(scaled, 9.0 * p_d, rtol=1e-12)
 
-    def test_short_buffer_raises(self):
-        """A buffer below the window reach is refused with the size."""
-        with pytest.raises(ValueError, match="need"):
-            metric_delay(self.buffer[:20], self.params, self.spec)
-
 
 class TestSlotMetric:
     """M-lag correlation over the slot axis."""
@@ -107,11 +102,6 @@ class TestSlotMetric:
         """The row window cannot start before row zero."""
         with pytest.raises(ValueError, match="mprime_p"):
             metric_time(self.buffer, self.params, self.spec, mprime_p=1)
-
-    def test_short_buffer_raises(self):
-        """A buffer below the slot-window reach is refused."""
-        with pytest.raises(ValueError, match="need"):
-            metric_time(self.buffer[:40], self.params, self.spec, mprime_p=4)
 
 
 class TestMetricProperties:
