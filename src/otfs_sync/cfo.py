@@ -8,7 +8,9 @@ Two stages:
   slot band of ``timing.ToEstimate``), so it reads no buffer sample;
 * ``fine_cfo`` refines it by maximizing a maximum-likelihood cost built
   on a generalized complex-exponential basis expansion (GCE-BEM) of the
-  channel taps over the pilot region.
+  channel taps over the pilot region, from the located block's pilot
+  rows that the timing stage cut from its slot rows (the pilot of
+  ``timing.ToEstimate``), so it reads no buffer sample either.
 
 The ML cost projects the de-rotated pilot observation onto the column
 space of the model matrix G, with projector Lambda.  That projector is
@@ -161,24 +163,6 @@ def pilot_sample_indices(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
     return idx
 
 
-def extract_pilot(received: np.ndarray, block_start: int,
-                  params: OtfsParams, spec: PcpSpec) -> np.ndarray:
-    """Stack the received pilot rows of the block at ``block_start``.
-
-    Returns the length-N*L vector ordered slot-major (slot 0 rows first).
-    Rows outside ``received`` raise ``ValueError``: a negative index
-    would otherwise wrap silently.
-    """
-    idx = pilot_sample_indices(params, spec)
-    if block_start + idx[0, 0] < 0 \
-            or block_start + idx[-1, -1] >= received.size:
-        raise ValueError(
-            f"pilot rows of the block at {block_start} fall outside the "
-            f"buffer of {received.size} samples"
-        )
-    return received[block_start + idx].ravel()
-
-
 def projection(g: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the numerical column space of G.
 
@@ -235,8 +219,8 @@ class MlWorkspace:
         (N x L) @ (L x N) product of slot rows, then the lag-m
         subdiagonal sums of P times it.  That is N^2 L + N (N + 1) / 2
         complex multiplies; the counter keeps the definition's
-        convention L N (N + 1).  ``r_p`` is the length-N L array
-        :func:`extract_pilot` returns.
+        convention L N (N + 1).  ``r_p`` is the length-N L slot-major
+        pilot of ``timing.ToEstimate``.
         """
         n = self.params.n
         rows = r_p.reshape(n, -1)

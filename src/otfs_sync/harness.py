@@ -35,7 +35,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .cfo import (COARSE_STEP, MlWorkspace, build_workspace, coarse_cfo,
-                  extract_pilot, fine_cfo, matched_order)
+                  fine_cfo, matched_order)
 from .channel import (ChannelModel, apply_impairments, eva_model,
                       mean_delay, noise_sigma, realize_channel,
                       single_tap_model, stream_reach, tap_rows, unit_noise)
@@ -47,10 +47,11 @@ logger = logging.getLogger(__name__)
 
 #: Errors the estimators raise on inputs they cannot handle; a trial that
 #: hits one is counted as failed.  Anything else is a bug and propagates.
-#: The one a trial can reach is ``cfo.coarse_cfo``'s refusal of a buffer
-#: whose pilot rows carry no usable energy, which depends on the data;
-#: ``cfo.extract_pilot``'s bounds check guards reads that
-#: ``tests/test_cfo.py::TestReadSet`` shows stay inside the 2 n_t buffer.
+#: The only one a trial can reach is ``cfo.coarse_cfo``'s refusal of a
+#: buffer whose pilot rows carry no usable energy, which depends on the
+#: data.  No stage checks bounds: only ``timing.estimate_to`` reads the
+#: buffer, and ``tests/test_cfo.py::TestReadSet`` shows its reads stay
+#: inside the 2 n_t buffer.
 #: A config that cannot run (one slot, too many model tones for the slots,
 #: no trial, a search window narrower than one coarse step or wider than
 #: N/2) fails in :func:`build_point`, before any trial.
@@ -437,8 +438,7 @@ def run_trial(points: list, words: np.ndarray,
             stage = "coarse"
             result.eps_coarse = coarse_cfo(to, params, spec)
             stage = "fine"
-            r_p = extract_pilot(received, to.theta_hat, params, spec)
-            estimate = fine_cfo(r_p, ctx.workspace, result.eps_coarse,
+            estimate = fine_cfo(to.pilot, ctx.workspace, result.eps_coarse,
                                 half_width=config.cfo_half_width)
             traces["estimate"] = estimate
             result.eps_fine = float(fold_offset(estimate.eps_fine, params.n))

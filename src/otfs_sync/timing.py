@@ -20,11 +20,13 @@ them, ``metric_delay`` and ``metric_time``, live in
 
 Each metric forms only the lag products it reads.  The delay metric
 reads samples [0, MN + 2L - 2).  The slot metric reads the 2L pilot
-rows of slots 0 .. 2N - 2 that start at the delay peak, and its lag-M
-products, the (2N - 2, 2L) slot band, are handed on in ``ToEstimate``
-with both traces, so that ``cfo.coarse_cfo`` sums its correlations from
-them instead of the buffer.  The index grids of both gathers are cached
-read-only per geometry.
+rows of slots 0 .. 2N - 2 that start at the delay peak, the slot rows.
+These two reads are the only ones any stage makes of the buffer.  The
+slot rows' lag-M products, the (2N - 2, 2L) slot band, are handed on in
+``ToEstimate`` with both traces, so that ``cfo.coarse_cfo`` sums its
+correlations from them, and so is the located block's pilot, cut from
+the slot rows, which ``cfo.fine_cfo`` takes.  The index grids of both
+gathers are cached read-only per geometry.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ class ToEstimate:
     relative to the observation buffer (unfolded; callers fold modulo
     N_T as needed).  ``p_d`` and ``p_t`` are the raw complex metric
     traces; ``slot_band`` (``_slot_band``, shape (2N - 2, 2L)) holds the
-    lag-M products P_t sums, its first row at the |P_d| peak.
+    lag-M products P_t sums, its first row at the |P_d| peak.  ``pilot``
+    is the length-N L pilot of the block at theta_hat, slot-major (slot 0
+    rows first), as ``cfo.fine_cfo`` takes it.
     """
 
     theta_d_hat: int
@@ -55,6 +59,7 @@ class ToEstimate:
     p_d: np.ndarray
     p_t: np.ndarray
     slot_band: np.ndarray
+    pilot: np.ndarray
 
 
 def fold_offset(value, width):
@@ -127,21 +132,22 @@ def _slot_grid(params: OtfsParams, spec: PcpSpec) -> np.ndarray:
 
 
 def _slot_band(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
-               lo: int) -> np.ndarray:
-    """D[w, i] = conj(r[wM + lo + i]) r[(w+1)M + lo + i], lo >= 0.
+               lo: int) -> tuple:
+    """The slot rows R[v, i] = r[vM + lo + i], lo >= 0, and their lag-M
+    products D[w, i] = conj(R[w, i]) R[w + 1, i].
 
-    The lag-M products of the 2L pilot rows lo .. lo + 2L - 1 over the
-    2N - 2 slot lags w that the sliding window reaches, shape
-    (2N - 2, 2L): every product the slot metric and the coarse CFO read.
-    They reach sample (2N - 2)M + lo + 2L - 1, inside a trial's 2 N_T
-    buffer for every delay peak lo < M; a shorter buffer raises numpy's
-    ``IndexError``.
+    R holds the 2L pilot rows lo .. lo + 2L - 1 of slots v = 0 .. 2N - 2,
+    shape (2N - 1, 2L); D covers the 2N - 2 slot lags w that the sliding
+    window reaches, shape (2N - 2, 2L): every product the slot metric and
+    the coarse CFO read.  R reaches sample (2N - 2)M + lo + 2L - 1, inside
+    a trial's 2 N_T buffer for every delay peak lo < M; a shorter buffer
+    raises numpy's ``IndexError``.
     """
     rows = received[lo:][_slot_grid(params, spec)]
-    return np.conj(rows[:-1]) * rows[1:]
+    return rows, np.conj(rows[:-1]) * rows[1:]
 
 
-def metric_time_iterative(band: np.ndarray) -> np.ndarray:
+def metric_time_iterative(band: np.ndarray, n: int) -> np.ndarray:
     """Slot-domain metric via the sliding update, from the slot band.
 
     P_t[l+1] = P_t[l] - sum_i conj(r[lM+i]) r[(l+1)M+i]
@@ -149,9 +155,9 @@ def metric_time_iterative(band: np.ndarray) -> np.ndarray:
 
     2 * 2L new products per output point instead of the direct form's
     (N-1) * 2L.  The trace is the first window followed by the running
-    sum of these exchanges, over the row sums of ``band``
-    (``_slot_band``, 2N - 2 slot lags, so N output points).  The
-    direct form that defines it,
+    sum of these exchanges, over the row sums of ``band`` (``_slot_band``,
+    2N - 2 slot lags), N - 1 of them to a window, so N output points.
+    The direct form that defines it,
 
         P_t[l] = sum_{i=m'_p-L}^{m'_p+L-1} sum_{v=0}^{N-2}
                  conj(r[(l+v)M + i]) r[(l+v+1)M + i],   l = 0 .. N-1,
@@ -160,7 +166,7 @@ def metric_time_iterative(band: np.ndarray) -> np.ndarray:
     windows that straddle the following block, is ``metric_time`` in
     ``tests/reference.py``.
     """
-    return _window_sums(band.sum(axis=1), band.shape[0] // 2)
+    return _window_sums(band.sum(axis=1), n - 1)
 
 
 def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
@@ -172,19 +178,30 @@ def estimate_to(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
     ``tests/reference.py``.  The delay stage takes the peak row argmax
     |P_d|, and theta_d_hat = peak - footprint, where ``footprint`` is
     the row at which the first energised pilot row of a block that starts
-    at sample 0 lands (``harness.PointContext``).  The slot band starts
-    at the peak row, and the slot stage takes theta_t_hat = argmax |P_t|.
-    Both argmaxes resolve ties to the smallest index, and theta_hat is
-    reported without range folding.  The estimate carries both traces
-    and the slot band, whose rows theta_t_hat .. theta_t_hat + N - 2
-    ``cfo.coarse_cfo`` reads.
+    at sample 0 lands (``harness.PointContext``).  The slot rows and
+    their band start at the peak row, and the slot stage takes
+    theta_t_hat = argmax |P_t|.  Both argmaxes resolve ties to the
+    smallest index, and theta_hat is reported without range folding.
+
+    The estimate carries both traces, the slot band, whose rows
+    theta_t_hat .. theta_t_hat + N - 2 ``cfo.coarse_cfo`` reads, and
+    the pilot of the block at theta_hat.  Pilot row a of slot l sits at
+    theta_hat + Lcp + lM + m_p + a = peak + (theta_t_hat + l)M + c + a,
+    c = Lcp + m_p - footprint = L - floor(mu), mu the channel's mean
+    delay: slot row theta_t_hat + l, column c + a.  Both channel models
+    have 1 <= mu <= L, so c + a lies in the 2L columns, and the slots,
+    at most theta_t_hat + N - 1 <= 2N - 2, in the 2N - 1 gathered ones.
+    Its definition, which gathers the pilot rows from the buffer, is in
+    ``tests/reference.py``.
     """
     p_d = metric_delay_iterative(received, params, spec)
     peak = int(np.abs(p_d).argmax())
-    band = _slot_band(received, params, spec, peak)
-    p_t = metric_time_iterative(band)
+    rows, band = _slot_band(received, params, spec, peak)
+    p_t = metric_time_iterative(band, params.n)
     theta_d_hat = peak - footprint
     theta_t_hat = int(np.abs(p_t).argmax())
+    col = params.lcp + spec.m_p - footprint
+    pilot = rows[theta_t_hat:theta_t_hat + params.n, col:col + spec.length]
     return ToEstimate(theta_d_hat=theta_d_hat, theta_t_hat=theta_t_hat,
                       theta_hat=theta_d_hat + params.m * theta_t_hat,
-                      p_d=p_d, p_t=p_t, slot_band=band)
+                      p_d=p_d, p_t=p_t, slot_band=band, pilot=pilot.ravel())

@@ -9,7 +9,9 @@ trial path:
   (criterion 1); the ``*_multiplies`` functions count both forms' work;
 * ``coarse_cfo_gather`` gathers the coarse CFO's row correlations from
   the buffer, where ``cfo.coarse_cfo`` sums them from the timing stage's
-  slot band;
+  slot band, and ``extract_pilot`` gathers the pilot rows of a block
+  from the buffer, where ``timing.estimate_to`` cuts them from its slot
+  rows;
 * ``bem_basis`` is the GCE-BEM (Leus, EUSIPCO 2004): the Q tones at
   any oversampling K evaluated at all N L pilot samples, of which
   ``cfo.build_workspace`` evaluates only each slot's first row at
@@ -82,7 +84,7 @@ def metric_time(received: np.ndarray, params: OtfsParams, spec: PcpSpec,
             f"slot metric window starts at row {lo}; mprime_p={mprime_p} "
             f"must be >= pilot length {spec.length}"
         )
-    rowsums = _slot_band(received, params, spec, lo).sum(axis=1)
+    rowsums = _slot_band(received, params, spec, lo)[1].sum(axis=1)
     n = params.n
     return sliding_window_view(rowsums, n - 1).sum(axis=-1)
 
@@ -105,8 +107,8 @@ def time_metric_multiplies(params: OtfsParams, spec: PcpSpec,
         return (n - 1) * per_rowsum + (n - 1) * 2 * per_rowsum
     return n * (n - 1) * per_rowsum
 
-# Coarse CFO (otfs_sync.cfo): the row correlations gathered from the
-# buffer.
+# Coarse and fine CFO inputs (otfs_sync.cfo): the row correlations and
+# the pilot vector, gathered from the buffer.
 
 
 def coarse_cfo_gather(received: np.ndarray, to: ToEstimate,
@@ -132,6 +134,18 @@ def coarse_cfo_gather(received: np.ndarray, to: ToEstimate,
         )
     corr = (np.conj(received[idx]) * received[idx + m]).sum(axis=0)
     return _phase_advance_cfo(corr, n)
+
+
+def extract_pilot(received: np.ndarray, block_start: int,
+                  params: OtfsParams, spec: PcpSpec) -> np.ndarray:
+    """The received pilot rows of the block at ``block_start``, gathered
+    from the buffer: the length-N L vector of the samples at
+    ``block_start + cfo.pilot_sample_indices``, slot-major (slot 0 rows
+    first), which ``timing.estimate_to`` hands on as
+    ``ToEstimate.pilot``.  ``block_start`` + Lcp + m_p must be at least 0:
+    a negative index would wrap silently.
+    """
+    return received[block_start + pilot_sample_indices(params, spec)].ravel()
 
 # ML cost (otfs_sync.cfo): the paper's model-order rule, the dense model
 # matrix, the banded reduction of the NL x NL projector, the per-point
@@ -253,7 +267,7 @@ def crb_cfo(s_tilde: np.ndarray, lam: np.ndarray, params: OtfsParams,
     CRB(eps) = sigma^2 (MN / 2 pi)^2 / (2 ||(I - Lambda)(k - kbar) s||^2)
 
     ``s_tilde`` is the block's noiseless received pilot rows de-rotated
-    by the true CFO, ordered as ``cfo.extract_pilot`` stacks them; k is
+    by the true CFO, ordered as ``extract_pilot`` stacks them; k is
     their sample indices (``pilot_sample_indices``; a common offset
     cancels), ``lam`` the model projector Lambda = P kron I_L and
     ``noise_var`` the complex noise variance sigma^2.  The model's

@@ -64,7 +64,7 @@ class TestCriterion1:
                                          / np.max(np.abs(p_d))))
             p_t = metric_time(buf, params, spec, mprime_p=32)
             p_t_it = metric_time_iterative(
-                _slot_band(buf, params, spec, 32 - spec.length))
+                _slot_band(buf, params, spec, 32 - spec.length)[1], params.n)
             worst_t = max(worst_t, float(np.max(np.abs(p_t_it - p_t))
                                          / np.max(np.abs(p_t))))
         elapsed = time.perf_counter() - tic

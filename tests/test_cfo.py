@@ -15,9 +15,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from otfs_sync.cfo import (BEM_K, COARSE_STEP, FINE_STEP, OpCounter,
                            _phase_table, build_workspace, coarse_cfo,
-                           extract_pilot, fine_cfo,
-                           matched_order, ml_cost, pilot_sample_indices,
-                           projection)
+                           fine_cfo, matched_order, ml_cost,
+                           pilot_sample_indices, projection)
 from otfs_sync.channel import (apply_impairments, mean_delay, noise_sigma,
                                realize_channel, single_tap_model, unit_noise)
 from otfs_sync import harness
@@ -28,8 +27,8 @@ from otfs_sync.pilot import PcpSpec, build_frame, pilot_dt_slots
 from otfs_sync.timing import (_slot_band, estimate_to, fold_offset,
                               metric_delay_iterative)
 from reference import (bem_basis, bem_fit_nmse, bem_order, beta_coefficients,
-                       build_g, coarse_cfo_gather, crb_cfo, ml_cost_fast,
-                       trial_words)
+                       build_g, coarse_cfo_gather, crb_cfo, extract_pilot,
+                       ml_cost_fast, trial_words)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -156,22 +155,25 @@ class TestReadSet:
         params, spec = ctx.params, ctx.spec
         to = estimate_to(received, params, spec, ctx.footprint)
         eps_coarse = coarse_cfo(to, params, spec)
-        r_p = extract_pilot(received, to.theta_hat, params, spec)
-        estimate = fine_cfo(r_p, ctx.workspace, eps_coarse,
+        estimate = fine_cfo(to.pilot, ctx.workspace, eps_coarse,
                             half_width=half_width)
-        return to, eps_coarse, r_p, estimate
+        return to, eps_coarse, estimate
 
     @pytest.mark.parametrize("config_name, overrides", [
         ("noiseless_recovery.cfg", dict(theta=None, epsilon=None)),
         ("sweep_snr.cfg", dict(snr_db=20.0)),
-    ], ids=["32x8", "128x32"])
+        ("sweep_doppler_geometries.cfg", dict(m=64, n=64, nu_max_t=0.14)),
+        ("sweep_doppler_geometries.cfg", dict(m=256, n=16, nu_max_t=1.36)),
+    ], ids=["32x8", "128x32", "64x64", "256x16"])
     def test_unread_samples_do_not_matter(self, monkeypatch, config_name,
                                           overrides):
-        """Every sample outside the delay window [0, MN + 2L - 2), the
-        slot band (the 2L rows from the delay peak argmax |P_d|, of slots
-        0 .. 2N - 2) and the pilot rows at theta_hat is set to NaN; the
-        timing estimate, its traces, both CFO estimates, the pilot vector
-        and the cost trace stay bit for bit those of the whole buffer."""
+        """Every sample outside the delay window [0, MN + 2L - 2) and the
+        slot rows (the 2L rows from the delay peak argmax |P_d|, of slots
+        0 .. 2N - 2) is set to NaN; the timing estimate, its traces and
+        pilot vector, both CFO estimates and the cost trace stay bit for
+        bit those of the whole buffer, at every shipped grid.  The pilot
+        vector is the buffer's pilot rows of the block at theta_hat
+        (``extract_pilot``)."""
         config = dataclasses.replace(load_config(CONFIG_DIR / config_name),
                                      **overrides)
         ctx = build_point(config)
@@ -196,19 +198,19 @@ class TestReadSet:
                     + int(np.argmax(np.abs(to.p_d)))
                     + np.arange(2 * length))
             read[band] = True
-            read[to.theta_hat + pilot_sample_indices(params, spec)] = True
             assert 0 < read.sum() < received.size
+            assert_array_equal(to.pilot, extract_pilot(received, to.theta_hat,
+                                                       params, spec))
             poisoned = np.where(read, received, np.nan)
             part = self.chain(poisoned, ctx, config.cfo_half_width)
             for name in ("theta_d_hat", "theta_t_hat", "theta_hat"):
                 assert getattr(part[0], name) == getattr(to, name)
-            for name in ("p_d", "p_t", "slot_band"):
+            for name in ("p_d", "p_t", "slot_band", "pilot"):
                 assert_array_equal(getattr(part[0], name),
                                    getattr(to, name))
             assert part[1] == whole[1]
-            assert_array_equal(part[2], whole[2])
-            assert part[3].eps_fine == whole[3].eps_fine
-            assert_array_equal(part[3].cost_trace, whole[3].cost_trace)
+            assert part[2].eps_fine == whole[2].eps_fine
+            assert_array_equal(part[2].cost_trace, whole[2].cost_trace)
 
     @staticmethod
     def random_configs(count, seed):
@@ -241,11 +243,13 @@ class TestReadSet:
         delay peak and slot candidate, so no stage needs a length check.
         On a zero buffer, at each shipped geometry and at 200 random
         configs that ``build_point`` accepts (both channels, lcp = 0
-        among them): the delay metric has M outputs; the slot band at
-        every peak row in [0, M) has shape (2N - 2, 2L); and
-        ``extract_pilot`` at every (peak, slot), block start peak -
-        footprint + M slot, does not raise.  Small random L clips the
-        EVA profile, whose warnings are silenced."""
+        among them): the delay metric has M outputs; the slot rows at
+        every peak row in [0, M) have shape (2N - 1, 2L) and their band
+        (2N - 2, 2L); and the pilot's first column in the slot rows, c =
+        Lcp + m_p - footprint, lies in [0, L - 1], so the L pilot columns
+        from c lie in the 2L rows gathered (``timing.estimate_to``).
+        Small random L clips the EVA profile, whose warnings are
+        silenced."""
         shipped = []
         for path in sorted(CONFIG_DIR.glob("*.cfg")):
             config = load_config(path)
@@ -262,11 +266,11 @@ class TestReadSet:
             assert metric_delay_iterative(buffer, params, spec).shape \
                 == (params.m,)
             for peak in range(params.m):
-                assert _slot_band(buffer, params, spec, peak).shape \
-                    == (2 * params.n - 2, 2 * spec.length)
-                for slot in range(params.n):
-                    extract_pilot(buffer, peak - ctx.footprint
-                                  + params.m * slot, params, spec)
+                rows, band = _slot_band(buffer, params, spec, peak)
+                assert rows.shape == (2 * params.n - 1, 2 * spec.length)
+                assert band.shape == (2 * params.n - 2, 2 * spec.length)
+            assert 0 <= params.lcp + spec.m_p - ctx.footprint \
+                <= spec.length - 1
 
 
 class TestBemOrder:
@@ -903,22 +907,25 @@ class TestChannelEstimation:
 
 
 class TestExtractPilot:
-    """Pilot-row gathering from the receive buffer."""
+    """The pilot vector that the timing stage cuts from its slot rows."""
 
     def test_gathers_slot_major(self):
-        """The vector stacks slot 0's rows first, then slot 1's, and so on."""
+        """At every first pilot column c = Lcp + m_p - footprint in
+        [0, L - 1], over random buffers, ``ToEstimate.pilot`` stacks slot
+        0's rows first, then slot 1's, and so on: entry (l, a) is the
+        sample at theta_hat + Lcp + l M + m_p + a, as the buffer gather
+        ``extract_pilot`` takes it."""
         params = OtfsParams(m=16, n=4, lcp=5)
         spec = PcpSpec(length=3, m_p=8)
-        buffer = np.arange(200, dtype=complex)
-        r_p = extract_pilot(buffer, 10, params, spec)
-        idx = 10 + pilot_sample_indices(params, spec)
-        assert_array_equal(r_p, buffer[idx.ravel()])
-
-    def test_out_of_range_raises(self):
-        """Blocks whose pilot rows leave the buffer are refused."""
-        params = OtfsParams(m=16, n=4, lcp=5)
-        spec = PcpSpec(length=3, m_p=8)
-        with pytest.raises(ValueError, match="outside"):
-            extract_pilot(np.zeros(40), 0, params, spec)
-        with pytest.raises(ValueError, match="outside"):
-            extract_pilot(np.zeros(200), -20, params, spec)
+        rng = np.random.default_rng(4)
+        for col in range(spec.length):
+            buffer = rng.standard_normal(2 * params.n_t) \
+                + 1j * rng.standard_normal(2 * params.n_t)
+            to = estimate_to(buffer, params, spec, 5 + 8 - col)
+            r_p = to.pilot.reshape(params.n, spec.length)
+            for l in range(params.n):
+                for a in range(spec.length):
+                    assert r_p[l, a] == buffer[to.theta_hat + 5 + l * 16
+                                               + 8 + a]
+            assert_array_equal(to.pilot, extract_pilot(
+                buffer, to.theta_hat, params, spec))

@@ -392,7 +392,7 @@ class TestRunTrial:
         here rather than as a missing span."""
         stages = ("build_frame", "build_stream", "realize_channel",
                   "apply_impairments", "estimate_to", "coarse_cfo",
-                  "extract_pilot", "fine_cfo")
+                  "fine_cfo")
         calls = dict.fromkeys(stages, 0)
 
         def counting(name, fn):

@@ -13,8 +13,8 @@ from otfs_sync import timing
 from otfs_sync.pilot import PcpSpec, build_frame
 from otfs_sync.timing import (_slot_band, estimate_to, fold_offset,
                               metric_delay_iterative, metric_time_iterative)
-from reference import (delay_metric_multiplies, metric_delay, metric_time,
-                       time_metric_multiplies)
+from reference import (delay_metric_multiplies, extract_pilot, metric_delay,
+                       metric_time, time_metric_multiplies)
 
 
 def random_buffer(rng, size):
@@ -95,7 +95,8 @@ class TestSlotMetric:
             buf = random_buffer(rng, 80)
             assert_allclose(
                 metric_time_iterative(_slot_band(buf, self.params,
-                                                 self.spec, 4 - 2)),
+                                                 self.spec, 4 - 2)[1],
+                                      self.params.n),
                 metric_time(buf, self.params, self.spec, 4), rtol=1e-12)
 
     def test_window_anchor_below_length_raises(self):
@@ -117,8 +118,8 @@ class TestMetricProperties:
         """At random (M, N, L), with the slot window anchored anywhere the
         delay peak can put it and a buffer of any length both metrics
         reach, each iterative form matches its direct form within 1e-10
-        of the trace's largest magnitude, and the slot band holds exactly
-        the lag-M products its definition names."""
+        of the trace's largest magnitude, and the slot rows and band hold
+        exactly the samples and lag-M products their definitions name."""
         m = 2 * length + extra_m
         params = OtfsParams(m=m, n=n, lcp=0)
         spec = PcpSpec(length=length, m_p=length)
@@ -130,14 +131,17 @@ class TestMetricProperties:
         p_d = metric_delay(buf, params, spec)
         assert_allclose(metric_delay_iterative(buf, params, spec), p_d,
                         rtol=0, atol=1e-10 * np.max(np.abs(p_d)))
-        band = _slot_band(buf, params, spec, mprime_p - length)
+        rows, band = _slot_band(buf, params, spec, mprime_p - length)
         w, i = np.meshgrid(np.arange(2 * n - 2),
                            mprime_p - length + np.arange(2 * length),
                            indexing="ij")
+        assert_array_equal(rows, buf[np.arange(2 * n - 1)[:, None] * m
+                                     + mprime_p - length
+                                     + np.arange(2 * length)])
         assert_array_equal(band, np.conj(buf[w * m + i])
                            * buf[(w + 1) * m + i])
         p_t = metric_time(buf, params, spec, mprime_p)
-        assert_allclose(metric_time_iterative(band), p_t, rtol=0,
+        assert_allclose(metric_time_iterative(band, n), p_t, rtol=0,
                         atol=1e-10 * max(np.max(np.abs(p_t)), 1.0))
 
 
@@ -242,8 +246,9 @@ class TestNoiselessRecovery:
 
     @pytest.mark.parametrize("theta", [-128, -1, 0, 37, 127])
     def test_exact_offset_recovery(self, theta):
-        """The assembled estimate matches the injected offset exactly, and
-        its slot band starts at the delay peak."""
+        """The assembled estimate matches the injected offset exactly, its
+        slot band starts at the delay peak, and its pilot is the buffer's
+        pilot rows of the block at theta_hat (``extract_pilot``)."""
         advance = self.params.mn // 2 - self.footprint
         received = apply_impairments(
             self.stream, self.real, theta + advance, 0.0,
@@ -255,7 +260,9 @@ class TestNoiselessRecovery:
         assert_array_equal(
             to.slot_band,
             _slot_band(received, self.params, self.spec,
-                       int(np.argmax(np.abs(to.p_d)))))
+                       int(np.argmax(np.abs(to.p_d))))[1])
+        assert_array_equal(to.pilot, extract_pilot(
+            received, to.theta_hat, self.params, self.spec))
 
     def test_shift_equivariance(self):
         """Moving the whole pattern by k samples moves the estimate by k."""
