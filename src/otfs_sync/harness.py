@@ -45,19 +45,6 @@ from .timing import estimate_to, fold_offset
 
 logger = logging.getLogger(__name__)
 
-#: Errors the estimators raise on inputs they cannot handle; a trial that
-#: hits one is counted as failed.  Anything else is a bug and propagates.
-#: The only one a trial can reach is ``cfo.coarse_cfo``'s refusal of a
-#: buffer whose pilot rows carry no usable energy, which depends on the
-#: data.  No stage checks bounds: only ``timing.estimate_to`` reads the
-#: buffer, and ``tests/test_cfo.py::TestReadSet`` shows its reads stay
-#: inside the 2 n_t buffer.
-#: A config that cannot run (one slot, too many model tones for the slots,
-#: no trial, a search window narrower than one coarse step or wider than
-#: N/2) fails in :func:`build_point`, before any trial.
-ESTIMATOR_ERRORS = (ValueError,)
-
-
 @dataclass
 class ExperimentConfig:
     """Flat description of one experiment; every field is a config key.
@@ -157,23 +144,14 @@ class PointContext:
     advance: int
 
 
-def resolve_pilot(config: ExperimentConfig, params: OtfsParams) -> PcpSpec:
-    """Pilot spec from config: the delay anchor at the grid center unless
-    ``pilot_m_p`` sets it."""
-    m_p = params.m // 2 if config.pilot_m_p is None else config.pilot_m_p
-    return PcpSpec(length=config.pilot_length, m_p=m_p)
-
-
-def resolve_channel(config: ExperimentConfig) -> ChannelModel:
-    if config.channel == "eva":
-        return eva_model(config.pilot_length, config.nu_max_t)
-    if config.channel == "single_tap":
-        return single_tap_model(config.nu_max_t)
-    raise ValueError(f"unknown channel kind {config.channel!r}")
-
-
 def build_point(config: ExperimentConfig) -> PointContext:
-    """Resolve one sweep point's geometry, channel, and ML workspace.
+    """Build one sweep point's geometry, channel model, pilot spec and ML
+    workspace.
+
+    The channel model is ``eva_model`` or ``single_tap_model`` at the
+    config's nu*T, as ``channel`` names it.  The pilot spec has the
+    config's length, anchored at delay row m_p = M/2 unless
+    ``pilot_m_p`` sets it.
 
     Refuses, with ``ValueError``, a config that would run no trial, a
     negative seed, a pilot shorter than 2, a grid of one slot (N < 2:
@@ -182,12 +160,12 @@ def build_point(config: ExperimentConfig) -> PointContext:
     width past N/2 (the ML cost repeats every N bins, so a wider search
     only revisits aliases while its phase table grows), a fixed theta
     outside [-MN/2, MN/2), a fixed epsilon outside the coarse stage's
-    ambiguity window [-N/2, N/2), or a pilot whose received footprint
-    leaves its slot: its rows, from the first reserved row m_p - L to
-    the last pilot row m_p + L - 1 spread by the largest delay d_max
-    that carries power, must lie in the slot's rows [0, M - 1], or the
-    pilot does not fit the grid and the delay metric wraps into the next
-    slot.  No other place checks the pilot's fit.  These are the checks
+    ambiguity window [-N/2, N/2), an unknown channel kind, or a pilot
+    whose received footprint leaves its slot: its rows, from the first
+    reserved row m_p - L to the last pilot row m_p + L - 1 spread by the
+    largest delay d_max that carries power, must lie in the slot's rows
+    [0, M - 1], or the pilot does not fit the grid and the delay metric
+    wraps into the next slot.  No other place checks the pilot's fit.  These are the checks
     on a trial's inputs: the functions a trial calls take the arrays
     :func:`run_trial` builds as they are, without checking them again.
 
@@ -226,8 +204,14 @@ def build_point(config: ExperimentConfig) -> PointContext:
         raise ValueError(
             f"epsilon must lie in [-N/2, N/2) = [{-params.n / 2:g}, "
             f"{params.n / 2:g}), got {config.epsilon!r}")
-    model = resolve_channel(config)
-    spec = resolve_pilot(config, params)
+    if config.channel == "eva":
+        model = eva_model(config.pilot_length, config.nu_max_t)
+    elif config.channel == "single_tap":
+        model = single_tap_model(config.nu_max_t)
+    else:
+        raise ValueError(f"unknown channel kind {config.channel!r}")
+    spec = PcpSpec(length=config.pilot_length, m_p=params.m // 2
+                   if config.pilot_m_p is None else config.pilot_m_p)
     first = spec.m_p - spec.length
     reach = spec.m_p + spec.length - 1 + int(model.delays[-1])
     if first < 0 or reach > params.m - 1:
@@ -385,6 +369,17 @@ def run_trial(points: list, words: np.ndarray,
     the results equal one-point calls bit for bit.  Nothing outlives the
     call.
 
+    One refusal fails a trial instead of raising: ``coarse_cfo``'s
+    ``ValueError`` on a buffer whose pilot rows carry no usable energy,
+    which depends on the data.  That trial's result keeps its timing
+    estimate and carries the failure ``coarse: <message>``.  Any other
+    error, a ``ValueError`` from ``estimate_to`` or ``fine_cfo`` or from a
+    write into the read-only noiseless buffer included, is a bug and
+    propagates.  No stage checks bounds: only ``estimate_to`` reads the
+    buffer, and ``tests/test_cfo.py::TestReadSet`` shows its reads stay
+    inside the 2 n_t buffer.  A config that cannot run fails in
+    :func:`build_point`, before any trial.
+
     A ``traces`` dict, when given, receives each stage's artifacts as they
     are made: the channel ``realization`` (that window), the timing
     estimate ``to`` with its metric traces and slot band, and the
@@ -428,23 +423,19 @@ def run_trial(points: list, words: np.ndarray,
                      lambda: unit_noise(length, _child_rng(words, 2)))
             received = clean + noise_sigma(config.snr_db) * w
 
-        result = TrialResult(theta_true=theta, eps_true=eps)
-        stage = "timing"
-        try:
-            to = traces["to"] = estimate_to(received, params, spec,
-                                            ctx.footprint)
-            result.theta_hat = int(fold_offset(to.theta_hat - ctx.advance,
-                                               params.n_t))
-            stage = "coarse"
-            result.eps_coarse = coarse_cfo(to, params, spec)
-            stage = "fine"
-            estimate = fine_cfo(to.pilot, ctx.workspace, result.eps_coarse,
-                                half_width=config.cfo_half_width)
-            traces["estimate"] = estimate
-            result.eps_fine = float(fold_offset(estimate.eps_fine, params.n))
-        except ESTIMATOR_ERRORS as exc:
-            result.failure = f"{stage}: {exc}"
+        to = traces["to"] = estimate_to(received, params, spec, ctx.footprint)
+        result = TrialResult(theta_true=theta, eps_true=eps, theta_hat=int(
+            fold_offset(to.theta_hat - ctx.advance, params.n_t)))
         results.append(result)
+        try:
+            result.eps_coarse = coarse_cfo(to, params, spec)
+        except ValueError as exc:
+            result.failure = f"coarse: {exc}"
+            continue
+        estimate = traces["estimate"] = fine_cfo(
+            to.pilot, ctx.workspace, result.eps_coarse,
+            half_width=config.cfo_half_width)
+        result.eps_fine = float(fold_offset(estimate.eps_fine, params.n))
     return results
 
 

@@ -359,19 +359,36 @@ class TestRunTrial:
         assert min(eps) < -2.4 and max(eps) > 2.4
 
 
-    @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
-                                       "fine_cfo"])
+    @pytest.mark.parametrize("stage", ["coarse_cfo"])
     def test_estimator_error_is_stage_failure(self, monkeypatch, stage):
-        """An estimator's ValueError fails the trial with its stage label."""
+        """The coarse CFO's refusal fails the trial with the ``coarse``
+        label, after its timing estimate is kept."""
         def refuse(*args, **kwargs):
             raise ValueError("no lock")
 
         ctx = build_point(TINY)
         monkeypatch.setattr(harness, stage, refuse)
-        label = {"estimate_to": "timing", "coarse_cfo": "coarse",
-                 "fine_cfo": "fine"}[stage]
         [r] = run_trial([(TINY, ctx)], trial_words(TINY.seed, 0))
-        assert r.failure == f"{label}: no lock"
+        assert r.failure == "coarse: no lock"
+        assert r.theta_hat is not None
+        assert (r.eps_coarse, r.eps_fine) == (None, None)
+
+    @pytest.mark.parametrize("stage", ["estimate_to", "fine_cfo"])
+    def test_stage_error_propagates(self, tmp_path, monkeypatch, stage):
+        """Only the coarse CFO's refusal is a failed trial: a ValueError
+        from the timing or fine-CFO stage is a bug, and raises out of
+        run_trial and run_sweep."""
+        def broken(*args, **kwargs):
+            raise ValueError("shape mismatch")
+
+        ctx = build_point(TINY)
+        monkeypatch.setattr(harness, stage, broken)
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            run_trial([(TINY, ctx)], trial_words(TINY.seed, 0))
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            run_sweep(dataclasses.replace(TINY, sweep_values=(None, 20.0)),
+                      tmp_path)
+        assert not tmp_path.joinpath("results.csv").exists()
 
     @pytest.mark.parametrize("stage", ["estimate_to", "coarse_cfo",
                                        "fine_cfo"])
@@ -645,14 +662,16 @@ class TestRunners:
                                        "fine_cfo"])
     def test_snapshot_stage_failure_raises(self, tmp_path, monkeypatch,
                                            stage):
-        """A snapshot whose estimator refuses raises with the stage label."""
+        """A snapshot whose coarse CFO refuses raises with the stage label;
+        a ValueError from another stage reaches the caller as it is."""
         def refuse(*args, **kwargs):
             raise ValueError("no lock")
 
         monkeypatch.setattr(harness, stage, refuse)
-        label = {"estimate_to": "timing", "coarse_cfo": "coarse",
-                 "fine_cfo": "fine"}[stage]
-        with pytest.raises(ValueError, match=f"{label}: no lock"):
+        message = {"estimate_to": "no lock",
+                   "coarse_cfo": "snapshot trial failed at coarse: no lock",
+                   "fine_cfo": "no lock"}[stage]
+        with pytest.raises(ValueError, match=f"^{message}$"):
             run_snapshot(TINY, tmp_path)
 
 
@@ -793,18 +812,24 @@ class TestSharedLink:
 
     def test_noisy_only_failures_stay_at_their_points(self, tmp_path,
                                                       monkeypatch, caplog):
-        """A timing stub that refuses noisy buffers fails every trial of
-        the noisy points and none of the noiseless one, and the failure
+        """A coarse-CFO stub that refuses noisy buffers fails every trial
+        of the noisy points and none of the noiseless one, and the failure
         warnings come out point by point in sweep order."""
-        estimate_to = harness.estimate_to
+        estimate_to, coarse_cfo = harness.estimate_to, harness.coarse_cfo
+        noisy = []
 
-        def noise_shy(received, *args):
+        def spy(received, *args):
             # The noiseless buffer is exactly zero off the stream's reach.
-            if np.count_nonzero(received) == received.size:
-                raise ValueError("noisy")
+            noisy.append(np.count_nonzero(received) == received.size)
             return estimate_to(received, *args)
 
-        monkeypatch.setattr(harness, "estimate_to", noise_shy)
+        def noise_shy(*args):
+            if noisy[-1]:
+                raise ValueError("noisy")
+            return coarse_cfo(*args)
+
+        monkeypatch.setattr(harness, "estimate_to", spy)
+        monkeypatch.setattr(harness, "coarse_cfo", noise_shy)
         config = dataclasses.replace(self.FADING, sweep="snr_db",
                                      sweep_values=(10.0, None, 20.0),
                                      trials=2)
@@ -813,23 +838,22 @@ class TestSharedLink:
         assert [s.failures for s in summaries] == [2, 0, 2]
         assert [r.getMessage() for r in caplog.records
                 if r.name == "otfs_sync.harness"] == [
-            "point 10.0: trial 0 failed (timing: noisy)",
-            "point 10.0: trial 1 failed (timing: noisy)",
-            "point 20.0: trial 0 failed (timing: noisy)",
-            "point 20.0: trial 1 failed (timing: noisy)"]
+            "point 10.0: trial 0 failed (coarse: noisy)",
+            "point 10.0: trial 1 failed (coarse: noisy)",
+            "point 20.0: trial 0 failed (coarse: noisy)",
+            "point 20.0: trial 1 failed (coarse: noisy)"]
 
     def test_shared_clean_buffer_is_read_only(self, monkeypatch):
         """The noiseless buffer that every noiseless point receives cannot
         be written, so no point can corrupt another's input: an estimator
-        that writes into it fails the trial."""
+        that writes into it raises out of run_trial."""
         def scribble(received, *args):
             received[0] = 0.0
 
         monkeypatch.setattr(harness, "estimate_to", scribble)
         ctx = build_point(self.FADING)
-        [r] = run_trial([(self.FADING, ctx)], trial_words(TINY.seed, 0))
-        assert r.failure.startswith("timing: ")
-        assert "read-only" in r.failure
+        with pytest.raises(ValueError, match="read-only"):
+            run_trial([(self.FADING, ctx)], trial_words(TINY.seed, 0))
 
 
 #: The verbs of the command line.

@@ -133,6 +133,23 @@ def test_no_asarray_in_src():
     assert src_mentions()["asarray"] == 0
 
 
+def test_run_trial_catches_only_the_coarse_refusal():
+    """``harness.run_trial`` has one ``try``, and of the three estimators
+    it names only ``coarse_cfo``, whose refusal of a buffer without usable
+    pilot rows is the one error a trial can meet: an error from the timing
+    or fine-CFO stage is a bug and propagates instead of counting as a
+    failed trial."""
+    tree = ast.parse((SRC / "harness.py").read_text())
+    [run_trial] = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "run_trial"]
+    tries = [node for node in ast.walk(run_trial)
+             if isinstance(node, ast.Try)]
+    assert len(tries) == 1
+    estimators = {"estimate_to", "coarse_cfo", "fine_cfo"}
+    assert estimators & set(mentions(tries[0])) == {"coarse_cfo"}
+
+
 def test_guard_sees_methods_and_properties(tmp_path):
     """A method or property is caught like a function, and a use from a
     sibling member counts as a caller while recursion does not."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfs_sync.harness import ExperimentConfig, build_point, resolve_pilot
+from otfs_sync.harness import ExperimentConfig, build_point
 from otfs_sync.modem import OtfsParams, build_stream, qam16_symbols
 from otfs_sync.pilot import (PILOT_AMPLITUDE, PcpSpec, _frame_layout,
                              build_frame, make_zc, pilot_dt_slots)
@@ -48,7 +48,7 @@ class TestPcpSpec:
         """The pilot a config resolves to without ``pilot_m_p`` anchors at
         the center of both axes: m_p = M/2, and column N/2 of its grid."""
         params = OtfsParams(m=128, n=32, lcp=32)
-        spec = resolve_pilot(ExperimentConfig(pilot_length=21), params)
+        spec = build_point(ExperimentConfig(pilot_length=21)).spec
         assert spec.m_p == 64
         pilot_grid = _frame_layout(params, spec)[0]
         assert_array_equal(np.unique(np.nonzero(pilot_grid)[1]), [16])
