@@ -668,9 +668,8 @@ class TestRunners:
             raise ValueError("no lock")
 
         monkeypatch.setattr(harness, stage, refuse)
-        message = {"estimate_to": "no lock",
-                   "coarse_cfo": "snapshot trial failed at coarse: no lock",
-                   "fine_cfo": "no lock"}[stage]
+        message = "snapshot trial failed at coarse: no lock" \
+            if stage == "coarse_cfo" else "no lock"
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_snapshot(TINY, tmp_path)
 
